@@ -3,14 +3,13 @@ groups and wreath products on lexicographically ordered abelian groups,
 with verification suites for every algebraic law involved.
 """
 
-from .scalars import ExpSum, Rat, scalar_sign
+from .scalars import ExpSum, scalar_sign
 from .trimat import TriMat, nilpotent_exp, unipotent_log
 from .embedding import (
     AffineRep,
     affine_algebra_rep,
     certify_admissible,
     coord_vector,
-    decompose,
     embed_unitriangular,
     integerize,
     is_essentially_hyperbolic,
@@ -18,7 +17,6 @@ from .embedding import (
     left_mult_matrix_closed,
     left_symmetric_product,
     matrix_from_coords,
-    recompose,
 )
 from .triangular import (
     TriangularElement,
@@ -54,7 +52,6 @@ __all__ = [
     "MatrixBundle",
     "Product",
     "ProductAut",
-    "Rat",
     "Scalars",
     "SuiteConfig",
     "TranslationBundle",
@@ -70,7 +67,6 @@ __all__ = [
     "conj_coord_matrix",
     "conjugate_by_diagonal",
     "coord_vector",
-    "decompose",
     "dominates",
     "embed_triangular",
     "embed_unitriangular",
@@ -86,7 +82,6 @@ __all__ = [
     "lex_distance",
     "matrix_from_coords",
     "nilpotent_exp",
-    "recompose",
     "run_suite",
     "scalar_sign",
     "unipotent_log",

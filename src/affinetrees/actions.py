@@ -113,15 +113,9 @@ class MatrixAffineAut:
         return TriMat(rows)
 
 
-def _fiber_kind(mat: TriMat) -> str:
-    if any(isinstance(v, ExpSum) for row in mat.rows for v in row):
-        return "R"
-    return "Q"
-
-
 def point_space_for(mat: TriMat, kind: str | None = None) -> Product:
     """Point space acted on by an N x N affine matrix: N-1 scalar factors."""
-    kind = kind or _fiber_kind(mat)
+    kind = kind or ("R" if isinstance(mat.ring_one(), ExpSum) else "Q")
     return Product(*([Scalars(kind)] * (mat.n - 1)))
 
 

@@ -22,9 +22,9 @@ from . import jsonio, scalars
 from .actions import from_affine_matrix
 from .embedding import AffineRep, integerize, is_essentially_hyperbolic
 from .errors import AffineTreesError, ConfigInvalid
-from .harness import SuiteConfig, SuiteConfig as _Cfg, run_suite, _wreath_law_checks
+from .harness import SuiteConfig, run_suite, _wreath_law_checks
 from .ordered import LexVec
-from .triangular import embed_triangular, is_essentially_hyperbolic_embedded
+from .triangular import embed_triangular
 from .trimat import TriMat
 from .wreath import WreathGroup, iterated_wreath
 
@@ -112,9 +112,10 @@ def cmd_extend_tstar(args) -> int:
         elem = jsonio.triangular_from_json(_load_json(args.input))
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed element JSON: {exc}") from exc
-    payload = {"matrix": jsonio.mat_to_json(embed_triangular(elem))}
+    image = embed_triangular(elem)
+    payload = {"matrix": jsonio.mat_to_json(image)}
     if not elem.is_identity():
-        payload["essentially_free"] = is_essentially_hyperbolic_embedded(elem)
+        payload["essentially_free"] = is_essentially_hyperbolic(image)
     _emit(payload, args.output)
     return 0
 
@@ -191,7 +192,7 @@ def cmd_wreath(args) -> int:
     bundle = iterated_wreath(levels)
     if not isinstance(bundle, WreathGroup):
         raise CliInputError("need at least two levels to form a wreath product")
-    cfg = _Cfg(suite="wreath", samples=args.samples, seed=args.seed)
+    cfg = SuiteConfig(suite="wreath", samples=args.samples, seed=args.seed)
     cfg.validate()
     checks = _wreath_law_checks(cfg, "wreath.cli", bundle)
     payload = {

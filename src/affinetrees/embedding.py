@@ -49,44 +49,6 @@ def coord_count(n: int) -> int:
 # -- superdiagonal grading ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SuperdiagDecomposition:
-    """Superdiagonals of a strictly upper triangular matrix.
-
-    ``diagonals[i-1]`` holds the i-th superdiagonal, i.e. the entries at
-    positions (k, k+i), as a tuple of length n-i.
-    """
-
-    n: int
-    diagonals: tuple
-
-    def to_matrix(self) -> TriMat:
-        return recompose(self)
-
-
-def decompose(mat: TriMat) -> SuperdiagDecomposition:
-    if not mat.is_strict_upper():
-        raise NotStrictUpper("superdiagonal decomposition needs a strict upper matrix")
-    n = mat.n
-    diags = tuple(
-        tuple(mat.rows[k][k + i] for k in range(n - i)) for i in range(1, n)
-    )
-    return SuperdiagDecomposition(n, diags)
-
-
-def recompose(decomp: SuperdiagDecomposition) -> TriMat:
-    n = decomp.n
-    if len(decomp.diagonals) != n - 1 or any(
-        len(diag) != n - i for i, diag in enumerate(decomp.diagonals, start=1)
-    ):
-        raise DimensionMismatch("superdiagonal lengths do not match the dimension")
-    rows = [[Fraction(0)] * n for _ in range(n)]
-    for i, diag in enumerate(decomp.diagonals, start=1):
-        for k, v in enumerate(diag):
-            rows[k][k + i] = v
-    return TriMat(rows)
-
-
 def superdiag_part(mat: TriMat, i: int) -> TriMat:
     """Matrix keeping only the i-th superdiagonal of ``mat``."""
     zero = mat.ring_zero()
@@ -254,6 +216,10 @@ def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
     unitriangular (m+1) x (m+1) matrices: exponential of the affine
     algebra representation of the logarithm."""
+    if g.n < 2:
+        raise DimensionMismatch(
+            f"embedding needs 2 <= n <= 8 (the supported range), got n = {g.n}"
+        )
     if not g.is_unitriangular():
         raise NotUnitriangular("embedding defined on unitriangular matrices")
     return nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
@@ -365,9 +331,10 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
 
     Row by row, d_i is the lcm of the denominators appearing in row i of
     any generator; the conjugator is the diagonal matrix whose i-th entry
-    is the product d_i * d_{i+1} * ... * d_n.  Conjugation scales entry
-    (i, j) by a positive integer, so zero patterns, unit diagonals and
-    essential hyperbolicity are all preserved.
+    is the product s_i = d_i * d_{i+1} * ... * d_n.  Conjugation scales
+    entry (i, j) by s_i / s_j, a positive integer for j >= i, so zero
+    patterns, unit diagonals and essential hyperbolicity are all
+    preserved.
     """
     if not gens:
         raise ValueError("empty generating set")
@@ -379,18 +346,31 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
             raise NotUnitriangular("generators must be unitriangular")
         if any(not isinstance(v, Fraction) for row in g.rows for v in row):
             raise TypeError("integerization needs rational generators")
-    for g in gens:
-        if g.inverse() not in gens:
-            raise NotInverseClosed(f"missing inverse of {g!r}")
+    # a generator paired with an earlier one is that one's inverse, so its
+    # own inverse is already known to be present
+    paired = set()
+    for i, g in enumerate(gens):
+        if i in paired:
+            continue
+        try:
+            paired.add(gens.index(g.inverse()))
+        except ValueError:
+            raise NotInverseClosed(f"missing inverse of {g!r}") from None
     row_lcm = [
         lcm(*(g.rows[i][j].denominator for g in gens for j in range(n)), 1)
         for i in range(n)
     ]
-    scale = [Fraction(1)] * n
+    scale = [1] * n
     acc = 1
     for i in range(n - 1, -1, -1):
         acc *= row_lcm[i]
-        scale[i] = Fraction(acc)
-    conjugator = TriMat.diagonal(scale)
-    inv = conjugator.inverse()
-    return conjugator, [conjugator * g * inv for g in gens]
+        scale[i] = acc
+    return TriMat.diagonal(scale), [
+        TriMat(
+            [
+                [v * (scale[i] // scale[j]) if v else v for j, v in enumerate(row)]
+                for i, row in enumerate(g.rows)
+            ]
+        )
+        for g in gens
+    ]

@@ -6,8 +6,6 @@ byte-identical outputs.
 
 from __future__ import annotations
 
-from fractions import Fraction
-
 from .embedding import AffineRep
 from .errors import DimensionMismatch
 from .ordered import LexFamily, LexVec, Product, Scalars, Space

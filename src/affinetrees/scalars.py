@@ -2,9 +2,8 @@
 
 Two scalar rings are used everywhere else in the library:
 
-* ``Rat`` -- arbitrary-precision rationals.  This is simply
-  :class:`fractions.Fraction`, which already keeps gcd-reduced
-  numerator/denominator with a positive denominator.
+* :class:`fractions.Fraction` -- arbitrary-precision rationals, kept as
+  gcd-reduced numerator/denominator with a positive denominator.
 
 * :class:`ExpSum` -- finite formal sums ``sum_q c_q * e**q`` with rational
   coefficients ``c_q`` and rational exponents ``q``.  Distinct exponentials
@@ -24,8 +23,6 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .errors import PrecisionExhausted
-
-Rat = Fraction
 
 #: Refinement budget for sign determination.  Far beyond any realistic
 #: need; turns a hypothetical non-termination into a reported error.
@@ -153,16 +150,6 @@ class ExpSum:
     def is_zero(self) -> bool:
         return not self._terms
 
-    def is_rational(self) -> bool:
-        return not self._terms or set(self._terms) == {Fraction(0)}
-
-    def as_rational(self) -> Fraction:
-        if not self._terms:
-            return Fraction(0)
-        if not self.is_rational():
-            raise ValueError(f"{self!r} is not a rational constant")
-        return self._terms[Fraction(0)]
-
     def is_monomial(self) -> bool:
         return len(self._terms) == 1
 
@@ -254,18 +241,6 @@ class ExpSum:
         ((q0, c0),) = other._terms.items()
         return ExpSum([(q - q0, c / c0) for q, c in self._terms.items()])
 
-    def __pow__(self, k):
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("only non-negative integer powers")
-        out = ExpSum.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
-
     # -- comparisons ---------------------------------------------------------
 
     def __eq__(self, other):
@@ -352,7 +327,7 @@ class ExpSum:
 
 
 def scalar_sign(value, max_refinements: int | None = None) -> int:
-    """Sign of a Rat or ExpSum scalar."""
+    """Sign of a Fraction or ExpSum scalar."""
     if isinstance(value, ExpSum):
         return value.sign(max_refinements)
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):

@@ -8,8 +8,8 @@ conjugated unipotent entries, coordinate multipliers, logarithms of the
 diagonal -- lives in the :class:`~affinetrees.scalars.ExpSum` ring.
 
 The embedded image has dimension m + n + 1 (m = n(n-1)/2): the first m
-rows carry the unipotent embedding conjugated by the coordinate action
-of the diagonal, the next n rows carry an identity block whose final
+rows carry the unipotent embedding, its linear block multiplied on the
+right by the coordinate action of the diagonal, the next n rows carry an identity block whose final
 column is the vector of diagonal exponents, and the corner entry is 1.
 Nontrivial elements are essentially hyperbolic for the natural affine
 action: a nontrivial diagonal contributes a nonzero exponent column that
@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import (
-    coord_block,
     coord_count,
     embed_unitriangular,
     is_essentially_hyperbolic,
@@ -55,6 +54,17 @@ def conjugate_by_diagonal(exponents, mat: TriMat) -> TriMat:
     )
 
 
+def _coord_multipliers(exponents) -> list:
+    """e**(q_r - q_s) for the coordinate housing matrix entry (r, s), in
+    the flattened coordinate order of :func:`coord_vector`."""
+    n = len(exponents)
+    return [
+        ExpSum.exponential(exponents[r] - exponents[r + n - k])
+        for k in range(1, n)
+        for r in range(k)
+    ]
+
+
 def conj_coord_matrix(exponents) -> TriMat:
     """Diagonal m x m matrix describing how conjugation by the diagonal
     acts on flattened strictly-upper coordinates.
@@ -63,27 +73,13 @@ def conj_coord_matrix(exponents) -> TriMat:
     e**(q_r - q_{r + n - k}).
     """
     exponents = tuple(Fraction(q) for q in exponents)
-    n = len(exponents)
-    m = coord_count(n)
-    diag = []
-    for nu in range(1, m + 1):
-        k, r = coord_block(nu)
-        diag.append(ExpSum.exponential(exponents[r - 1] - exponents[r + n - k - 1]))
-    return TriMat.diagonal(diag)
+    return TriMat.diagonal(_coord_multipliers(exponents))
 
 
 def conj_coord_matrix_affine(exponents) -> TriMat:
     """The coordinate conjugation matrix padded with a corner 1, sized m+1."""
-    core = conj_coord_matrix(exponents)
-    zero = ExpSum.zero()
-    rows = [list(r) + [zero] for r in core.rows]
-    rows.append([zero] * core.n + [ExpSum.one()])
-    return TriMat(rows)
-
-
-def log_diagonal(exponents) -> tuple:
-    """Column of exponents as ExpSum constants (the diagonal's logarithm)."""
-    return tuple(ExpSum.constant(Fraction(q)) for q in exponents)
+    exponents = tuple(Fraction(q) for q in exponents)
+    return TriMat.diagonal(_coord_multipliers(exponents) + [ExpSum.one()])
 
 
 @dataclass(frozen=True)
@@ -155,47 +151,53 @@ class TriangularElement:
         )
 
 
+def _image(rep: TriMat, exponents) -> TriMat:
+    """The (m+n+1)-dimensional image of u * d from the (m+1)-dimensional
+    image ``rep`` of u and the exponents of d, built in one pass.
+
+    It equals (image of u) * (image of d): the linear block of ``rep``
+    with column s scaled by coordinate s's multiplier, the translation
+    column of ``rep``, then an identity block whose last column holds the
+    exponents, and the corner 1.
+    """
+    n = len(exponents)
+    m = rep.n - 1
+    mult = _coord_multipliers(exponents)
+    zero, one = ExpSum.zero(), ExpSum.one()
+    rows = [
+        [v * mult[s] if v else v for s, v in enumerate(row[:m])]
+        + [zero] * n
+        + [row[m]]
+        for row in rep.rows[:m]
+    ]
+    for i, q in enumerate(exponents):
+        rows.append(
+            [zero] * (m + i) + [one] + [zero] * (n - 1 - i) + [ExpSum.constant(q)]
+        )
+    rows.append([zero] * (m + n) + [one])
+    return TriMat(rows)
+
+
 def embed_unipotent_part(u: TriMat) -> TriMat:
     """Embedding of a unitriangular matrix into dimension m + n + 1."""
-    n = u.n
-    m = coord_count(n)
-    rep = embed_unitriangular(u.to_expsum())
-    zero, one = ExpSum.zero(), ExpSum.one()
-    size = m + n + 1
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(m):
-        for j in range(m):
-            rows[i][j] = rep.rows[i][j]
-        rows[i][size - 1] = rep.rows[i][m]
-    for i in range(n):
-        rows[m + i][m + i] = one
-    rows[size - 1][size - 1] = one
-    return TriMat(rows)
+    return _image(embed_unitriangular(u.to_expsum()), (Fraction(0),) * u.n)
 
 
 def embed_diagonal_part(exponents) -> TriMat:
     """Embedding of a positive diagonal into dimension m + n + 1."""
     exponents = tuple(Fraction(q) for q in exponents)
-    n = len(exponents)
-    m = coord_count(n)
-    core = conj_coord_matrix(exponents)
-    logs = log_diagonal(exponents)
-    zero, one = ExpSum.zero(), ExpSum.one()
-    size = m + n + 1
-    rows = [[zero] * size for _ in range(size)]
-    for i in range(m):
-        rows[i][i] = core.rows[i][i]
-    for i in range(n):
-        rows[m + i][m + i] = one
-        rows[m + i][size - 1] = logs[i]
-    rows[size - 1][size - 1] = one
-    return TriMat(rows)
+    identity = TriMat.identity(coord_count(len(exponents)) + 1, ExpSum.one())
+    return _image(identity, exponents)
 
 
 def embed_triangular(g: TriangularElement) -> TriMat:
     """The full embedding: image of the unipotent part times the image of
     the diagonal part.  Multiplicative on the whole group."""
-    return embed_unipotent_part(g.u) * embed_diagonal_part(g.exponents)
+    if g.n < 2:
+        raise DimensionMismatch(
+            f"embedding needs 2 <= n <= 8 (the supported range), got n = {g.n}"
+        )
+    return _image(embed_unitriangular(g.u), g.exponents)
 
 
 def is_essentially_hyperbolic_embedded(g: TriangularElement) -> bool:
@@ -232,9 +234,11 @@ def verify_conjugation_identities(
     """Check the commutation identities tying diagonal conjugation to every
     stage of the embedding, plus isomorphism evidence for the full map.
 
-    Returns {tag: {"trials": int, "failures": int}}.  A failure raises
-    :class:`IdentityViolation` unless ``raise_on_failure`` is false; these
-    identities hold exactly, so a violation means an implementation bug.
+    Returns {tag: {"trials": int, "failures": int, "witness": dict | None}},
+    where the witness (with its trial) is that of the tag's first failure.
+    A failure raises :class:`IdentityViolation` unless ``raise_on_failure``
+    is false; these identities hold exactly, so a violation means an
+    implementation bug.
     """
     if samples < 1:
         raise ValueError("samples must be >= 1")
@@ -245,12 +249,17 @@ def verify_conjugation_identities(
     )
 
     m = coord_count(n)
-    report = {tag: {"trials": 0, "failures": 0} for tag in IDENTITY_TAGS}
+    report = {
+        tag: {"trials": 0, "failures": 0, "witness": None} for tag in IDENTITY_TAGS
+    }
 
     def record(tag, ok, witness):
-        report[tag]["trials"] += 1
+        entry = report[tag]
+        entry["trials"] += 1
         if not ok:
-            report[tag]["failures"] += 1
+            entry["failures"] += 1
+            if entry["witness"] is None:
+                entry["witness"] = witness
             if raise_on_failure:
                 raise IdentityViolation(tag, witness)
 

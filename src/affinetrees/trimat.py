@@ -22,9 +22,11 @@ from .scalars import ExpSum, scalar_sign
 
 
 def _coerce_entry(v):
-    if isinstance(v, ExpSum):
+    # ExpSum first: for anything else an isinstance test against Fraction
+    # goes through ABCMeta, which is slow.
+    if isinstance(v, (ExpSum, Fraction)):
         return v
-    if isinstance(v, (int, Fraction)) and not isinstance(v, bool):
+    if isinstance(v, int) and not isinstance(v, bool):
         return Fraction(v)
     raise TypeError(f"unsupported matrix entry: {v!r}")
 
@@ -107,9 +109,6 @@ class TriMat:
             ]
         )
 
-    def __neg__(self):
-        return TriMat([[-v for v in row] for row in self.rows])
-
     def scale(self, c):
         return TriMat([[v * c for v in row] for row in self.rows])
 
@@ -136,20 +135,6 @@ class TriMat:
                         orow[j] = orow[j] + a * b
             out.append(orow)
         return TriMat(out)
-
-    def __pow__(self, k):
-        if not isinstance(k, int):
-            raise TypeError("matrix power must be an integer")
-        if k < 0:
-            return self.inverse() ** (-k)
-        out = TriMat.identity(self.n, self.ring_one())
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base
-            k >>= 1
-        return out
 
     def __eq__(self, other):
         if not isinstance(other, TriMat):

@@ -78,6 +78,13 @@ def test_embed_precondition_violation(tmp_path, capsys):
     assert "NotUnitriangular" in err
 
 
+def test_embed_rejects_dimension_one(tmp_path, capsys):
+    src = write_json(tmp_path / "in.json", identity_json(1))
+    code, _, err = run_cli(capsys, "embed", "--input", src)
+    assert code == 3
+    assert "2 <= n <= 8" in err
+
+
 def test_hyperbolic_subcommand(tmp_path, capsys):
     translation = TriMat([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     src = write_json(tmp_path / "t.json", mat_to_json(translation))
@@ -119,6 +126,14 @@ def test_extend_tstar_subcommand(tmp_path, capsys):
     assert payload["essentially_free"] is True
     mat = mat_from_json(payload["matrix"])
     assert mat.n == 4  # m + n + 1 with n=2, m=1
+
+
+def test_extend_tstar_rejects_dimension_one(tmp_path, capsys):
+    elem = {"n": 1, "u": identity_json(1), "diag_exponents": ["1"]}
+    src = write_json(tmp_path / "g.json", elem)
+    code, _, err = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 3
+    assert "2 <= n <= 8" in err
 
 
 def test_act_identity(tmp_path, capsys):

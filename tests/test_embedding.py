@@ -9,7 +9,6 @@ from affinetrees.embedding import (
     coord_block,
     coord_count,
     coord_vector,
-    decompose,
     embed_unitriangular,
     integerize,
     is_essentially_hyperbolic,
@@ -18,7 +17,6 @@ from affinetrees.embedding import (
     left_mult_matrix_closed,
     left_symmetric_product,
     matrix_from_coords,
-    recompose,
 )
 from affinetrees.errors import (
     IdentityInput,
@@ -46,35 +44,6 @@ def elementary(n, i, j, value=1):
 
 def generic4(rng):
     return rand_strict_upper(rng, 4)
-
-
-# -- superdiagonal decomposition ---------------------------------------------------
-
-
-def test_decompose_layout():
-    rng = trial_rng(0, "layout")
-    x = generic4(rng)
-    d = decompose(x)
-    assert d.diagonals[0] == (x.rows[0][1], x.rows[1][2], x.rows[2][3])
-    assert d.diagonals[1] == (x.rows[0][2], x.rows[1][3])
-    assert d.diagonals[2] == (x.rows[0][3],)
-
-
-def test_decompose_zero():
-    d = decompose(TriMat.zeros(4))
-    assert all(all(v == 0 for v in diag) for diag in d.diagonals)
-
-
-def test_decompose_roundtrip():
-    for t in range(100):
-        rng = trial_rng(1, "roundtrip", t)
-        x = rand_strict_upper(rng, rng.randint(2, 6))
-        assert recompose(decompose(x)) == x
-
-
-def test_decompose_rejects_nonstrict():
-    with pytest.raises(NotStrictUpper):
-        decompose(TriMat.identity(3))
 
 
 # -- the left-symmetric product ------------------------------------------------------
@@ -386,6 +355,12 @@ def test_integerize_requires_inverse_closure():
     a = TriMat([[1, Fraction(1, 2)], [0, 1]])
     with pytest.raises(NotInverseClosed):
         integerize([a])
+    b = TriMat([[1, 3], [0, 1]])
+    with pytest.raises(NotInverseClosed, match="3"):
+        integerize([a, a.inverse(), b])
+    # duplicates and self-inverse generators are closed
+    eye = TriMat.identity(2)
+    integerize([a, a, eye, a.inverse()])
 
 
 def test_integerize_requires_unitriangular():
@@ -407,6 +382,7 @@ def test_integerize_random_sets():
         conj, conjugated = integerize(gens)
         eye = TriMat.identity(n)
         for before, after in zip(gens, conjugated):
+            assert after == conj * before * conj.inverse()
             assert after.is_unitriangular()
             assert all(v.denominator == 1 for row in after.rows for v in row)
             if before != eye:

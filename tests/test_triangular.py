@@ -2,8 +2,10 @@ from fractions import Fraction
 
 import pytest
 
-from affinetrees.embedding import coord_vector, embed_unitriangular
-from affinetrees.errors import IdentityInput, IdentityViolation
+from affinetrees import triangular
+from affinetrees.embedding import coord_count, coord_vector, embed_unitriangular
+from affinetrees.errors import DimensionMismatch, IdentityInput, IdentityViolation
+from affinetrees.harness import SuiteConfig, run_suite
 from affinetrees.sampling import (
     rand_exponents,
     rand_strict_upper,
@@ -73,11 +75,19 @@ def test_embed_pure_diagonal_example():
 
 
 def test_embed_factorizes():
-    rng = trial_rng(1, "factorize")
-    u = rand_unitriangular(rng, 4).to_expsum()
-    exps = rand_exponents(rng, 4)
-    g = TriangularElement(4, u, exps)
-    assert embed_triangular(g) == embed_unipotent_part(u) * embed_diagonal_part(exps)
+    for t in range(12):
+        rng = trial_rng(1, "factorize", t)
+        n = 2 + t % 4
+        g = TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+        assert embed_triangular(g) == embed_unipotent_part(g.u) * embed_diagonal_part(
+            g.exponents
+        )
+
+
+def test_embed_rejects_dimension_one():
+    g = TriangularElement.diagonal((Fraction(1),))
+    with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+        embed_triangular(g)
 
 
 def test_embed_conjugation_consistency():
@@ -135,6 +145,21 @@ def test_identities_hold_at_trivial_element():
     g = TriangularElement(3, u, zeros)
     assert g.is_identity()
     assert embed_triangular(g) == TriMat.identity(7, ExpSum.one())
+
+
+def test_failing_identity_keeps_witness(monkeypatch):
+    # a wrong coordinate conjugation matrix breaks the identities that use it
+    monkeypatch.setattr(
+        triangular,
+        "conj_coord_matrix_affine",
+        lambda exps: TriMat.identity(coord_count(len(exps)) + 1, ExpSum.one()),
+    )
+    verdict = run_suite(SuiteConfig(suite="tstar", n_low=3, n_high=3, samples=2, seed=1))
+    failed = [c.to_json() for c in verdict.checks if not c.passed]
+    assert failed
+    for check in failed:
+        assert check["name"].startswith("tstar.") and check["name"].endswith(".n3")
+        assert check["witness"]["trial"] in (0, 1)
 
 
 def test_identity_violation_reports_tag():

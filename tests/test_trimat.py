@@ -31,6 +31,16 @@ def test_elementary_product():
     assert lhs == elementary(3, 1, 3)
 
 
+def test_entry_coercion():
+    third, e = Fraction(1, 3), ExpSum.exponential(1)
+    mat = TriMat([[1, third], [e, 0]])
+    assert all(type(v) is Fraction for v in (mat.rows[0][0], mat.rows[1][1]))
+    assert mat.rows[0][1] is third and mat.rows[1][0] is e
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(TypeError):
+            TriMat([[bad]])
+
+
 def test_dimension_mismatch():
     with pytest.raises(DimensionMismatch):
         TriMat.identity(2) * TriMat.identity(3)
