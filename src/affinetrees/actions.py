@@ -29,9 +29,22 @@ from .scalars import ExpSum
 from .trimat import TriMat
 
 
+def _affine(rows, xs, offsets) -> list:
+    """rows * xs + offsets, in matrix coordinate order, skipping zero terms."""
+    out = []
+    for row, acc in zip(rows, offsets):
+        for a, x in zip(row, xs):
+            if a and x:
+                acc = acc + a * x
+        out.append(acc)
+    return out
+
+
 @dataclass(frozen=True)
 class MatrixAffineAut:
-    """Dilation matrix plus translation, in matrix coordinate order."""
+    """Dilation matrix plus translation, in matrix coordinate order, on
+    a power of the Q or R scalars.  Construction brings the translation
+    into that ring, so ``act`` and ``dilate`` need not coerce."""
 
     dilation: TriMat
     translation: tuple
@@ -42,39 +55,41 @@ class MatrixAffineAut:
             raise DimensionMismatch("translation length must match the dilation")
         if len(self.space.factors) != self.dilation.n:
             raise DimensionMismatch("point space size must match the dilation")
+        ring = self.space.factors[0]
+        if set(self.space.factors) not in ({Scalars("Q")}, {Scalars("R")}):
+            raise IndexSpaceMismatch("an affine matrix acts on a power of Q or R")
+        object.__setattr__(
+            self, "translation", tuple(ring.coerce(v) for v in self.translation)
+        )
+        if ring.kind == "Q" and isinstance(self.dilation.ring_one(), ExpSum):
+            raise IndexSpaceMismatch("exact-real dilation over the rationals")
 
     @property
     def dim(self) -> int:
         return self.dilation.n
 
     def is_identity(self) -> bool:
-        return self.dilation == TriMat.identity(
-            self.dim, self.dilation.ring_one()
-        ) and all(not v for v in self.translation)
+        return not any(self.translation) and all(
+            v == 1 if i == j else not v
+            for i, row in enumerate(self.dilation.rows)
+            for j, v in enumerate(row)
+        )
 
     def _mat_apply(self, values, translate: bool):
-        xs = tuple(reversed(values))
-        rows = self.dilation.rows
-        out = []
-        for i in range(self.dim):
-            acc = rows[i][i] - rows[i][i]
-            for j in range(self.dim):
-                if rows[i][j] and xs[j]:
-                    acc = acc + rows[i][j] * xs[j]
-            if translate:
-                acc = acc + self.translation[i]
-            out.append(acc)
-        return tuple(reversed(out))
+        offsets = self.translation
+        if not translate:
+            offsets = (self.space.factors[0].zero(),) * self.dim
+        return tuple(reversed(_affine(self.dilation.rows, values[::-1], offsets)))
 
     def act(self, point: LexVec) -> LexVec:
         if point.space != self.space:
             raise IndexSpaceMismatch("point lives in a different space")
-        return LexVec(self.space, self._mat_apply(point.value, translate=True))
+        return LexVec._trusted(self.space, self._mat_apply(point.value, True))
 
     def dilate(self, delta: LexVec) -> LexVec:
         if delta.space != self.space:
             raise IndexSpaceMismatch("difference lives in a different space")
-        return LexVec(self.space, self._mat_apply(delta.value, translate=False))
+        return LexVec._trusted(self.space, self._mat_apply(delta.value, False))
 
     def compose(self, other: "MatrixAffineAut") -> "MatrixAffineAut":
         """self after other: x -> self(other(x))."""
@@ -82,44 +97,22 @@ class MatrixAffineAut:
             raise IndexSpaceMismatch("can only compose over one space")
         dil = self.dilation * other.dilation
         # translations are stored in matrix row order, so no reversal here
-        moved = []
-        for i in range(self.dim):
-            acc = self.translation[i]
-            for j in range(i, self.dim):
-                if self.dilation.rows[i][j] and other.translation[j]:
-                    acc = acc + self.dilation.rows[i][j] * other.translation[j]
-            moved.append(acc)
+        moved = _affine(self.dilation.rows, other.translation, self.translation)
         return MatrixAffineAut(dil, tuple(moved), self.space)
 
     def invert(self) -> "MatrixAffineAut":
         dil = self.dilation.inverse()
-        neg = []
-        for i in range(self.dim):
-            acc = dil.rows[i][i] - dil.rows[i][i]
-            for j in range(i, self.dim):
-                if dil.rows[i][j] and self.translation[j]:
-                    acc = acc + dil.rows[i][j] * self.translation[j]
-            neg.append(-acc)
+        zeros = (self.space.factors[0].zero(),) * self.dim
+        neg = [-v for v in _affine(dil.rows, self.translation, zeros)]
         return MatrixAffineAut(dil, tuple(neg), self.space)
 
     def to_affine_matrix(self) -> TriMat:
-        n = self.dim
-        zero = self.dilation.ring_zero()
-        one = self.dilation.ring_one()
-        rows = [
-            list(self.dilation.rows[i]) + [self.translation[i]] for i in range(n)
-        ]
-        rows.append([zero] * n + [one])
+        rows = [list(row) + [t] for row, t in zip(self.dilation.rows, self.translation)]
+        rows.append([self.dilation.ring_zero()] * self.dim + [self.dilation.ring_one()])
         return TriMat(rows)
 
 
-def point_space_for(mat: TriMat, kind: str | None = None) -> Product:
-    """Point space acted on by an N x N affine matrix: N-1 scalar factors."""
-    kind = kind or ("R" if isinstance(mat.ring_one(), ExpSum) else "Q")
-    return Product(*([Scalars(kind)] * (mat.n - 1)))
-
-
-def from_affine_matrix(mat: TriMat, kind: str | None = None) -> MatrixAffineAut:
+def from_affine_matrix(mat: TriMat) -> MatrixAffineAut:
     """Split an affine matrix into dilation block and translation column."""
     N = mat.n
     if N < 2:
@@ -134,7 +127,8 @@ def from_affine_matrix(mat: TriMat, kind: str | None = None) -> MatrixAffineAut:
         raise NotAffineForm("bottom row must vanish off the corner")
     dilation = TriMat([[mat.rows[i][j] for j in range(N - 1)] for i in range(N - 1)])
     translation = tuple(mat.rows[i][N - 1] for i in range(N - 1))
-    return MatrixAffineAut(dilation, translation, point_space_for(mat, kind))
+    ring = Scalars("R" if isinstance(mat.ring_one(), ExpSum) else "Q")
+    return MatrixAffineAut(dilation, translation, Product(*[ring] * (N - 1)))
 
 
 class ProductAut:
@@ -153,19 +147,19 @@ class ProductAut:
         if point.space != self.space:
             raise IndexSpaceMismatch("point lives in a different space")
         parts = tuple(
-            c.act(LexVec(c.space, v)).value
+            c.act(LexVec._trusted(c.space, v)).value
             for c, v in zip(self.components, point.value)
         )
-        return LexVec(self.space, parts)
+        return LexVec._trusted(self.space, parts)
 
     def dilate(self, delta: LexVec) -> LexVec:
         if delta.space != self.space:
             raise IndexSpaceMismatch("difference lives in a different space")
         parts = tuple(
-            c.dilate(LexVec(c.space, v)).value
+            c.dilate(LexVec._trusted(c.space, v)).value
             for c, v in zip(self.components, delta.value)
         )
-        return LexVec(self.space, parts)
+        return LexVec._trusted(self.space, parts)
 
     def compose(self, other: "ProductAut") -> "ProductAut":
         return ProductAut(

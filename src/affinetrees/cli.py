@@ -131,7 +131,10 @@ def cmd_act(args) -> int:
     if isinstance(point_obj, list):
         # bare arrays use matrix coordinate order (row 1 first); the last
         # entry is the most significant for the order
-        coords = [jsonio.scalar_from_json(v) for v in point_obj]
+        try:
+            coords = [jsonio.scalar_from_json(v) for v in point_obj]
+        except (KeyError, TypeError, ValueError) as exc:
+            raise CliInputError(f"malformed point JSON: {exc}") from exc
         if len(coords) != mat.n - 1:
             raise CliInputError(
                 f"point has {len(coords)} coordinates, expected {mat.n - 1}"

@@ -70,9 +70,6 @@ from .triangular import (
 from .trimat import TriMat, nilpotent_exp, unipotent_log
 from .wreath import MatrixBundle, WreathGroup, iterated_wreath
 
-SUITES = ("lsa", "embedding", "hyperbolicity", "integerize", "tstar", "wreath", "all")
-
-
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -1023,6 +1020,8 @@ _SUITE_BODIES = {
     "wreath": _suite_wreath,
 }
 
+SUITES = (*_SUITE_BODIES, "all")
+
 
 def run_suite(cfg: SuiteConfig) -> Verdict:
     cfg.validate()
@@ -1030,11 +1029,7 @@ def run_suite(cfg: SuiteConfig) -> Verdict:
     if cfg.max_refinements is not None:
         scalars.set_default_max_refinements(cfg.max_refinements)
     try:
-        names = (
-            ["lsa", "embedding", "hyperbolicity", "integerize", "tstar", "wreath"]
-            if cfg.suite == "all"
-            else [cfg.suite]
-        )
+        names = list(_SUITE_BODIES) if cfg.suite == "all" else [cfg.suite]
         checks = []
         for name in names:
             checks.extend(_SUITE_BODIES[name](cfg))

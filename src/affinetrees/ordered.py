@@ -13,6 +13,11 @@ Three space shapes cover everything the constructions need:
 
 A :class:`LexVec` pairs a value with its space and provides exact
 comparison, addition and the metric d(a, b) = |a - b|.
+
+Values are validated and normalised where they enter, by
+``LexVec(space, value)`` and :meth:`Space.coerce`; :meth:`Space.sample`
+returns normal forms too.  ``add``, ``neg`` and ``sub`` take and return
+normal forms, so :class:`LexVec` arithmetic does not coerce again.
 """
 
 from __future__ import annotations
@@ -59,8 +64,8 @@ class Space:
     def sample(self, rng):
         raise NotImplementedError
 
-    def vec(self, value) -> "LexVec":
-        return LexVec(self, value)
+
+_ZEROS = {"Z": 0, "Q": Fraction(0), "R": ExpSum.zero()}
 
 
 class Scalars(Space):
@@ -94,7 +99,9 @@ class Scalars(Space):
                 return int(value)
             raise IndexSpaceMismatch(f"not an integer: {value!r}")
         if self.kind == "Q":
-            if isinstance(value, (int, Fraction)):
+            if isinstance(value, Fraction):
+                return value
+            if isinstance(value, int):
                 return Fraction(value)
             raise IndexSpaceMismatch(f"not a rational: {value!r}")
         if isinstance(value, ExpSum):
@@ -104,7 +111,7 @@ class Scalars(Space):
         raise IndexSpaceMismatch(f"not an exact real: {value!r}")
 
     def zero(self):
-        return {"Z": 0, "Q": Fraction(0), "R": ExpSum.zero()}[self.kind]
+        return _ZEROS[self.kind]
 
     def is_zero(self, value) -> bool:
         return not value
@@ -291,8 +298,15 @@ class LexVec:
         object.__setattr__(self, "value", space.coerce(value))
 
     @classmethod
+    def _trusted(cls, space: Space, value) -> "LexVec":
+        """Wrap a value already in normal form for ``space``, unchecked."""
+        vec = object.__new__(cls)
+        vec.space, vec.value = space, value
+        return vec
+
+    @classmethod
     def zero(cls, space: Space) -> "LexVec":
-        return cls(space, space.zero())
+        return cls._trusted(space, space.zero())
 
     def _check(self, other) -> "LexVec":
         if not isinstance(other, LexVec):
@@ -306,16 +320,14 @@ class LexVec:
 
     def __add__(self, other):
         other = self._check(other)
-        return LexVec(self.space, self.space.add(self.value, other.value))
+        return LexVec._trusted(self.space, self.space.add(self.value, other.value))
 
     def __sub__(self, other):
         other = self._check(other)
-        return LexVec(
-            self.space, self.space.add(self.value, self.space.neg(other.value))
-        )
+        return LexVec._trusted(self.space, self.space.sub(self.value, other.value))
 
     def __neg__(self):
-        return LexVec(self.space, self.space.neg(self.value))
+        return LexVec._trusted(self.space, self.space.neg(self.value))
 
     def __eq__(self, other):
         if not isinstance(other, LexVec):

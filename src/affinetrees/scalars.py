@@ -73,7 +73,11 @@ def _round_up(x: Fraction, bits: int) -> Fraction:
     return Fraction(math.ceil(x * scale), scale)
 
 
-@lru_cache(maxsize=None)
+#: Bound on the ``_exp_interval`` cache (one entry per exponent and depth).
+EXP_INTERVAL_CACHE_SIZE = 1024
+
+
+@lru_cache(maxsize=EXP_INTERVAL_CACHE_SIZE)
 def _exp_interval(q: Fraction, depth: int, bits: int) -> tuple[Fraction, Fraction]:
     """Rational interval [lo, hi] containing e**q.
 

@@ -13,7 +13,11 @@ so convex subgroups are shifted rather than stabilised.
 H is consumed through a small contract -- identity, multiplication,
 inversion, action and dilation on fiber values -- so translation groups,
 affine matrix groups and other wreath products all plug in, enabling
-iterated constructions.
+iterated constructions.  ``act``, ``dilate``, ``mul`` and ``inv`` take
+and return normalised values and elements without checking them; the
+validating constructors are :meth:`WreathGroup.element` (through each
+base's ``check_element``), ``MatrixAffineAut``, ``from_affine_matrix``
+and ``LexVec(space, value)``.
 """
 
 from __future__ import annotations
@@ -57,8 +61,11 @@ class TranslationBundle:
     def dilate(self, h, value):
         return value
 
+    def check_element(self, h):
+        return self.point_space.coerce(h)
+
     def sample_element(self, rng):
-        return self.point_space.coerce(self.point_space.sample(rng))
+        return self.point_space.sample(rng)
 
 
 class MatrixBundle:
@@ -72,19 +79,14 @@ class MatrixBundle:
     def __init__(self, space, sampler=None):
         self.point_space = space
         self._sampler = sampler
-        self._identity = None
 
     def __eq__(self, other):
         return isinstance(other, MatrixBundle) and self.point_space == other.point_space
 
     def identity(self) -> MatrixAffineAut:
-        if self._identity is None:
-            n = len(self.point_space.factors)
-            zero = Scalars(self.point_space.factors[0].kind).zero()
-            self._identity = MatrixAffineAut(
-                TriMat.identity(n), (zero,) * n, self.point_space
-            )
-        return self._identity
+        n = len(self.point_space.factors)
+        zero = self.point_space.factors[0].zero()
+        return MatrixAffineAut(TriMat.identity(n), (zero,) * n, self.point_space)
 
     def is_identity(self, h) -> bool:
         return h.is_identity()
@@ -96,10 +98,15 @@ class MatrixBundle:
         return a.invert()
 
     def act(self, h, value):
-        return h.act(LexVec(self.point_space, value)).value
+        return h._mat_apply(value, True)
 
     def dilate(self, h, value):
-        return h.dilate(LexVec(self.point_space, value)).value
+        return h._mat_apply(value, False)
+
+    def check_element(self, h):
+        if not isinstance(h, MatrixAffineAut) or h.space != self.point_space:
+            raise StructureMismatch(f"not an automorphism of {self.point_space!r}")
+        return h
 
     def sample_element(self, rng):
         if self._sampler is None:
@@ -153,9 +160,9 @@ class WreathGroup:
             idx = self.index_space.coerce(idx)
             if idx in out:
                 raise StructureMismatch(f"duplicate support index {idx!r}")
-            if not self.base.is_identity(h):
-                out[idx] = h
-        return WreathElem(shift, tuple(sorted(out.items(), key=lambda kv: kv[0])))
+            out[idx] = self.base.check_element(h)
+        support = [(i, h) for i, h in out.items() if not self.base.is_identity(h)]
+        return WreathElem(shift, tuple(sorted(support)))
 
     def identity(self) -> WreathElem:
         return WreathElem(self.index_space.zero(), ())
@@ -163,39 +170,30 @@ class WreathGroup:
     def is_identity(self, e: WreathElem) -> bool:
         return self.index_space.is_zero(e.shift) and not e.support
 
-    def _check(self, e) -> WreathElem:
+    def check_element(self, e) -> WreathElem:
         if not isinstance(e, WreathElem):
             raise StructureMismatch(f"not a wreath element: {e!r}")
         return e
 
     def mul(self, a: WreathElem, b: WreathElem) -> WreathElem:
         """(a_shift, (k_i)) * (b_shift, (h_i)) has map i -> k_{i-b_shift} h_i."""
-        self._check(a)
-        self._check(b)
-        ka, hb = a.mapping(), b.mapping()
-        indices = {i + b.shift for i in ka} | set(hb)
-        out = {}
-        for i in indices:
-            k = ka.get(i - b.shift, None)
-            h = hb.get(i, None)
-            if k is None:
-                v = h
-            elif h is None:
-                v = k
-            else:
-                v = self.base.mul(k, h)
-            if v is not None and not self.base.is_identity(v):
+        self.check_element(a)
+        self.check_element(b)
+        out = {i + b.shift: k for i, k in a.support}
+        for i, h in b.support:
+            k = out.pop(i, None)
+            v = h if k is None else self.base.mul(k, h)
+            if k is None or not self.base.is_identity(v):
                 out[i] = v
-        return WreathElem(a.shift + b.shift, tuple(sorted(out.items(), key=lambda kv: kv[0])))
+        return WreathElem(a.shift + b.shift, tuple(sorted(out.items())))
 
     def inv(self, a: WreathElem) -> WreathElem:
         """(shift, (h_i))**-1 = (-shift, (h_{i+shift}**-1)); checked against
         the multiplication rule by the verification suites."""
-        self._check(a)
-        out = {}
-        for idx, h in a.support:
-            out[idx - a.shift] = self.base.inv(h)
-        return WreathElem(-a.shift, tuple(sorted(out.items(), key=lambda kv: kv[0])))
+        self.check_element(a)
+        return WreathElem(
+            -a.shift, tuple((i - a.shift, self.base.inv(h)) for i, h in a.support)
+        )
 
     # -- the action ----------------------------------------------------------
     # Contract methods work on raw point-space values so that a wreath
@@ -204,48 +202,41 @@ class WreathGroup:
 
     def act(self, g: WreathElem, value):
         """(shift, (h_i)) . (c, (v_i)) = (c + shift, (h_{i+shift} v_{i+shift})_i)."""
-        self._check(g)
-        c, fam = self.point_space.coerce(value)
-        hmap = g.mapping()
-        vmap = dict(fam)
-        indices = {i - g.shift for i in hmap} | {i - g.shift for i in vmap}
-        out = {}
+        self.check_element(g)
+        c, fam = value
         fiber = self.fiber_space
-        for i in indices:
-            src = i + g.shift
-            v = vmap.get(src, fiber.zero())
-            h = hmap.get(src, None)
-            if h is not None:
-                v = self.base.act(h, v)
-            if not fiber.is_zero(v):
-                out[i] = v
-        return self.point_space.coerce((c + g.shift, out))
+        moved = dict(fam)
+        for src, h in g.support:
+            v = self.base.act(h, moved.get(src, fiber.zero()))
+            if fiber.is_zero(v):
+                moved.pop(src, None)
+            else:
+                moved[src] = v
+        return (c + g.shift, tuple(sorted((i - g.shift, v) for i, v in moved.items())))
 
     def dilate(self, g: WreathElem, value):
         """First coordinate fixed; fiber at i becomes the h_{i+shift}
         dilation of the fiber at i+shift."""
-        self._check(g)
-        c, fam = self.point_space.coerce(value)
+        self.check_element(g)
+        c, fam = value
         hmap = g.mapping()
-        out = {}
-        fiber = self.fiber_space
+        out = []
         for src, v in fam:
-            h = hmap.get(src, None)
-            if h is not None:
-                v = self.base.dilate(h, v)
-            if not fiber.is_zero(v):
-                out[src - g.shift] = v
-        return self.point_space.coerce((c, out))
+            if src in hmap:
+                v = self.base.dilate(hmap[src], v)
+            if not self.fiber_space.is_zero(v):
+                out.append((src - g.shift, v))
+        return (c, tuple(out))
 
     def act_vec(self, g: WreathElem, point: LexVec) -> LexVec:
         if point.space != self.point_space:
             raise StructureMismatch("point lives in a different space")
-        return LexVec(self.point_space, self.act(g, point.value))
+        return LexVec._trusted(self.point_space, self.act(g, point.value))
 
     def dilate_vec(self, g: WreathElem, delta: LexVec) -> LexVec:
         if delta.space != self.point_space:
             raise StructureMismatch("difference lives in a different space")
-        return LexVec(self.point_space, self.dilate(g, delta.value))
+        return LexVec._trusted(self.point_space, self.dilate(g, delta.value))
 
     # -- sampling -----------------------------------------------------------
 
@@ -264,7 +255,7 @@ class WreathGroup:
                 return g
 
     def sample_point(self, rng) -> LexVec:
-        return LexVec(self.point_space, self.point_space.sample(rng))
+        return LexVec._trusted(self.point_space, self.point_space.sample(rng))
 
 
 def iterated_wreath(levels):

@@ -8,17 +8,17 @@ from affinetrees.actions import (
     check_affine_law,
     check_free_and_rigid,
     from_affine_matrix,
-    point_space_for,
 )
 from affinetrees.embedding import embed_unitriangular
 from affinetrees.errors import IdentityInput, IndexSpaceMismatch, NotAffineForm
-from affinetrees.ordered import LexVec, lex_compare, lex_distance
+from affinetrees.ordered import LexVec, Product, Scalars, lex_compare, lex_distance
 from affinetrees.sampling import (
     rand_fraction,
     rand_nontrivial_unitriangular,
     rand_unitriangular,
     trial_rng,
 )
+from affinetrees.scalars import ExpSum
 from affinetrees.trimat import TriMat
 
 
@@ -211,3 +211,23 @@ def test_space_mismatch_rejected():
     other = from_affine_matrix(TriMat.identity(4))
     with pytest.raises(IndexSpaceMismatch):
         aut.act(LexVec(other.space, (0, 0, 0)))
+
+
+def test_is_identity_over_expsum():
+    one, zero = ExpSum.one(), ExpSum.zero()
+    assert from_affine_matrix(TriMat.identity(3, one)).is_identity()
+    moved = TriMat([[one, zero, zero], [zero, one, ExpSum.exponential(1)], [zero, zero, one]])
+    assert not from_affine_matrix(moved).is_identity()
+    stretched = TriMat([[one, zero, zero], [zero, ExpSum.exponential(1), zero], [zero, zero, one]])
+    assert not from_affine_matrix(stretched).is_identity()
+
+
+def test_point_ring_checked_at_construction():
+    with pytest.raises(IndexSpaceMismatch):
+        MatrixAffineAut(TriMat.identity(2), (0, 0), Product(Scalars("Z"), Scalars("Z")))
+    with pytest.raises(IndexSpaceMismatch):
+        MatrixAffineAut(TriMat.identity(2), (0, 0), Product(Scalars("Q"), Scalars("R")))
+    with pytest.raises(IndexSpaceMismatch):
+        MatrixAffineAut(
+            TriMat.identity(1, ExpSum.one()), (0,), Product(Scalars("Q"))
+        )

@@ -179,6 +179,28 @@ def test_act_negative_power_inverts(tmp_path, capsys):
     assert json.loads(out) == ["0", "0"]
 
 
+@pytest.mark.parametrize("bad", [["abc"], [[{"coeff": "1"}]], [1.5]])
+def test_act_rejects_malformed_bare_point(tmp_path, capsys, bad):
+    rep = write_json(tmp_path / "rep.json", identity_json(2))
+    point = write_json(tmp_path / "p.json", bad)
+    code, _, err = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert code == 2
+    assert "malformed point JSON" in err
+
+
+def test_act_mixed_ring_zero_coordinate(tmp_path, capsys):
+    e = [{"coeff": "1", "exp": "1"}]
+    rep = write_json(
+        tmp_path / "rep.json",
+        {"entries": [["1", "0", "0"], ["0", "1", e], ["0", "0", "1"]]},
+    )
+    point = write_json(tmp_path / "p.json", ["0", "2"])
+    code, out, _ = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert code == 0
+    # the zero coordinate is the empty exponential sum, not the rational "0"
+    assert json.loads(out) == [[], [{"coeff": "2", "exp": "0"}, {"coeff": "1", "exp": "1"}]]
+
+
 def test_verify_subcommand_passes(tmp_path, capsys):
     code, out, _ = run_cli(
         capsys,

@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from affinetrees.errors import PrecisionExhausted
 from affinetrees.scalars import (
+    EXP_INTERVAL_CACHE_SIZE,
     ExpSum,
+    _exp_interval,
     rat_from_str,
     rat_to_str,
     scalar_sign,
@@ -177,3 +179,14 @@ def test_scalar_sign_dispatch():
     assert scalar_sign(ExpSum.exponential(2)) == 1
     with pytest.raises(TypeError):
         scalar_sign("1")
+
+
+def test_exp_interval_cache_is_bounded():
+    _exp_interval.cache_clear()
+    assert _exp_interval.cache_info().maxsize == EXP_INTERVAL_CACHE_SIZE
+    for k in range(1, EXP_INTERVAL_CACHE_SIZE + 100):
+        q = Fraction(k if k % 2 else -k, 97)
+        # e**q - 1 has mixed-sign coefficients and the sign of q
+        assert ExpSum([(q, 1), (0, -1)]).sign() == (1 if q > 0 else -1)
+    info = _exp_interval.cache_info()
+    assert info.currsize <= info.maxsize

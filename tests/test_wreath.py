@@ -2,10 +2,13 @@ from fractions import Fraction
 
 import pytest
 
+from affinetrees.actions import from_affine_matrix
 from affinetrees.errors import EmptyLevels, StructureMismatch
 from affinetrees.harness import make_unitriangular_image_bundle
 from affinetrees.ordered import LexVec, Scalars, lex_distance
 from affinetrees.sampling import trial_rng
+from affinetrees.scalars import ExpSum
+from affinetrees.trimat import TriMat
 from affinetrees.wreath import (
     TranslationBundle,
     WreathGroup,
@@ -190,5 +193,80 @@ def test_structure_mismatch():
 def test_element_normalization():
     g = ZZ.element(0, {0: 0, 1: 5})
     assert g.mapping() == {1: 5}
+    # fiber elements of a translation base are normalised like points
+    assert repr(ZZ.element(0, {0: Fraction(4, 2)})) == repr(ZZ.element(0, {0: 2}))
     with pytest.raises(StructureMismatch):
         ZZ.element(0, [(0, 1), (0, 2)])
+
+
+def test_element_rejects_foreign_automorphism():
+    group = WreathGroup(make_unitriangular_image_bundle(3), Scalars("Z"))
+    with pytest.raises(StructureMismatch):
+        group.element(1, {0: from_affine_matrix(TriMat.identity(3))})
+
+
+def assert_normal_vec(vec):
+    assert repr(vec.value) == repr(vec.space.coerce(vec.value))
+
+
+def assert_normal_elem(group, e):
+    assert repr(e) == repr(group.element(e.shift, e.support))
+    if isinstance(group.base, WreathGroup):
+        for _, h in e.support:
+            assert_normal_elem(group.base, h)
+
+
+@pytest.mark.parametrize("levels", [("Z", "Z", "Z"), ("U3", "Z"), ("U3", "Q")])
+def test_results_are_normal_forms(levels):
+    """Results built without coercion equal their coerced forms exactly:
+    same types, same index order and no zero fibres."""
+    if levels[0] == "U3":
+        group = WreathGroup(make_unitriangular_image_bundle(3), Scalars(levels[1]))
+    else:
+        group = iterated_wreath(levels)
+    for t in range(15):
+        rng = trial_rng(13, levels, t)
+        g, h = group.sample_element(rng), group.sample_element(rng)
+        p, q = group.sample_point(rng), group.sample_point(rng)
+        for vec in (
+            group.act_vec(g, p),
+            group.act_vec(group.mul(g, group.inv(g)), p),
+            group.dilate_vec(g, p - q),
+            p + q,
+            p - q,
+            -p,
+            lex_distance(p, q),
+        ):
+            assert_normal_vec(vec)
+        for e in (group.mul(g, h), group.inv(g), group.mul(g, group.inv(g))):
+            assert_normal_elem(group, e)
+
+
+def test_expsum_aut_results_are_normal_forms():
+    # mixed Fraction/ExpSum entries: every point coordinate is an ExpSum
+    e = ExpSum.exponential
+    aut = from_affine_matrix(
+        TriMat(
+            [
+                [e(1, 2), Fraction(1, 2), e(Fraction(1, 3), -1), 0],
+                [0, 1, 3, e(-1)],
+                [0, 0, e(2), 2],
+                [0, 0, 0, 1],
+            ]
+        )
+    )
+    inverse, square = aut.invert(), aut.compose(aut)
+    for t in range(15):
+        rng = trial_rng(14, "expsum-aut", t)
+        p, q = (LexVec(aut.space, aut.space.sample(rng)) for _ in range(2))
+        for vec in (
+            aut.act(p),
+            aut.dilate(p - q),
+            inverse.act(aut.act(p)),
+            square.act(p),
+            aut.act(LexVec.zero(aut.space)),
+            p + q,
+            -p,
+        ):
+            assert_normal_vec(vec)
+        assert inverse.act(aut.act(p)) == p
