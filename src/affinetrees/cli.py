@@ -32,6 +32,9 @@ EXIT_CHECK_FAILED = 1
 EXIT_BAD_INPUT = 2
 EXIT_PRECONDITION = 3
 
+#: Largest ``|--power|`` that ``act`` accepts; each step is one affine map.
+MAX_POWER = 10_000
+
 
 class CliInputError(Exception):
     pass
@@ -121,6 +124,8 @@ def cmd_extend_tstar(args) -> int:
 
 
 def cmd_act(args) -> int:
+    if abs(args.power) > MAX_POWER:
+        raise CliInputError(f"--power must satisfy |power| <= {MAX_POWER}")
     rep_obj = _load_json(args.rep)
     if isinstance(rep_obj, dict) and "matrix" in rep_obj:
         mat = _parse_matrix(rep_obj["matrix"])

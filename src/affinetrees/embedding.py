@@ -216,7 +216,7 @@ def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
     unitriangular (m+1) x (m+1) matrices: exponential of the affine
     algebra representation of the logarithm."""
-    if g.n < 2:
+    if not 2 <= g.n <= 8:
         raise DimensionMismatch(
             f"embedding needs 2 <= n <= 8 (the supported range), got n = {g.n}"
         )

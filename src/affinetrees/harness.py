@@ -70,6 +70,10 @@ from .triangular import (
 from .trimat import TriMat, nilpotent_exp, unipotent_log
 from .wreath import MatrixBundle, WreathGroup, iterated_wreath
 
+#: Largest ``samples`` a suite accepts (``verify`` and ``wreath``).
+MAX_SAMPLES = 1_000
+
+
 @dataclass
 class SuiteConfig:
     suite: str = "all"
@@ -82,8 +86,8 @@ class SuiteConfig:
     def validate(self) -> None:
         if self.suite not in SUITES:
             raise ConfigInvalid(f"unknown suite {self.suite!r}")
-        if self.samples < 1:
-            raise ConfigInvalid("samples must be at least 1")
+        if not 1 <= self.samples <= MAX_SAMPLES:
+            raise ConfigInvalid(f"samples must satisfy 1 <= samples <= {MAX_SAMPLES}")
         if not (2 <= self.n_low <= self.n_high <= 8):
             raise ConfigInvalid("dimension range must satisfy 2 <= low <= high <= 8")
         if self.max_refinements is not None and self.max_refinements < 1:

@@ -192,11 +192,8 @@ def embed_diagonal_part(exponents) -> TriMat:
 
 def embed_triangular(g: TriangularElement) -> TriMat:
     """The full embedding: image of the unipotent part times the image of
-    the diagonal part.  Multiplicative on the whole group."""
-    if g.n < 2:
-        raise DimensionMismatch(
-            f"embedding needs 2 <= n <= 8 (the supported range), got n = {g.n}"
-        )
+    the diagonal part.  Multiplicative on the whole group.  The dimension
+    is checked by :func:`embed_unitriangular` before any other work."""
     return _image(embed_unitriangular(g.u), g.exponents)
 
 

@@ -3,12 +3,13 @@
 Entries are either Fractions or :class:`~affinetrees.scalars.ExpSum`
 values (ints are coerced to Fractions at construction).  Matrices are
 immutable; all arithmetic is exact.  The exponential and logarithm are
-the finite sums valid for strictly-upper / unitriangular matrices, where
-nilpotency truncates both series at the dimension.
+the finite sums valid for strictly-upper / unitriangular matrices: both
+stop at the first zero power of the nilpotent part (the n-th at latest).
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from math import factorial
 
@@ -85,29 +86,18 @@ class TriMat:
 
     # -- arithmetic ----------------------------------------------------------
 
-    def __add__(self, other):
+    def _entrywise(self, other, op):
         if not isinstance(other, TriMat):
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        return TriMat(
-            [
-                [a + b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return TriMat([list(map(op, ra, rb)) for ra, rb in zip(self.rows, other.rows)])
+
+    def __add__(self, other):
+        return self._entrywise(other, operator.add)
 
     def __sub__(self, other):
-        if not isinstance(other, TriMat):
-            return NotImplemented
-        if self.n != other.n:
-            raise DimensionMismatch(f"{self.n} vs {other.n}")
-        return TriMat(
-            [
-                [a - b for a, b in zip(ra, rb)]
-                for ra, rb in zip(self.rows, other.rows)
-            ]
-        )
+        return self._entrywise(other, operator.sub)
 
     def scale(self, c):
         return TriMat([[v * c for v in row] for row in self.rows])
@@ -197,26 +187,36 @@ class TriMat:
         return TriMat(inv)
 
 
+def _series(mat: TriMat, diag: bool, coeff) -> TriMat:
+    """diag * I + sum_k coeff(k) * B**k, B the strict upper part of mat, formed row
+    by row up to the first zero power; sums start at the ring zero of mat."""
+    n, one = mat.n, mat.ring_one()
+    zero = one - one
+    out = [[one if diag and i == j else zero for j in range(n)] for i in range(n)]
+    strict = [{j: r[j] for j in range(i + 1, n) if r[j]} for i, r in enumerate(mat.rows)]
+    power, k = strict, 1
+    while any(power):
+        c, nxt = coeff(k), []
+        for orow, prow in zip(out, power):
+            acc = {}
+            for m, p in prow.items():
+                orow[m] = orow[m] + p * c
+                for j, b in strict[m].items():
+                    acc[j] = acc[j] + p * b if j in acc else p * b
+            nxt.append({j: v for j, v in acc.items() if v})
+        power, k = nxt, k + 1
+    return TriMat(out)
+
+
 def nilpotent_exp(mat: TriMat) -> TriMat:
-    """exp(N) = sum_{k<n} N**k / k! for strictly upper triangular N."""
+    """exp(N) = sum_k N**k / k! up to the first N**k = 0."""
     if not mat.is_strict_upper():
         raise NotStrictUpper("exponential defined for strictly upper matrices")
-    out = TriMat.identity(mat.n, mat.ring_one())
-    term = out
-    for k in range(1, mat.n):
-        term = term * mat
-        out = out + term.scale(Fraction(1, factorial(k)))
-    return out
+    return _series(mat, True, lambda k: Fraction(1, factorial(k)))
 
 
 def unipotent_log(mat: TriMat) -> TriMat:
-    """log(I + B) = sum_{1<=k<n} (-1)**(k+1)/k * B**k for unitriangular I + B."""
+    """log(I + B) = sum_k (-1)**(k+1) B**k / k up to the first B**k = 0."""
     if not mat.is_unitriangular():
         raise NotUnitriangular("logarithm defined for unitriangular matrices")
-    strict = mat - TriMat.identity(mat.n, mat.ring_one())
-    out = TriMat.zeros(mat.n, mat.ring_zero())
-    term = TriMat.identity(mat.n, mat.ring_one())
-    for k in range(1, mat.n):
-        term = term * strict
-        out = out + term.scale(Fraction((-1) ** (k + 1), k))
-    return out
+    return _series(mat, False, lambda k: Fraction((-1) ** (k + 1), k))

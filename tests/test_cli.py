@@ -3,8 +3,8 @@ from fractions import Fraction
 
 import pytest
 
-from affinetrees.cli import main
-from affinetrees.harness import example4_image
+from affinetrees.cli import MAX_POWER, main
+from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
 from affinetrees.trimat import TriMat
 
@@ -85,6 +85,13 @@ def test_embed_rejects_dimension_one(tmp_path, capsys):
     assert "2 <= n <= 8" in err
 
 
+def test_embed_rejects_dimension_nine(tmp_path, capsys):
+    src = write_json(tmp_path / "in.json", identity_json(9))
+    code, out, err = run_cli(capsys, "embed", "--input", src)
+    assert code == 3 and out == ""
+    assert "2 <= n <= 8" in err
+
+
 def test_hyperbolic_subcommand(tmp_path, capsys):
     translation = TriMat([[1, 0, 1], [0, 1, 0], [0, 0, 1]])
     src = write_json(tmp_path / "t.json", mat_to_json(translation))
@@ -136,6 +143,14 @@ def test_extend_tstar_rejects_dimension_one(tmp_path, capsys):
     assert "2 <= n <= 8" in err
 
 
+def test_extend_tstar_rejects_dimension_nine(tmp_path, capsys):
+    elem = {"n": 9, "u": identity_json(9), "diag_exponents": ["1"] * 9}
+    src = write_json(tmp_path / "g.json", elem)
+    code, out, err = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 3 and out == ""
+    assert "2 <= n <= 8" in err
+
+
 def test_act_identity(tmp_path, capsys):
     rep = write_json(tmp_path / "rep.json", identity_json(4))
     point = write_json(tmp_path / "p.json", ["1", "2/3", "-5"])
@@ -177,6 +192,28 @@ def test_act_negative_power_inverts(tmp_path, capsys):
     )
     assert code == 0
     assert json.loads(out) == ["0", "0"]
+
+
+@pytest.mark.parametrize("power", [MAX_POWER, -MAX_POWER])
+def test_act_power_at_bound(tmp_path, capsys, power):
+    rep = write_json(tmp_path / "rep.json", mat_to_json(TriMat([[1, 1], [0, 1]])))
+    point = write_json(tmp_path / "p.json", ["0"])
+    code, out, _ = run_cli(
+        capsys, "act", "--rep", rep, "--point", point, "--power", str(power)
+    )
+    assert code == 0
+    assert json.loads(out) == [str(power)]
+
+
+@pytest.mark.parametrize("power", [MAX_POWER + 1, -MAX_POWER - 1])
+def test_act_rejects_power_beyond_bound(tmp_path, capsys, power):
+    # the files do not exist: the bound is checked before any JSON is read
+    missing = str(tmp_path / "missing.json")
+    code, _, err = run_cli(
+        capsys, "act", "--rep", missing, "--point", missing, "--power", str(power)
+    )
+    assert code == 2
+    assert "--power" in err
 
 
 @pytest.mark.parametrize("bad", [["abc"], [[{"coeff": "1"}]], [1.5]])
@@ -260,6 +297,20 @@ def test_wreath_subcommand(capsys):
     payload = json.loads(out)
     assert payload["passed"] is True
     assert payload["levels"] == ["Z", "Z"]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--suite", "lsa", "--n", "4"],
+        ["verify", "--suite", "all", "--n", "2..8"],
+        ["wreath", "--levels", "Z,Z"],
+    ],
+)
+def test_rejects_samples_beyond_bound(capsys, argv):
+    code, out, err = run_cli(capsys, *argv, "--samples", str(MAX_SAMPLES + 1))
+    assert code == 2 and out == ""
+    assert "samples" in err
 
 
 def test_wreath_rejects_bad_levels(capsys):

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from affinetrees import embedding
 from affinetrees.embedding import (
     AffineRep,
     affine_algebra_rep,
@@ -19,6 +20,7 @@ from affinetrees.embedding import (
     matrix_from_coords,
 )
 from affinetrees.errors import (
+    DimensionMismatch,
     IdentityInput,
     NotAffineForm,
     NotInverseClosed,
@@ -252,6 +254,18 @@ def test_embedding_injective_evidence():
 def test_embedding_rejects_non_unitriangular():
     with pytest.raises(NotUnitriangular):
         embed_unitriangular(TriMat([[2, 0], [0, 1]]))
+
+
+def test_embedding_rejects_dimension_nine(monkeypatch):
+    def no_log(_):
+        raise AssertionError("the dimension is checked before any logarithm")
+
+    monkeypatch.setattr(embedding, "unipotent_log", no_log)
+    g = rand_unitriangular(trial_rng(16, "nine"), 9)
+    with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+        embed_unitriangular(g)
+    with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+        AffineRep.of(g)
 
 
 def test_affine_rep_shape():

@@ -2,6 +2,7 @@ import pytest
 
 from affinetrees.errors import ConfigInvalid
 from affinetrees.harness import (
+    MAX_SAMPLES,
     CheckResult,
     SuiteConfig,
     Verdict,
@@ -23,6 +24,12 @@ def test_config_validation():
         run_suite(SuiteConfig(n_high=9))
     with pytest.raises(ConfigInvalid):
         run_suite(SuiteConfig(max_refinements=0))
+
+
+def test_samples_bound():
+    SuiteConfig(samples=MAX_SAMPLES).validate()
+    with pytest.raises(ConfigInvalid, match="samples"):
+        SuiteConfig(samples=MAX_SAMPLES + 1).validate()
 
 
 def test_lsa_suite_single_sample_includes_golden():

@@ -90,6 +90,13 @@ def test_embed_rejects_dimension_one():
         embed_triangular(g)
 
 
+def test_embed_rejects_dimension_nine():
+    rng = trial_rng(3, "nine")
+    g = TriangularElement(9, rand_unitriangular(rng, 9), rand_exponents(rng, 9))
+    with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+        embed_triangular(g)
+
+
 def test_embed_conjugation_consistency():
     for t in range(20):
         rng = trial_rng(2, "conj", t)

@@ -1,7 +1,11 @@
 from fractions import Fraction
+from math import factorial
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affinetrees.embedding import affine_algebra_rep, embed_unitriangular
 from affinetrees.errors import (
     DimensionMismatch,
     NotStrictUpper,
@@ -163,3 +167,142 @@ def test_expsum_entries():
     mat = TriMat([[e(1), e(0)], [e(0) - e(0), e(-1)]])
     inv = mat.inverse()
     assert mat * inv == TriMat.identity(2, ExpSum.one())
+
+
+# -- exp/log against the term-by-term series ----------------------------------
+
+
+def reference_exp(x):
+    """sum_{k<n} x**k / k!, one full matrix per term, scaled term and sum."""
+    out = TriMat.identity(x.n, x.ring_one())
+    term = out
+    for k in range(1, x.n):
+        term = term * x
+        out = out + term.scale(Fraction(1, factorial(k)))
+    return out
+
+
+def reference_log(g):
+    """sum_{1<=k<n} (-1)**(k+1)/k * (g - I)**k, one full matrix per step."""
+    strict = g - TriMat.identity(g.n, g.ring_one())
+    out = TriMat.zeros(g.n, g.ring_zero())
+    term = TriMat.identity(g.n, g.ring_one())
+    for k in range(1, g.n):
+        term = term * strict
+        out = out + term.scale(Fraction((-1) ** (k + 1), k))
+    return out
+
+
+def assert_same(new, ref):
+    assert new == ref
+    assert repr(new) == repr(ref)
+    assert [type(v) for row in new.rows for v in row] == [
+        type(v) for row in ref.rows for v in row
+    ]
+
+
+def unit_diagonal(x, one):
+    return TriMat(
+        [[one if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x.rows)]
+    )
+
+
+rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+exp_sums = st.lists(
+    st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), rationals), max_size=2
+).map(ExpSum)
+#: ring -> (zero, one, nonzero-entry strategy); "mixed" keeps Fraction zeros
+RINGS = {
+    "Q": (Fraction(0), Fraction(1), rationals),
+    "R": (ExpSum(), ExpSum.one(), exp_sums),
+    "mixed": (Fraction(0), Fraction(1), st.one_of(rationals, exp_sums)),
+}
+
+
+@st.composite
+def strict_uppers(draw):
+    """(strictly upper matrix of size 1..9, the unit of its ring)."""
+    n = draw(st.integers(1, 9))
+    zero, one, entries = RINGS[draw(st.sampled_from(sorted(RINGS)))]
+    entry = st.one_of(st.just(zero), entries)
+    rows = [[draw(entry) if j > i else zero for j in range(n)] for i in range(n)]
+    return TriMat(rows), one
+
+
+@given(strict_uppers())
+@settings(max_examples=60, deadline=None)
+def test_exp_matches_reference_series(drawn):
+    x, _ = drawn
+    assert_same(nilpotent_exp(x), reference_exp(x))
+
+
+@given(strict_uppers())
+@settings(max_examples=60, deadline=None)
+def test_log_matches_reference_series(drawn):
+    x, one = drawn
+    g = unit_diagonal(x, one)
+    assert_same(unipotent_log(g), reference_log(g))
+
+
+def early_vanishing_cases():
+    """Zero matrices, single superdiagonals, and affine algebra images,
+    whose powers vanish well before their dimension."""
+    rng = trial_rng(8, "vanishing")
+    for n in range(1, 10):
+        for zero, one in ((Fraction(0), Fraction(1)), (ExpSum(), ExpSum.one())):
+            yield TriMat.zeros(n, zero), one
+            yield TriMat(
+                [[one * Fraction(i + 2, 3) if j == i + 1 else zero for j in range(n)]
+                 for i in range(n)]
+            ), one
+    for n in range(2, 6):
+        g = rand_unitriangular(rng, n)
+        yield affine_algebra_rep(unipotent_log(g)), Fraction(1)
+        yield affine_algebra_rep(unipotent_log(g.to_expsum())), ExpSum.one()
+
+
+@pytest.mark.parametrize("x, one", list(early_vanishing_cases()))
+def test_series_stop_early_and_match_reference(x, one):
+    assert_same(nilpotent_exp(x), reference_exp(x))
+    assert_same(unipotent_log(unit_diagonal(x, one)), reference_log(unit_diagonal(x, one)))
+
+
+def test_algebra_image_vanishes_before_its_dimension():
+    rep = affine_algebra_rep(unipotent_log(rand_unitriangular(trial_rng(9, "deg"), 5)))
+    power, degree = rep, 1
+    while any(v for row in power.rows for v in row):
+        power, degree = power * rep, degree + 1
+    # the grading bounds the degree by n - 1 = 4; the image has size 11
+    assert degree <= 4 < rep.n
+
+
+# -- structural guard: matrices built per call ---------------------------------
+
+
+def count_builds(monkeypatch):
+    built = []
+    init = TriMat.__init__
+
+    def counting(self, rows):
+        built.append(1)
+        init(self, rows)
+
+    monkeypatch.setattr(TriMat, "__init__", counting)
+    return built
+
+
+def test_exp_and_log_build_one_matrix(monkeypatch):
+    rng = trial_rng(10, "builds")
+    x, g = rand_strict_upper(rng, 8), rand_unitriangular(rng, 8)
+    built = count_builds(monkeypatch)
+    nilpotent_exp(x)
+    assert len(built) == 1
+    unipotent_log(g)
+    assert len(built) == 2
+
+
+def test_embedding_builds_at_most_four_matrices(monkeypatch):
+    g = rand_unitriangular(trial_rng(11, "builds"), 8)
+    built = count_builds(monkeypatch)
+    embed_unitriangular(g)
+    assert len(built) <= 4
