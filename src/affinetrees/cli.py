@@ -14,13 +14,19 @@ output, and exit codes distinguish failure kinds:
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 
 from . import jsonio, scalars
 from .actions import from_affine_matrix
-from .embedding import AffineRep, integerize, is_essentially_hyperbolic
+from .embedding import (
+    AffineRep,
+    _clear_denominators,
+    integerize,
+    is_essentially_hyperbolic,
+)
 from .errors import AffineTreesError, ConfigInvalid
 from .harness import SuiteConfig, run_suite, _wreath_law_checks
 from .ordered import LexVec
@@ -66,6 +72,11 @@ def _parse_matrix(obj) -> TriMat:
         raise CliInputError(f"malformed matrix JSON: {exc}") from exc
 
 
+def _require_rational(mats) -> None:
+    if any(isinstance(m.ring_one(), scalars.ExpSum) for m in mats):
+        raise CliInputError("clearing denominators needs rational matrices")
+
+
 def cmd_embed(args) -> int:
     mat = _parse_matrix(_load_json(args.input))
     if args.n is not None and args.n != mat.n:
@@ -73,12 +84,12 @@ def cmd_embed(args) -> int:
     rep = AffineRep.of(mat)
     payload = jsonio.affine_rep_to_json(rep)
     if args.integerize:
+        _require_rational([mat])
+        # a rational unitriangular image and its inverse form an
+        # inverse-closed set, so integerize's own checks would only repeat
+        # the inversion
         image = rep.matrix
-        gens = [image]
-        inv = image.inverse()
-        if inv not in gens:
-            gens.append(inv)
-        conj, conjugated = integerize(gens)
+        conj, conjugated = _clear_denominators([image, image.inverse()])
         payload["integerized"] = {
             "P": jsonio.mat_to_json(conj),
             "conjugated": jsonio.mat_to_json(conjugated[0]),
@@ -96,9 +107,10 @@ def cmd_hyperbolic(args) -> int:
 
 def cmd_integerize(args) -> int:
     obj = _load_json(args.input)
-    if not isinstance(obj, list):
-        raise CliInputError("expected a JSON array of matrices")
+    if not isinstance(obj, list) or not obj:
+        raise CliInputError("expected a nonempty JSON array of matrices")
     gens = [_parse_matrix(m) for m in obj]
+    _require_rational(gens)
     conj, conjugated = integerize(gens)
     _emit(
         {
@@ -212,7 +224,10 @@ def cmd_wreath(args) -> int:
     return 0 if payload["passed"] else EXIT_CHECK_FAILED
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by later calls
+    (parsing leaves no state in it)."""
     parser = argparse.ArgumentParser(
         prog="affinetrees",
         description=(

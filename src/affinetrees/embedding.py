@@ -164,32 +164,33 @@ def left_mult_matrix(x: TriMat) -> TriMat:
     return TriMat([[cols[s][r] for s in range(m)] for r in range(m)])
 
 
-def left_mult_entry(x: TriMat, rho: int, sigma: int):
-    """Closed form for the (rho, sigma) entry of the left-multiplication
-    matrix (1-based coordinate indices)."""
-    n = x.n
-    m = coord_count(n)
-    if not (1 <= rho <= m) or not (1 <= sigma <= m):
-        raise IndexError(f"coordinate index out of range for m={m}")
-    k_r, r_r = coord_block(rho)
-    k_s, r_s = coord_block(sigma)
-    if k_r < k_s and r_r < r_s and r_s - r_r == k_s - k_r:
-        return x.rows[r_r - 1][r_r + (k_s - k_r) - 1] * Fraction(n - k_s, n - k_r)
-    if k_r < k_s and r_r == r_s:
-        return -(
-            x.rows[n - k_s + r_r - 1][n - k_r + r_r - 1] * Fraction(n - k_s, n - k_r)
-        )
-    return x.ring_zero()
-
-
 def left_mult_matrix_closed(x: TriMat) -> TriMat:
-    """Closed-form route to the same matrix as :func:`left_mult_matrix`."""
+    """Closed-form route to the same matrix as :func:`left_mult_matrix`,
+    built from its nonzero pattern.
+
+    In block/position terms (coordinate (k, r) is matrix entry
+    (r, r + n - k), 1-based), row (k_r, r) is nonzero only in the columns
+    (k_s, r + k_s - k_r) and (k_s, r) of the later blocks k_s > k_r:
+    there it holds c * x[r, r + k_s - k_r] and -c * x[n - k_s + r, n - k_r + r]
+    with c = (n - k_s)/(n - k_r).  Both are written even when x's entry is
+    zero, so every entry keeps the type its formula gives it.
+    """
     if not x.is_strict_upper():
         raise NotStrictUpper("left multiplication needs a strict upper matrix")
-    m = coord_count(x.n)
-    return TriMat(
-        [[left_mult_entry(x, r, s) for s in range(1, m + 1)] for r in range(1, m + 1)]
-    )
+    n, xr = x.n, x.rows
+    m = coord_count(n)
+    zero = x.ring_zero()
+    rows = [[zero] * m for _ in range(m)]
+    for k_r in range(1, n):
+        row0 = k_r * (k_r - 1) // 2
+        for k_s in range(k_r + 1, n):
+            c = Fraction(n - k_s, n - k_r)
+            col0, d = k_s * (k_s - 1) // 2, k_s - k_r
+            for r in range(k_r):  # 0-based position in block k_r
+                row = rows[row0 + r]
+                row[col0 + r + d] = xr[r][r + d] * c
+                row[col0 + r] = -(xr[n - k_s + r][n - k_r + r] * c)
+    return TriMat(rows)
 
 
 # -- the affine algebra and group representations ------------------------------
@@ -212,14 +213,19 @@ def affine_algebra_rep(x: TriMat) -> TriMat:
     return TriMat(rows)
 
 
+def check_supported_dimension(n: int) -> None:
+    """Reject sizes outside the supported range 2 <= n <= 8 before any work."""
+    if not 2 <= n <= 8:
+        raise DimensionMismatch(
+            f"embedding needs 2 <= n <= 8 (the supported range), got n = {n}"
+        )
+
+
 def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
     unitriangular (m+1) x (m+1) matrices: exponential of the affine
     algebra representation of the logarithm."""
-    if not 2 <= g.n <= 8:
-        raise DimensionMismatch(
-            f"embedding needs 2 <= n <= 8 (the supported range), got n = {g.n}"
-        )
+    check_supported_dimension(g.n)
     if not g.is_unitriangular():
         raise NotUnitriangular("embedding defined on unitriangular matrices")
     return nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
@@ -262,7 +268,11 @@ def is_essentially_hyperbolic(mat: TriMat) -> bool:
     N = mat.n
     if not mat.is_upper_triangular() or mat.rows[N - 1][N - 1] != 1:
         raise NotAffineForm("expected upper triangular with corner entry 1")
-    if mat == TriMat.identity(N, mat.ring_one()):
+    if all(
+        v == 1 if i == j else not v
+        for i, row in enumerate(mat.rows)
+        for j, v in enumerate(row)
+    ):
         raise IdentityInput("essential hyperbolicity is undefined for the identity")
     for i in range(N - 1):
         triggered = mat.rows[i][i] != 1 or any(
@@ -356,6 +366,13 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
             paired.add(gens.index(g.inverse()))
         except ValueError:
             raise NotInverseClosed(f"missing inverse of {g!r}") from None
+    return _clear_denominators(gens)
+
+
+def _clear_denominators(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
+    """The conjugator and conjugated generators of :func:`integerize`, for
+    generators already known to satisfy its preconditions."""
+    n = gens[0].n
     row_lcm = [
         lcm(*(g.rows[i][j].denominator for g in gens for j in range(n)), 1)
         for i in range(n)

@@ -54,7 +54,10 @@ def rat_from_str(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        return Fraction(text.strip())
+        try:
+            return Fraction(text.strip())
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
     raise ValueError(f"not a rational: {text!r}")
 
 

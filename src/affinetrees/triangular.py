@@ -22,6 +22,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .embedding import (
+    check_supported_dimension,
     coord_count,
     embed_unitriangular,
     is_essentially_hyperbolic,
@@ -186,6 +187,7 @@ def embed_unipotent_part(u: TriMat) -> TriMat:
 def embed_diagonal_part(exponents) -> TriMat:
     """Embedding of a positive diagonal into dimension m + n + 1."""
     exponents = tuple(Fraction(q) for q in exponents)
+    check_supported_dimension(len(exponents))
     identity = TriMat.identity(coord_count(len(exponents)) + 1, ExpSum.one())
     return _image(identity, exponents)
 

@@ -165,26 +165,37 @@ class TriMat:
     # -- inversion -----------------------------------------------------------
 
     def inverse(self) -> "TriMat":
-        """Inverse of an upper-triangular matrix via back-substitution.
+        """Inverse of an upper-triangular matrix, row by row from the bottom:
+        row i is (e_i - sum_k a_ik * row k) / a_ii over the rows k > i
+        already inverted, skipping zeros; a unit diagonal entry divides
+        nothing.
 
         Diagonal entries must be invertible in the entry ring (always the
         case for Fractions; for ExpSum entries they must be monomials).
         """
         if not self.is_upper_triangular():
             raise NotUpperTriangular("inverse implemented for upper triangular only")
-        n = self.n
-        zero = self.ring_zero()
-        one = self.ring_one()
-        inv = [[zero] * n for _ in range(n)]
-        for j in range(n - 1, -1, -1):
-            inv[j][j] = one / self.rows[j][j]
-            for i in range(j - 1, -1, -1):
-                acc = zero
-                for k in range(i + 1, j + 1):
-                    if self.rows[i][k] and inv[k][j]:
-                        acc = acc + self.rows[i][k] * inv[k][j]
-                inv[i][j] = -acc / self.rows[i][i]
-        return TriMat(inv)
+        n, one = self.n, self.ring_one()
+        zero = one - one
+        out = [None] * n
+        nonzero = [None] * n  # nonzero[k]: the (j, value) pairs of row k != 0
+        for i in range(n - 1, -1, -1):
+            row = self.rows[i]
+            acc = {}
+            for k in range(i + 1, n):
+                a = row[k]
+                if a:
+                    for j, b in nonzero[k]:
+                        acc[j] = acc[j] + a * b if j in acc else a * b
+            d = row[i]
+            unit = d == 1
+            orow = [zero] * n
+            orow[i] = one if unit else one / d
+            for j, v in acc.items():
+                orow[j] = -v if unit else -v / d
+            out[i] = orow
+            nonzero[i] = [(j, v) for j, v in enumerate(orow) if v]
+        return TriMat(out)
 
 
 def _series(mat: TriMat, diag: bool, coeff) -> TriMat:

@@ -1,11 +1,16 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
-
+import affinetrees
+from affinetrees import cli
 from affinetrees.cli import MAX_POWER, main
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
+from affinetrees.sampling import rand_unitriangular, trial_rng
 from affinetrees.trimat import TriMat
 
 
@@ -225,6 +230,52 @@ def test_act_rejects_malformed_bare_point(tmp_path, capsys, bad):
     assert "malformed point JSON" in err
 
 
+ZERO_DENOMINATOR = {"n": 2, "entries": [["1", "1/0"], ["0", "1"]]}
+
+
+@pytest.mark.parametrize(
+    "command, inputs",
+    [
+        ("embed", {"--input": ZERO_DENOMINATOR}),
+        ("hyperbolic", {"--input": ZERO_DENOMINATOR}),
+        ("integerize", {"--input": [ZERO_DENOMINATOR]}),
+        (
+            "extend-tstar",
+            {"--input": {"n": 2, "u": identity_json(2), "diag_exponents": ["1/0", "0"]}},
+        ),
+        ("act", {"--rep": identity_json(2), "--point": ["3/0"]}),
+    ],
+)
+def test_zero_denominator_is_malformed_input(tmp_path, capsys, command, inputs):
+    argv = [command]
+    for flag, payload in inputs.items():
+        argv += [flag, write_json(tmp_path / f"{flag[2:]}.json", payload)]
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+EXPSUM_MATRIX = {
+    "n": 2,
+    "entries": [["1", [{"coeff": "1", "exp": "1"}]], ["0", "1"]],
+}
+
+
+@pytest.mark.parametrize(
+    "argv, payload",
+    [
+        (["embed", "--integerize"], EXPSUM_MATRIX),
+        (["integerize"], [EXPSUM_MATRIX]),
+        (["integerize"], []),
+    ],
+)
+def test_clearing_denominators_rejects_non_rational_input(tmp_path, capsys, argv, payload):
+    src = write_json(tmp_path / "in.json", payload)
+    code, out, err = run_cli(capsys, *argv, "--input", src)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ")
+
+
 def test_act_mixed_ring_zero_coordinate(tmp_path, capsys):
     e = [{"coeff": "1", "exp": "1"}]
     rep = write_json(
@@ -341,3 +392,51 @@ def test_env_refinement_override(tmp_path, capsys, monkeypatch):
     from affinetrees import scalars
 
     scalars.set_default_max_refinements(scalars.DEFAULT_MAX_REFINEMENTS)
+
+
+# -- structural guards on the request path ----------------------------------------
+
+
+def test_embed_integerize_inverts_the_image_once(tmp_path, capsys, monkeypatch):
+    g = rand_unitriangular(trial_rng(40, "invert-once"), 8)
+    src = write_json(tmp_path / "in.json", mat_to_json(g))
+    sizes = []
+    inverse = TriMat.inverse
+
+    def counting(self):
+        sizes.append(self.n)
+        return inverse(self)
+
+    monkeypatch.setattr(TriMat, "inverse", counting)
+    code, _, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
+    assert code == 0
+    assert sizes == [29]
+
+
+def run_alone(*argv):
+    """``python *argv`` in a fresh interpreter: (exit code, stdout)."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(affinetrees.__file__)))
+    done = subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=120
+    )
+    return done.returncode, done.stdout
+
+
+def test_shared_parser_keeps_no_state_between_requests(tmp_path, capsys):
+    g = rand_unitriangular(trial_rng(41, "shared-parser"), 5)
+    src = write_json(tmp_path / "in.json", mat_to_json(g))
+    _, embedded, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
+    image = write_json(tmp_path / "image.json", json.loads(embedded)["matrix"])
+    requests = [
+        (["embed", "--input", src, "--integerize"], embedded),
+        (["hyperbolic", "--input", image], run_cli(capsys, "hyperbolic", "--input", image)[1]),
+        (["embed", "--input", src], run_cli(capsys, "embed", "--input", src)[1]),
+    ]
+    assert cli.build_parser() is cli.build_parser()
+    for argv, in_process in requests:
+        assert run_alone("-m", "affinetrees.cli", *argv) == (0, in_process)
+
+
+def test_parser_is_not_built_at_import():
+    code = "import affinetrees.cli as c; print(c.build_parser.cache_info().currsize)"
+    assert run_alone("-c", code) == (0, "0\n")

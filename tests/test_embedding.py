@@ -13,7 +13,6 @@ from affinetrees.embedding import (
     embed_unitriangular,
     integerize,
     is_essentially_hyperbolic,
-    left_mult_entry,
     left_mult_matrix,
     left_mult_matrix_closed,
     left_symmetric_product,
@@ -35,6 +34,7 @@ from affinetrees.sampling import (
     rand_unitriangular,
     trial_rng,
 )
+from affinetrees.scalars import ExpSum
 from affinetrees.trimat import TriMat, nilpotent_exp
 
 
@@ -135,6 +135,88 @@ def test_coord_block_indexing():
 
 
 # -- the left-multiplication matrix ----------------------------------------------------
+
+
+def left_mult_entry(x: TriMat, rho: int, sigma: int):
+    """Per-entry closed form of the (rho, sigma) entry of the
+    left-multiplication matrix (1-based coordinate indices): the oracle for
+    :func:`left_mult_matrix_closed`."""
+    n = x.n
+    m = coord_count(n)
+    if not (1 <= rho <= m) or not (1 <= sigma <= m):
+        raise IndexError(f"coordinate index out of range for m={m}")
+    k_r, r_r = coord_block(rho)
+    k_s, r_s = coord_block(sigma)
+    if k_r < k_s and r_r < r_s and r_s - r_r == k_s - k_r:
+        return x.rows[r_r - 1][r_r + (k_s - k_r) - 1] * Fraction(n - k_s, n - k_r)
+    if k_r < k_s and r_r == r_s:
+        return -(
+            x.rows[n - k_s + r_r - 1][n - k_r + r_r - 1] * Fraction(n - k_s, n - k_r)
+        )
+    return x.ring_zero()
+
+
+def left_mult_oracle(x: TriMat) -> TriMat:
+    m = coord_count(x.n)
+    return TriMat(
+        [[left_mult_entry(x, r, s) for s in range(1, m + 1)] for r in range(1, m + 1)]
+    )
+
+
+def assert_same(new, ref):
+    assert new == ref
+    assert repr(new) == repr(ref)
+    assert [type(v) for row in new.rows for v in row] == [
+        type(v) for row in ref.rows for v in row
+    ]
+
+
+def ring_variants(x, rng):
+    """x over Fractions, over ExpSum, and with a random half of its entries
+    (zeros included) moved into the ExpSum ring."""
+    yield x
+    yield x.to_expsum()
+    yield TriMat(
+        [
+            [ExpSum.exponential(rng.choice([0, 1, Fraction(-1, 2)]), v)
+             if rng.random() < 0.5 else v for v in row]
+            for row in x.rows
+        ]
+    )
+
+
+def test_left_mult_closed_matches_oracle_and_bilinear_route():
+    for n in range(2, 9):
+        rng = trial_rng(30, "lm-structural", n)
+        x = rand_strict_upper(rng, n)
+        # a sparse x: zero source entries must keep their formula's type
+        sparse = TriMat(
+            [[v if rng.random() < 0.3 else Fraction(0) for v in row] for row in x.rows]
+        )
+        for base in (x, sparse, TriMat.zeros(n)):
+            for y in ring_variants(base, rng):
+                closed = left_mult_matrix_closed(y)
+                assert_same(closed, left_mult_oracle(y))
+                assert closed == left_mult_matrix(y)
+
+
+def count_builds(monkeypatch):
+    built = []
+    init = TriMat.__init__
+
+    def counting(self, rows):
+        built.append(1)
+        init(self, rows)
+
+    monkeypatch.setattr(TriMat, "__init__", counting)
+    return built
+
+
+def test_left_mult_closed_builds_one_matrix(monkeypatch):
+    x = rand_strict_upper(trial_rng(31, "lm-builds"), 8)
+    built = count_builds(monkeypatch)
+    left_mult_matrix_closed(x)
+    assert len(built) == 1
 
 
 def test_left_mult_golden_entries():
@@ -291,6 +373,39 @@ def test_linear_noise_without_translation_is_not():
 def test_identity_input_rejected():
     with pytest.raises(IdentityInput):
         is_essentially_hyperbolic(TriMat.identity(3))
+
+
+def identity_rows(n, one, zero):
+    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+
+
+@pytest.mark.parametrize(
+    "one, zero",
+    [(Fraction(1), Fraction(0)), (ExpSum.one(), ExpSum()), (Fraction(1), ExpSum())],
+)
+def test_identity_rejected_in_place_over_both_rings(one, zero, monkeypatch):
+    eye = TriMat(identity_rows(5, one, zero))
+    built = count_builds(monkeypatch)
+    with pytest.raises(IdentityInput):
+        is_essentially_hyperbolic(eye)
+    assert not built
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 7), ExpSum.exponential(1, -2)])
+def test_near_identity_gets_a_verdict(value, monkeypatch):
+    # one off-diagonal entry: hyperbolic exactly when it is a translation
+    n = 5
+    built = count_builds(monkeypatch)
+    for i in range(n - 1):
+        for j in range(i + 1, n):
+            rows = identity_rows(n, Fraction(1), Fraction(0))
+            rows[i][j] = value
+            assert is_essentially_hyperbolic(TriMat(rows)) == (j == n - 1)
+    rows = identity_rows(n, Fraction(1), Fraction(0))
+    rows[0][0] = value
+    assert not is_essentially_hyperbolic(TriMat(rows))
+    # only the test's own inputs were built
+    assert len(built) == n * (n - 1) // 2 + 1
 
 
 def test_affine_form_required():

@@ -2,7 +2,10 @@ import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affinetrees.cli import main
 from affinetrees.errors import DimensionMismatch
 from affinetrees.jsonio import (
     affine_rep_from_json,
@@ -110,3 +113,56 @@ def test_wreath_elem_roundtrip_matrix_base():
     elem = group.sample_nontrivial(rng)
     payload = wreath_elem_to_json(group, elem, enc)
     assert wreath_elem_from_json(group, payload, dec) == elem
+
+
+# -- fuzzed documents: documented errors only, a clean CLI exit code -------------
+
+fuzz_strings = st.one_of(
+    st.sampled_from(["1/0", "-4/0", "0/0", "1/2", "-3", "0", "1", " 2 ", "x", ""]),
+    st.from_regex(r"-?[0-9]{1,2}/[0-9]{1,2}", fullmatch=True),
+    st.text(max_size=4),
+)
+fuzz_scalars = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), fuzz_strings
+)
+fuzz_terms = st.lists(
+    st.dictionaries(st.sampled_from(["exp", "coeff"]), fuzz_scalars, max_size=2),
+    max_size=2,
+)
+fuzz_json = st.recursive(
+    st.one_of(fuzz_scalars, fuzz_terms),
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.dictionaries(st.sampled_from(["n", "entries", "exp", "coeff"]), children, max_size=3),
+    ),
+    max_leaves=20,
+)
+fuzz_matrices = st.integers(1, 4).flatmap(
+    lambda n: st.fixed_dictionaries(
+        {"entries": st.lists(
+            st.lists(st.one_of(fuzz_strings, fuzz_terms), min_size=n, max_size=n),
+            min_size=n, max_size=n,
+        )},
+        optional={"n": st.one_of(st.integers(0, 5), fuzz_scalars)},
+    )
+)
+
+
+@given(st.one_of(fuzz_json, fuzz_matrices))
+@settings(max_examples=60, deadline=None)
+def test_decoders_raise_only_documented_errors(doc):
+    for decode in (mat_from_json, scalar_from_json):
+        try:
+            decode(doc)
+        except (KeyError, TypeError, ValueError):
+            pass
+
+
+@given(st.one_of(fuzz_json, fuzz_matrices))
+@settings(max_examples=60, deadline=None)
+def test_hyperbolic_on_fuzzed_json_exits_cleanly(tmp_path_factory, doc):
+    where = tmp_path_factory.mktemp("fuzz")
+    src, out = where / "in.json", where / "out.json"
+    src.write_text(json.dumps(doc))
+    code = main(["hyperbolic", "--input", str(src), "--output", str(out)])
+    assert code in (0, 2, 3)

@@ -97,6 +97,16 @@ def test_embed_rejects_dimension_nine():
         embed_triangular(g)
 
 
+@pytest.mark.parametrize("n", [1, 9])
+def test_diagonal_part_rejects_unsupported_dimension(n, monkeypatch):
+    def no_build(self, rows):
+        raise AssertionError("the dimension is checked before any matrix is built")
+
+    monkeypatch.setattr(TriMat, "__init__", no_build)
+    with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+        embed_diagonal_part((Fraction(1),) * n)
+
+
 def test_embed_conjugation_consistency():
     for t in range(20):
         rng = trial_rng(2, "conj", t)

@@ -276,6 +276,98 @@ def test_algebra_image_vanishes_before_its_dimension():
     assert degree <= 4 < rep.n
 
 
+# -- inverse against the entry-by-entry back-substitution ----------------------
+
+
+def reference_inverse(mat):
+    """Back-substitution column by column from the right, each column from
+    the diagonal up, dividing by every diagonal entry."""
+    n, zero, one = mat.n, mat.ring_zero(), mat.ring_one()
+    inv = [[zero] * n for _ in range(n)]
+    for j in range(n - 1, -1, -1):
+        inv[j][j] = one / mat.rows[j][j]
+        for i in range(j - 1, -1, -1):
+            acc = zero
+            for k in range(i + 1, j + 1):
+                if mat.rows[i][k] and inv[k][j]:
+                    acc = acc + mat.rows[i][k] * inv[k][j]
+            inv[i][j] = -acc / mat.rows[i][i]
+    return TriMat(inv)
+
+
+nonzero_rationals = rationals.filter(bool)
+monomials = st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), nonzero_rationals).map(
+    lambda qc: ExpSum.exponential(*qc)
+)
+#: ring -> invertible non-unit diagonal entries
+DIAGONALS = {
+    "Q": nonzero_rationals,
+    "R": monomials,
+    "mixed": st.one_of(nonzero_rationals, monomials),
+}
+
+
+@st.composite
+def invertible_uppers(draw):
+    """Upper triangular matrix of size 1..11 with an invertible diagonal,
+    unit on every row or drawn row by row."""
+    n = draw(st.integers(1, 11))
+    ring = draw(st.sampled_from(sorted(RINGS)))
+    zero, one, entries = RINGS[ring]
+    entry = st.one_of(st.just(zero), entries)
+    diag = st.just(one) if draw(st.booleans()) else st.one_of(st.just(one), DIAGONALS[ring])
+    return TriMat(
+        [
+            [draw(entry) if j > i else draw(diag) if j == i else zero for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+@given(invertible_uppers())
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_back_substitution(mat):
+    inv = mat.inverse()
+    assert_same(inv, reference_inverse(mat))
+    assert mat * inv == TriMat.identity(mat.n)
+
+
+def inverse_cases():
+    rng = trial_rng(12, "inverse")
+    for n in range(1, 12):
+        g = rand_unitriangular(rng, n)
+        yield g
+        yield g.to_expsum()
+        yield TriMat(
+            [[rng.randint(1, 5) * v if i == j else v for j, v in enumerate(row)]
+             for i, row in enumerate(g.rows)]
+        )
+    image = embed_unitriangular(rand_unitriangular(rng, 8))
+    yield image
+    yield embed_unitriangular(rand_unitriangular(rng, 5).to_expsum())
+
+
+@pytest.mark.parametrize("mat", list(inverse_cases()))
+def test_inverse_matches_back_substitution_on_images(mat):
+    assert_same(mat.inverse(), reference_inverse(mat))
+
+
+def test_unitriangular_inverse_divides_nothing(monkeypatch):
+    g = embed_unitriangular(rand_unitriangular(trial_rng(13, "no-div"), 4).to_expsum())
+    divisions = []
+    div = ExpSum.__truediv__
+
+    def counting(self, other):
+        divisions.append(1)
+        return div(self, other)
+
+    monkeypatch.setattr(ExpSum, "__truediv__", counting)
+    g.inverse()
+    assert not divisions
+    TriMat.diagonal([ExpSum.exponential(1)]).inverse()
+    assert len(divisions) == 1
+
+
 # -- structural guard: matrices built per call ---------------------------------
 
 
