@@ -52,7 +52,7 @@ def _load_json(path: str):
             return json.load(sys.stdin)
         with open(path, "r", encoding="utf-8") as handle:
             return json.load(handle)
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, json.JSONDecodeError, RecursionError) as exc:
         raise CliInputError(f"cannot read JSON from {path!r}: {exc}") from exc
 
 
@@ -289,28 +289,33 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    env_bound = os.environ.get("AFFINE_MAX_REFINEMENTS")
-    if env_bound:
-        try:
-            scalars.set_default_max_refinements(int(env_bound))
-        except ValueError:
-            print(
-                f"invalid AFFINE_MAX_REFINEMENTS={env_bound!r}", file=sys.stderr
-            )
-            return EXIT_BAD_INPUT
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    # the environment's refinement budget holds for this call only
+    previous = scalars.get_default_max_refinements()
     try:
-        return args.func(args)
-    except CliInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except ConfigInvalid as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except AffineTreesError as exc:
-        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
+        env_bound = os.environ.get("AFFINE_MAX_REFINEMENTS")
+        if env_bound:
+            try:
+                scalars.set_default_max_refinements(int(env_bound))
+            except ValueError:
+                print(
+                    f"invalid AFFINE_MAX_REFINEMENTS={env_bound!r}", file=sys.stderr
+                )
+                return EXIT_BAD_INPUT
+        parser = build_parser()
+        args = parser.parse_args(argv)
+        try:
+            return args.func(args)
+        except CliInputError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        except ConfigInvalid as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return EXIT_BAD_INPUT
+        except AffineTreesError as exc:
+            print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return EXIT_PRECONDITION
+    finally:
+        scalars.set_default_max_refinements(previous)
 
 
 if __name__ == "__main__":

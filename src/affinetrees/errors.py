@@ -63,17 +63,5 @@ class EmptyLevels(AffineTreesError, ValueError):
     """An iterated wreath construction needs at least one level."""
 
 
-class IdentityViolation(AffineTreesError):
-    """An algebraic identity that must hold exactly failed on a sample.
-
-    Signals an implementation bug, never an expected outcome.
-    """
-
-    def __init__(self, tag, witness):
-        super().__init__(f"identity {tag!r} violated: {witness!r}")
-        self.tag = tag
-        self.witness = witness
-
-
 class ConfigInvalid(AffineTreesError, ValueError):
     """Verification suite configuration failed validation."""

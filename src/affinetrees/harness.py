@@ -6,9 +6,11 @@ left-multiplication matrix, hyperbolicity of embedded images,
 denominator clearing, the diagonal-conjugation identities of the
 positive-diagonal extension, and the wreath-product action laws.  Every
 check reports (trials, failures) plus a replayable witness for the first
-failure; all randomness derives from (seed, check name, dimension,
-trial index), so verdicts are byte-stable across runs and independent of
-execution order.
+failure.  Each trial draws from one generator seeded by (seed, check
+name, trial index), where the check name carries the dimension, so
+verdicts are byte-stable across runs and independent of execution order.
+The diagonal-conjugation identities share one draw per (dimension,
+trial), made by :func:`verify_conjugation_identities`.
 
 The golden fixtures hard-code, as symbolic templates, the fully worked
 size-4 example data: the product of two generic strictly-upper matrices
@@ -21,7 +23,7 @@ bindings and demand exact equality.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
 from . import scalars
@@ -31,7 +33,6 @@ from .actions import (
     from_affine_matrix,
 )
 from .embedding import (
-    AffineRep,
     affine_algebra_rep,
     certify_admissible,
     coord_block,
@@ -142,18 +143,22 @@ class Verdict:
         return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
-def _run(name: str, law: str, trials: int, body) -> CheckResult:
-    """Run ``body(t)`` for each trial; body returns None on pass or a
-    witness dict on failure."""
+def _run(cfg: SuiteConfig, name: str, law: str, body) -> CheckResult:
+    """Run ``body(rng)`` for each of ``cfg.samples`` trials; body returns
+    None on pass or a witness dict on failure.
+
+    Trial t draws only from the generator that :func:`trial_rng` seeds
+    with ``(cfg.seed, name, t)``, so a witness replays from the verdict
+    alone: its config's seed, the check's name and the witness's trial."""
     failures = 0
     witness = None
-    for t in range(trials):
-        w = body(t)
+    for t in range(cfg.samples):
+        w = body(trial_rng(cfg.seed, name, t))
         if w is not None:
             failures += 1
             if witness is None:
                 witness = dict(w, trial=t)
-    return CheckResult(name, law, trials, failures, witness)
+    return CheckResult(name, law, cfg.samples, failures, witness)
 
 
 # -- golden size-4 templates ----------------------------------------------------
@@ -290,8 +295,7 @@ def _suite_lsa(cfg: SuiteConfig) -> list:
     checks = []
     for n in cfg.dims:
 
-        def left_symmetry(t, n=n):
-            rng = trial_rng(cfg.seed, "lsa.left_symmetry", n, t)
+        def left_symmetry(rng, n=n):
             x, y, z = (rand_strict_upper(rng, n) for _ in range(3))
             p = left_symmetric_product
             lhs = p(p(x, y), z) - p(x, p(y, z))
@@ -300,11 +304,10 @@ def _suite_lsa(cfg: SuiteConfig) -> list:
                 return {"x": repr(x), "y": repr(y), "z": repr(z)}
 
         checks.append(
-            _run(f"lsa.left_symmetry.n{n}", "left_symmetry", cfg.samples, left_symmetry)
+            _run(cfg, f"lsa.left_symmetry.n{n}", "left_symmetry", left_symmetry)
         )
 
-        def commutator(t, n=n):
-            rng = trial_rng(cfg.seed, "lsa.commutator", n, t)
+        def commutator(rng, n=n):
             x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
             lhs = left_symmetric_product(x, y) - left_symmetric_product(y, x)
             rhs = x * y - y * x
@@ -313,15 +316,14 @@ def _suite_lsa(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"lsa.commutator_compat.n{n}",
                 "product_antisymmetrizes_to_commutator",
-                cfg.samples,
                 commutator,
             )
         )
 
-        def grading(t, n=n):
-            rng = trial_rng(cfg.seed, "lsa.grading", n, t)
+        def grading(rng, n=n):
             x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
             for i in range(1, n):
                 for j in range(1, n):
@@ -335,37 +337,35 @@ def _suite_lsa(cfg: SuiteConfig) -> list:
                             return {"i": i, "j": j, "bad_diag": d}
 
         checks.append(
-            _run(f"lsa.grading.n{n}", "graded_product", cfg.samples, grading)
+            _run(cfg, f"lsa.grading.n{n}", "graded_product", grading)
         )
 
-        def entrywise(t, n=n):
-            rng = trial_rng(cfg.seed, "lsa.entrywise", n, t)
+        def entrywise(rng, n=n):
             x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
             if left_symmetric_product(x, y) != _product_entrywise(x, y):
                 return {"x": repr(x), "y": repr(y)}
 
         checks.append(
             _run(
+                cfg,
                 f"lsa.entrywise_formula.n{n}",
                 "bilinear_vs_entrywise_product",
-                cfg.samples,
                 entrywise,
             )
         )
 
     if 4 in cfg.dims:
 
-        def example_product(t):
-            rng = trial_rng(cfg.seed, "lsa.example4", t)
+        def example_product(rng):
             x, y = rand_strict_upper(rng, 4), rand_strict_upper(rng, 4)
             if left_symmetric_product(x, y) != example4_product(x, y):
                 return {"x": repr(x), "y": repr(y)}
 
         checks.append(
             _run(
+                cfg,
                 "lsa.example4_product",
                 "golden_size4_product_template",
-                cfg.samples,
                 example_product,
             )
         )
@@ -376,38 +376,35 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
     checks = []
     for n in cfg.dims:
 
-        def two_routes(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.two_routes", n, t)
+        def two_routes(rng, n=n):
             x = rand_strict_upper(rng, n)
             if left_mult_matrix(x) != left_mult_matrix_closed(x):
                 return {"x": repr(x)}
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.left_mult_two_routes.n{n}",
                 "bilinear_vs_closed_form",
-                cfg.samples,
                 two_routes,
             )
         )
 
-        def coord_roundtrip(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.coords", n, t)
+        def coord_roundtrip(rng, n=n):
             x = rand_strict_upper(rng, n)
             if matrix_from_coords(n, coord_vector(x)) != x:
                 return {"x": repr(x)}
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.coord_roundtrip.n{n}",
                 "coordinate_isomorphism",
-                cfg.samples,
                 coord_roundtrip,
             )
         )
 
-        def block_strict(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.blocks", n, t)
+        def block_strict(rng, n=n):
             x = rand_strict_upper(rng, n)
             lam = left_mult_matrix_closed(x)
             for a in range(1, n):
@@ -420,15 +417,14 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.block_strict.n{n}",
                 "strict_block_upper",
-                cfg.samples,
                 block_strict,
             )
         )
 
-        def bracket(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.bracket", n, t)
+        def bracket(rng, n=n):
             x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
             lhs = affine_algebra_rep(x * y - y * x)
             rx, ry = affine_algebra_rep(x), affine_algebra_rep(y)
@@ -437,30 +433,28 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.algebra_bracket.n{n}",
                 "bracket_preserved",
-                cfg.samples,
                 bracket,
             )
         )
 
-        def homomorphism(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.hom", n, t)
+        def homomorphism(rng, n=n):
             g, h = rand_unitriangular(rng, n), rand_unitriangular(rng, n)
             if embed_unitriangular(g * h) != embed_unitriangular(g) * embed_unitriangular(h):
                 return {"g": repr(g), "h": repr(h)}
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.homomorphism.n{n}",
                 "group_homomorphism",
-                cfg.samples,
                 homomorphism,
             )
         )
 
-        def injective(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.injective", n, t)
+        def injective(rng, n=n):
             g = rand_nontrivial_unitriangular(rng, n)
             m = coord_count(n)
             if embed_unitriangular(g) == TriMat.identity(m + 1):
@@ -468,15 +462,14 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.injectivity.n{n}",
                 "nontrivial_maps_nontrivially",
-                cfg.samples,
                 injective,
             )
         )
 
-        def exp_log(t, n=n):
-            rng = trial_rng(cfg.seed, "embedding.exp_log", n, t)
+        def exp_log(rng, n=n):
             g = rand_unitriangular(rng, n)
             x = rand_strict_upper(rng, n)
             if nilpotent_exp(unipotent_log(g)) != g:
@@ -486,32 +479,30 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"embedding.exp_log_roundtrip.n{n}",
                 "mutually_inverse",
-                cfg.samples,
                 exp_log,
             )
         )
 
     if 4 in cfg.dims:
 
-        def example_left_mult(t):
-            rng = trial_rng(cfg.seed, "embedding.example4_lm", t)
+        def example_left_mult(rng):
             x = rand_strict_upper(rng, 4)
             if left_mult_matrix(x) != example4_left_mult(x):
                 return {"x": repr(x)}
 
         checks.append(
             _run(
+                cfg,
                 "embedding.example4_left_mult",
                 "golden_size4_left_mult_template",
-                cfg.samples,
                 example_left_mult,
             )
         )
 
-        def example_log(t):
-            rng = trial_rng(cfg.seed, "embedding.example4_log", t)
+        def example_log(rng):
             vals = [rand_fraction(rng) for _ in range(6)]
             a, b, c, d, e, f = vals
             if unipotent_log(example4_matrix(a, b, c, d, e, f)) != example4_log(
@@ -521,31 +512,29 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 "embedding.example4_log",
                 "golden_size4_log_template",
-                cfg.samples,
                 example_log,
             )
         )
 
-        def example_image(t):
-            rng = trial_rng(cfg.seed, "embedding.example4_image", t)
+        def example_image(rng):
             vals = [rand_fraction(rng) for _ in range(6)]
             a, b, c, d, e, f = vals
             img = embed_unitriangular(example4_matrix(a, b, c, d, e, f))
             if img != example4_image(a, b, c, d, e, f):
                 return {"binding": repr(vals)}
-            rep = AffineRep.of(example4_matrix(a, b, c, d, e, f))
-            last = tuple(rep.matrix.rows[i][6] for i in range(6))
+            last = tuple(img.rows[i][6] for i in range(6))
             expected_tail = (c, b, a)
             if last[3:] != expected_tail:
                 return {"binding": repr(vals), "last_column": repr(last)}
 
         checks.append(
             _run(
+                cfg,
                 "embedding.example4_image",
                 "golden_size4_image_template",
-                cfg.samples,
                 example_image,
             )
         )
@@ -556,23 +545,21 @@ def _suite_hyperbolicity(cfg: SuiteConfig) -> list:
     checks = []
     for n in cfg.dims:
 
-        def image_hyperbolic(t, n=n):
-            rng = trial_rng(cfg.seed, "hyperbolicity.image", n, t)
+        def image_hyperbolic(rng, n=n):
             g = rand_nontrivial_unitriangular(rng, n)
             if not is_essentially_hyperbolic(embed_unitriangular(g)):
                 return {"g": repr(g)}
 
         checks.append(
             _run(
+                cfg,
                 f"hyperbolicity.image.n{n}",
                 "embedded_images_essentially_hyperbolic",
-                cfg.samples,
                 image_hyperbolic,
             )
         )
 
-        def admissible(t, n=n):
-            rng = trial_rng(cfg.seed, "hyperbolicity.admissible", n, t)
+        def admissible(rng, n=n):
             x = rand_strict_upper(rng, n)
             if x.is_strict_upper() and all(
                 not v for row in x.rows for v in row
@@ -584,15 +571,14 @@ def _suite_hyperbolicity(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"hyperbolicity.admissible.n{n}",
                 "lowest_superdiag_blocks_vanish",
-                cfg.samples,
                 admissible,
             )
         )
 
-        def power_dominance(t, n=n):
-            rng = trial_rng(cfg.seed, "hyperbolicity.powers", n, t)
+        def power_dominance(rng, n=n):
             x = rand_strict_upper(rng, n)
             if all(not v for row in x.rows for v in row):
                 return None
@@ -618,15 +604,14 @@ def _suite_hyperbolicity(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"hyperbolicity.power_dominance.n{n}",
                 "power_blocks_vanish_below_k_i0",
-                cfg.samples,
                 power_dominance,
             )
         )
 
-        def prose(t, n=n):
-            rng = trial_rng(cfg.seed, "hyperbolicity.prose", n, t)
+        def prose(rng, n=n):
             if rng.random() < 0.5:
                 mat = embed_unitriangular(rand_nontrivial_unitriangular(rng, n))
             else:
@@ -636,28 +621,25 @@ def _suite_hyperbolicity(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"hyperbolicity.prose_equivalence.n{n}",
                 "implication_matches_lowest_entry_form",
-                cfg.samples,
                 prose,
             )
         )
 
-        def displacement(t, n=n):
-            rng = trial_rng(cfg.seed, "hyperbolicity.displacement", n, t)
+        def displacement(rng, n=n):
             g = rand_nontrivial_unitriangular(rng, n)
             aut = from_affine_matrix(embed_unitriangular(g))
-            report = check_free_and_rigid(
-                aut, 10, trial_rng(cfg.seed, "hyp.disp.pts", n, t).randint(0, 10**9)
-            )
+            report = check_free_and_rigid(aut, 10, rng.randint(0, 10**9))
             if not report["certified"] or not report.get("consistent", False):
                 return {"g": repr(g), "report": {k: v for k, v in report.items() if k != "witness"}}
 
         checks.append(
             _run(
+                cfg,
                 f"hyperbolicity.displacement.n{n}",
                 "certificate_implies_sampled_freeness",
-                cfg.samples,
                 displacement,
             )
         )
@@ -678,8 +660,7 @@ def _suite_integerize(cfg: SuiteConfig) -> list:
                     gens.append(inv)
             return gens
 
-        def integral(t, n=n):
-            rng = trial_rng(cfg.seed, "integerize.integral", n, t)
+        def integral(rng, n=n):
             gens = make_gens(rng, n)
             conj, conjugated = integerize(gens)
             for g in conjugated:
@@ -692,15 +673,14 @@ def _suite_integerize(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"integerize.integral.n{n}",
                 "conjugates_are_integral_unitriangular",
-                cfg.samples,
                 integral,
             )
         )
 
-        def preserved(t, n=n):
-            rng = trial_rng(cfg.seed, "integerize.preserved", n, t)
+        def preserved(rng, n=n):
             gens = make_gens(rng, n)
             conj, conjugated = integerize(gens)
             eye = TriMat.identity(n)
@@ -712,15 +692,14 @@ def _suite_integerize(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"integerize.hyperbolicity_preserved.n{n}",
                 "zero_pattern_preserved",
-                cfg.samples,
                 preserved,
             )
         )
 
-        def deterministic(t, n=n):
-            rng = trial_rng(cfg.seed, "integerize.det", n, t)
+        def deterministic(rng, n=n):
             gens = make_gens(rng, n)
             first, _ = integerize(gens)
             second, _ = integerize(list(gens))
@@ -729,9 +708,9 @@ def _suite_integerize(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"integerize.deterministic.n{n}",
                 "lcm_construction_deterministic",
-                cfg.samples,
                 deterministic,
             )
         )
@@ -758,9 +737,7 @@ def _multiplier(exponents, rho, sigma):
 def _suite_tstar(cfg: SuiteConfig) -> list:
     checks = []
     for n in cfg.dims:
-        report = verify_conjugation_identities(
-            n, cfg.samples, cfg.seed, raise_on_failure=False
-        )
+        report = verify_conjugation_identities(n, cfg.samples, cfg.seed)
         for tag in IDENTITY_TAGS:
             checks.append(
                 CheckResult(
@@ -772,8 +749,7 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
                 )
             )
 
-        def multiplier_table(t, n=n):
-            rng = trial_rng(cfg.seed, "tstar.multiplier", n, t)
+        def multiplier_table(rng, n=n):
             exps = rand_exponents(rng, n)
             x = rand_strict_upper(rng, n).to_expsum()
             lam = left_mult_matrix_closed(x)
@@ -789,15 +765,14 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"tstar.multiplier_table.n{n}",
                 "entrywise_conjugation_multipliers",
-                cfg.samples,
                 multiplier_table,
             )
         )
 
-        def group_law(t, n=n):
-            rng = trial_rng(cfg.seed, "tstar.group_law", n, t)
+        def group_law(rng, n=n):
             gs = [
                 TriangularElement(
                     n, rand_unitriangular(rng, n), rand_exponents(rng, n)
@@ -815,16 +790,15 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"tstar.group_law.n{n}",
                 "canonical_factorization_group",
-                cfg.samples,
                 group_law,
             )
         )
 
-        def essentially_free(t, n=n):
-            rng = trial_rng(cfg.seed, "tstar.free", n, t)
-            style = t % 3
+        def essentially_free(rng, n=n):
+            style = rng.randrange(3)
             if style == 0:
                 g = TriangularElement.diagonal(rand_exponents(rng, n))
             elif style == 1:
@@ -843,15 +817,14 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"tstar.essentially_free.n{n}",
                 "nontrivial_elements_essentially_hyperbolic",
-                cfg.samples,
                 essentially_free,
             )
         )
 
-        def unipotent_agreement(t, n=n):
-            rng = trial_rng(cfg.seed, "tstar.unipotent", n, t)
+        def unipotent_agreement(rng, n=n):
             u = rand_unitriangular(rng, n).to_expsum()
             m = coord_count(n)
             big = embed_unipotent_part(u)
@@ -866,9 +839,9 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
 
         checks.append(
             _run(
+                cfg,
                 f"tstar.unipotent_agreement.n{n}",
                 "extension_restricts_to_embedding",
-                cfg.samples,
                 unipotent_agreement,
             )
         )
@@ -878,7 +851,6 @@ def _suite_tstar(cfg: SuiteConfig) -> list:
 def make_unitriangular_image_bundle(n: int = 3, bound: int = 3) -> MatrixBundle:
     """Bundle whose elements are embedded images of random integral
     unitriangular matrices of size n, acting on rational points."""
-    m = coord_count(n)
     probe = from_affine_matrix(embed_unitriangular(TriMat.identity(n)))
 
     def sampler(rng):
@@ -891,8 +863,7 @@ def make_unitriangular_image_bundle(n: int = 3, bound: int = 3) -> MatrixBundle:
 def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list:
     checks = []
 
-    def group_axioms(t):
-        rng = trial_rng(cfg.seed, label, "group_axioms", t)
+    def group_axioms(rng):
         a, b, c = (group.sample_element(rng) for _ in range(3))
         if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
             return {"a": repr(a), "b": repr(b), "c": repr(c)}
@@ -905,11 +876,10 @@ def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list
             return {"a": repr(a)}
 
     checks.append(
-        _run(f"{label}.group_axioms", "wreath_group_axioms", cfg.samples, group_axioms)
+        _run(cfg, f"{label}.group_axioms", "wreath_group_axioms", group_axioms)
     )
 
-    def action_axiom(t):
-        rng = trial_rng(cfg.seed, label, "action_axiom", t)
+    def action_axiom(rng):
         g, h = group.sample_element(rng), group.sample_element(rng)
         p = group.sample_point(rng)
         lhs = group.act_vec(g, group.act_vec(h, p))
@@ -918,11 +888,10 @@ def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list
             return {"g": repr(g), "h": repr(h), "p": repr(p)}
 
     checks.append(
-        _run(f"{label}.action_axiom", "compatible_with_multiplication", cfg.samples, action_axiom)
+        _run(cfg, f"{label}.action_axiom", "compatible_with_multiplication", action_axiom)
     )
 
-    def affine_law(t):
-        rng = trial_rng(cfg.seed, label, "affine_law", t)
+    def affine_law(rng):
         g = group.sample_element(rng)
         p, q = group.sample_point(rng), group.sample_point(rng)
         lhs = lex_distance(group.act_vec(g, p), group.act_vec(g, q))
@@ -931,11 +900,10 @@ def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list
             return {"g": repr(g), "p": repr(p), "q": repr(q)}
 
     checks.append(
-        _run(f"{label}.affine_law", "metric_dilation", cfg.samples, affine_law)
+        _run(cfg, f"{label}.affine_law", "metric_dilation", affine_law)
     )
 
-    def alpha_hom(t):
-        rng = trial_rng(cfg.seed, label, "alpha_hom", t)
+    def alpha_hom(rng):
         g, h = group.sample_element(rng), group.sample_element(rng)
         delta = group.sample_point(rng)
         lhs = group.dilate_vec(group.mul(g, h), delta)
@@ -944,22 +912,20 @@ def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list
             return {"g": repr(g), "h": repr(h), "delta": repr(delta)}
 
     checks.append(
-        _run(f"{label}.dilation_homomorphism", "dilations_compose", cfg.samples, alpha_hom)
+        _run(cfg, f"{label}.dilation_homomorphism", "dilations_compose", alpha_hom)
     )
 
-    def first_coord(t):
-        rng = trial_rng(cfg.seed, label, "first_coord", t)
+    def first_coord(rng):
         g = group.sample_element(rng)
         delta = group.sample_point(rng)
         if group.dilate_vec(g, delta).value[0] != delta.value[0]:
             return {"g": repr(g), "delta": repr(delta)}
 
     checks.append(
-        _run(f"{label}.first_coord_fixed", "dilation_fixes_lead_coordinate", cfg.samples, first_coord)
+        _run(cfg, f"{label}.first_coord_fixed", "dilation_fixes_lead_coordinate", first_coord)
     )
 
-    def freeness(t):
-        rng = trial_rng(cfg.seed, label, "freeness", t)
+    def freeness(rng):
         g = group.sample_nontrivial(rng)
         signs = set()
         for i in range(20):
@@ -973,7 +939,7 @@ def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list
             return {"g": repr(g), "signs": sorted(signs)}
 
     checks.append(
-        _run(f"{label}.free_and_rigid", "freeness_and_sign_constancy", cfg.samples, freeness)
+        _run(cfg, f"{label}.free_and_rigid", "freeness_and_sign_constancy", freeness)
     )
     return checks
 
@@ -991,8 +957,7 @@ def _suite_wreath(cfg: SuiteConfig) -> list:
         bundle = iterated_wreath(levels)
         checks.extend(_wreath_law_checks(cfg, label, bundle))
 
-    def product_transfer(t):
-        rng = trial_rng(cfg.seed, "wreath.product", t)
+    def product_transfer(rng):
         g1 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
         g2 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
         aut = ProductAut([g1, g2])
@@ -1006,9 +971,9 @@ def _suite_wreath(cfg: SuiteConfig) -> list:
 
     checks.append(
         _run(
+            cfg,
             "wreath.product_action_transfer",
             "componentwise_action_inherits_laws",
-            cfg.samples,
             product_transfer,
         )
     )
@@ -1039,12 +1004,4 @@ def run_suite(cfg: SuiteConfig) -> Verdict:
             checks.extend(_SUITE_BODIES[name](cfg))
     finally:
         scalars.set_default_max_refinements(previous)
-    config_json = {
-        "suite": cfg.suite,
-        "n_low": cfg.n_low,
-        "n_high": cfg.n_high,
-        "samples": cfg.samples,
-        "seed": cfg.seed,
-        "max_refinements": cfg.max_refinements,
-    }
-    return Verdict(cfg.suite, config_json, checks)
+    return Verdict(cfg.suite, asdict(cfg), checks)

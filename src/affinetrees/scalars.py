@@ -19,6 +19,7 @@ Both kinds of value are immutable and hashable.
 from __future__ import annotations
 
 import math
+import re
 from fractions import Fraction
 from functools import lru_cache
 
@@ -45,8 +46,15 @@ def get_default_max_refinements() -> int:
     return _max_refinements
 
 
+_RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
+
+
 def rat_from_str(text) -> Fraction:
-    """Parse 'p/q' or 'p' (also accepts ints) into a normalized Fraction."""
+    """Parse 'p/q' or 'p' (also accepts ints) into a normalized Fraction.
+
+    Strings must match ``[+-]?[0-9]+(/[0-9]+)?`` once surrounding
+    whitespace is stripped; decimals, exponents and digit separators are
+    rejected with :class:`ValueError`."""
     if isinstance(text, bool):
         raise ValueError(f"not a rational: {text!r}")
     if isinstance(text, int):
@@ -54,10 +62,16 @@ def rat_from_str(text) -> Fraction:
     if isinstance(text, Fraction):
         return text
     if isinstance(text, str):
-        try:
-            return Fraction(text.strip())
-        except ZeroDivisionError:
-            raise ValueError(f"zero denominator: {text!r}") from None
+        match = _RATIONAL.fullmatch(text.strip())
+        if match is None:
+            raise ValueError(f"not a rational: {text!r}")
+        num, den = match.groups()
+        if den is None:
+            return Fraction(int(num))
+        den = int(den)
+        if not den:
+            raise ValueError(f"zero denominator: {text!r}")
+        return Fraction(int(num), den)
     raise ValueError(f"not a rational: {text!r}")
 
 

@@ -233,6 +233,11 @@ def test_act_rejects_malformed_bare_point(tmp_path, capsys, bad):
 ZERO_DENOMINATOR = {"n": 2, "entries": [["1", "1/0"], ["0", "1"]]}
 
 
+def entry_matrix3(text):
+    """3 x 3 unitriangular matrix JSON with ``text`` in the corner entry."""
+    return {"n": 3, "entries": [["1", "0", text], ["0", "1", "0"], ["0", "0", "1"]]}
+
+
 @pytest.mark.parametrize(
     "command, inputs",
     [
@@ -244,10 +249,14 @@ ZERO_DENOMINATOR = {"n": 2, "entries": [["1", "1/0"], ["0", "1"]]}
             {"--input": {"n": 2, "u": identity_json(2), "diag_exponents": ["1/0", "0"]}},
         ),
         ("act", {"--rep": identity_json(2), "--point": ["3/0"]}),
+        # only 'p' and 'p/q' are rationals: no exponents, decimals or separators
+        ("embed --integerize", {"--input": entry_matrix3("1e30000")}),
+        ("embed --integerize", {"--input": entry_matrix3("1.5")}),
+        ("embed --integerize", {"--input": entry_matrix3("1_000")}),
     ],
 )
 def test_zero_denominator_is_malformed_input(tmp_path, capsys, command, inputs):
-    argv = [command]
+    argv = command.split()
     for flag, payload in inputs.items():
         argv += [flag, write_json(tmp_path / f"{flag[2:]}.json", payload)]
     code, out, err = run_cli(capsys, *argv)
@@ -389,9 +398,18 @@ def test_env_refinement_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("AFFINE_MAX_REFINEMENTS", "32")
     code, _, _ = run_cli(capsys, "embed", "--input", src)
     assert code == 0
+    # the override applies to that call only
     from affinetrees import scalars
 
-    scalars.set_default_max_refinements(scalars.DEFAULT_MAX_REFINEMENTS)
+    assert scalars.get_default_max_refinements() == 64
+
+
+def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
+    src = tmp_path / "deep.json"
+    src.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run_cli(capsys, "hyperbolic", "--input", str(src))
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and "Traceback" not in err
 
 
 # -- structural guards on the request path ----------------------------------------

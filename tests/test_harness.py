@@ -1,5 +1,9 @@
+import ast
+from pathlib import Path
+
 import pytest
 
+from affinetrees import harness
 from affinetrees.errors import ConfigInvalid
 from affinetrees.harness import (
     MAX_SAMPLES,
@@ -9,6 +13,8 @@ from affinetrees.harness import (
     _run,
     run_suite,
 )
+from affinetrees.sampling import rand_strict_upper, trial_rng
+from affinetrees.triangular import IDENTITY_TAGS
 
 
 def test_config_validation():
@@ -64,11 +70,16 @@ def test_verdict_json_deterministic():
 
 
 def test_check_result_witness_recorded():
-    def body(t):
+    cfg = SuiteConfig(samples=4, seed=3)
+    # each trial's first draw tells which trial the body is running
+    draws = [trial_rng(3, "demo", t).random() for t in range(4)]
+
+    def body(rng):
+        t = draws.index(rng.random())
         if t % 2 == 1:
             return {"value": t}
 
-    result = _run("demo", "always_even", 4, body)
+    result = _run(cfg, "demo", "always_even", body)
     assert result.trials == 4
     assert result.failures == 2
     assert result.witness == {"value": 1, "trial": 1}
@@ -76,13 +87,68 @@ def test_check_result_witness_recorded():
 
 
 def test_witness_replays_identically():
-    def body(t):
-        if t == 2:
-            return {"value": "boom"}
+    cfg = SuiteConfig(samples=5, seed=0)
 
-    first = _run("demo", "law", 5, body)
-    second = _run("demo", "law", 5, body)
+    def body(rng):
+        value = rng.random()
+        if value > 0.5:
+            return {"value": value}
+
+    first = _run(cfg, "demo", "law", body)
+    second = _run(cfg, "demo", "law", body)
+    assert first.failures == second.failures > 0
     assert first.witness == second.witness
+    replay = trial_rng(cfg.seed, "demo", first.witness["trial"])
+    assert replay.random() == first.witness["value"]
+
+
+def test_failing_check_replays_from_verdict_alone(monkeypatch):
+    # the entrywise route agrees only on the first call, so the check
+    # fails from trial 1 on
+    calls = []
+
+    def wrong_entrywise(x, y):
+        calls.append(None)
+        return harness.left_symmetric_product(x, y) if len(calls) == 1 else x
+
+    monkeypatch.setattr(harness, "_product_entrywise", wrong_entrywise)
+    verdict = run_suite(SuiteConfig(suite="lsa", n_low=3, n_high=3, samples=3, seed=8))
+    payload = verdict.to_json()
+    (check,) = [c for c in payload["checks"] if c["failures"]]
+    assert check["name"] == "lsa.entrywise_formula.n3"
+    assert check["failures"] == 2
+    witness = check["witness"]
+    assert witness["trial"] == 1
+
+    rng = trial_rng(payload["config"]["seed"], check["name"], witness["trial"])
+    x, y = rand_strict_upper(rng, 3), rand_strict_upper(rng, 3)
+    assert {"x": repr(x), "y": repr(y), "trial": 1} == witness
+
+
+def test_every_draw_is_seeded_by_its_check_name(monkeypatch):
+    labels = []
+
+    def recording_rng(seed, *rest):
+        labels.append(rest)
+        return trial_rng(seed, *rest)
+
+    monkeypatch.setattr(harness, "trial_rng", recording_rng)
+    cfg = SuiteConfig(suite="all", n_low=2, n_high=3, samples=2)
+    verdict = run_suite(cfg)
+    # the identity checks share the draw made inside the tstar report
+    identity = {f"tstar.{tag}.n{n}" for tag in IDENTITY_TAGS for n in cfg.dims}
+    drawn = {c.name for c in verdict.checks} - identity
+    assert sorted(labels) == sorted((name, t) for name in drawn for t in range(cfg.samples))
+
+
+def test_harness_has_one_seeding_call():
+    tree = ast.parse(Path(harness.__file__).read_text())
+    calls = [
+        node
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "trial_rng"
+    ]
+    assert len(calls) == 1
 
 
 def test_verdict_structure():

@@ -120,6 +120,9 @@ def test_wreath_elem_roundtrip_matrix_base():
 fuzz_strings = st.one_of(
     st.sampled_from(["1/0", "-4/0", "0/0", "1/2", "-3", "0", "1", " 2 ", "x", ""]),
     st.from_regex(r"-?[0-9]{1,2}/[0-9]{1,2}", fullmatch=True),
+    # exponent, decimal and digit-separator spellings are not rationals here
+    st.sampled_from(["1e30000", "1E5", "-2e-3", "1.5", ".5", "3/4.0", "1_000", "1/1_0"]),
+    st.from_regex(r"[+-]?[0-9]{1,2}(e[+-]?[0-9]{1,5}|\.[0-9]{0,2}|_[0-9]{1,2})", fullmatch=True),
     st.text(max_size=4),
 )
 fuzz_scalars = st.one_of(

@@ -43,6 +43,20 @@ def test_rat_string_roundtrip():
         rat_from_str("1.5x")
 
 
+@pytest.mark.parametrize(
+    "value", ["+3/4", "-0", " 7 ", "-12/18", "007", -4, 0, Fraction(3, 6)]
+)
+def test_rat_from_str_documented_forms(value):
+    # 'p', 'p/q' and ints parse exactly as Fraction parses them
+    assert rat_from_str(value) == Fraction(value)
+
+
+@pytest.mark.parametrize("text", ["1e30000", "1.5", "1_000", "1/0", "1/-2", "1 / 2"])
+def test_rat_from_str_rejects_other_forms(text):
+    with pytest.raises(ValueError):
+        rat_from_str(text)
+
+
 # -- exponential sums ------------------------------------------------------------
 
 

@@ -5,11 +5,10 @@ its wrappers, so a renamed or deleted target would only show up as a
 ``KeyError`` in a ``--trace 1`` run.  This test repeats that lookup.
 """
 
+import importlib
 import importlib.util
-import sys
 from pathlib import Path
 
-import affinetrees  # noqa: F401  (loads every module the targets name)
 from affinetrees import harness
 from affinetrees.trimat import TriMat
 
@@ -27,7 +26,7 @@ def test_span_targets_resolve():
     tracing = load_tracing()
     for metric, targets in tracing.SPANS.items():
         for module_name, dotted in targets:
-            mod = sys.modules[f"affinetrees.{module_name}"]
+            mod = importlib.import_module(f"affinetrees.{module_name}")
             owner_name, _, attr = dotted.rpartition(".")
             owner = getattr(mod, owner_name) if owner_name else mod
             assert callable(vars(owner)[attr]), (metric, module_name, dotted)

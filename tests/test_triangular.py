@@ -4,7 +4,7 @@ import pytest
 
 from affinetrees import triangular
 from affinetrees.embedding import coord_count, coord_vector, embed_unitriangular
-from affinetrees.errors import DimensionMismatch, IdentityInput, IdentityViolation
+from affinetrees.errors import DimensionMismatch, IdentityInput
 from affinetrees.harness import SuiteConfig, run_suite
 from affinetrees.sampling import (
     rand_exponents,
@@ -177,12 +177,6 @@ def test_failing_identity_keeps_witness(monkeypatch):
     for check in failed:
         assert check["name"].startswith("tstar.") and check["name"].endswith(".n3")
         assert check["witness"]["trial"] in (0, 1)
-
-
-def test_identity_violation_reports_tag():
-    exc = IdentityViolation("coord_conj", {"trial": 3})
-    assert exc.tag == "coord_conj"
-    assert "coord_conj" in str(exc)
 
 
 def test_essentially_free_pure_diagonal():
