@@ -15,6 +15,11 @@ class PrecisionExhausted(AffineTreesError):
     refinement budget.  Cannot happen for a genuinely nonzero value."""
 
 
+class ResultTooLarge(AffineTreesError):
+    """An exact result has more digits than the interpreter writes as text
+    (``sys.get_int_max_str_digits()``)."""
+
+
 class DimensionMismatch(AffineTreesError, ValueError):
     """Operands have incompatible sizes."""
 

@@ -525,10 +525,6 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
             img = embed_unitriangular(example4_matrix(a, b, c, d, e, f))
             if img != example4_image(a, b, c, d, e, f):
                 return {"binding": repr(vals)}
-            last = tuple(img.rows[i][6] for i in range(6))
-            expected_tail = (c, b, a)
-            if last[3:] != expected_tail:
-                return {"binding": repr(vals), "last_column": repr(last)}
 
         checks.append(
             _run(

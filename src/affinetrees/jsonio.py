@@ -14,6 +14,13 @@ from .trimat import TriMat
 from .triangular import TriangularElement
 
 
+def _array(obj, what: str) -> list:
+    """``obj`` itself if it is a JSON array; a string is not read as one."""
+    if not isinstance(obj, list):
+        raise ValueError(f"{what} must be a JSON array, got {type(obj).__name__}")
+    return obj
+
+
 def scalar_to_json(value):
     if isinstance(value, ExpSum):
         return [
@@ -40,8 +47,10 @@ def mat_to_json(mat: TriMat) -> dict:
 def mat_from_json(obj) -> TriMat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
-    entries = obj["entries"]
-    mat = TriMat([[scalar_from_json(v) for v in row] for row in entries])
+    entries = _array(obj["entries"], "'entries'")
+    mat = TriMat(
+        [[scalar_from_json(v) for v in _array(row, "matrix row")] for row in entries]
+    )
     if "n" in obj and obj["n"] != mat.n:
         raise DimensionMismatch(
             f"declared dimension {obj['n']} but entries are {mat.n}x{mat.n}"
@@ -69,7 +78,10 @@ def triangular_from_json(obj) -> TriangularElement:
     return TriangularElement(
         obj["n"],
         mat_from_json(obj["u"]),
-        tuple(rat_from_str(q) for q in obj["diag_exponents"]),
+        tuple(
+            rat_from_str(q)
+            for q in _array(obj["diag_exponents"], "'diag_exponents'")
+        ),
     )
 
 
@@ -95,7 +107,8 @@ def space_from_json(obj) -> Space:
     if isinstance(obj, str):
         return Scalars(obj)
     if isinstance(obj, dict) and "product" in obj:
-        return Product(*(space_from_json(f) for f in obj["product"]))
+        factors = _array(obj["product"], "'product'")
+        return Product(*(space_from_json(f) for f in factors))
     if isinstance(obj, dict) and "family" in obj:
         return LexFamily(
             space_from_json(obj["family"]["index"]),
@@ -128,14 +141,15 @@ def _value_from_json(space: Space, obj):
             return int(str(obj))
         return scalar_from_json(obj)
     if isinstance(space, Product):
-        return tuple(_value_from_json(f, v) for f, v in zip(space.factors, obj))
+        values = _array(obj, "a product's value")
+        return tuple(_value_from_json(f, v) for f, v in zip(space.factors, values))
     if isinstance(space, LexFamily):
         return tuple(
             (
                 _value_from_json(space.index, item["index"]),
                 _value_from_json(space.fiber, item["value"]),
             )
-            for item in obj
+            for item in _array(obj, "a family's support")
         )
     raise ValueError(f"unknown space: {space!r}")
 
@@ -171,7 +185,7 @@ def wreath_elem_from_json(group, obj, h_from_json):
     shift = _value_from_json(group.index_space, obj["shift"])
     pairs = [
         (_value_from_json(group.index_space, item["index"]), h_from_json(item["h"]))
-        for item in obj["support"]
+        for item in _array(obj["support"], "'support'")
     ]
     return group.element(shift, pairs)
 

@@ -20,10 +20,11 @@ from __future__ import annotations
 
 import math
 import re
+import sys
 from fractions import Fraction
 from functools import lru_cache
 
-from .errors import PrecisionExhausted
+from .errors import PrecisionExhausted, ResultTooLarge
 
 #: Refinement budget for sign determination.  Far beyond any realistic
 #: need; turns a hypothetical non-termination into a reported error.
@@ -76,8 +77,17 @@ def rat_from_str(text) -> Fraction:
 
 
 def rat_to_str(q: Fraction) -> str:
-    """Canonical string form: 'p/q' with q > 0, or 'p' when q == 1."""
-    return str(Fraction(q))
+    """Canonical string form: 'p/q' with q > 0, or 'p' when q == 1.
+
+    Raises :class:`ResultTooLarge` when p or q has more digits than the
+    interpreter converts to text."""
+    try:
+        return str(Fraction(q))
+    except ValueError as exc:
+        raise ResultTooLarge(
+            f"an exact value has more than {sys.get_int_max_str_digits()} digits,"
+            " too many to write as text"
+        ) from exc
 
 
 def _round_down(x: Fraction, bits: int) -> Fraction:

@@ -253,6 +253,19 @@ def entry_matrix3(text):
         ("embed --integerize", {"--input": entry_matrix3("1e30000")}),
         ("embed --integerize", {"--input": entry_matrix3("1.5")}),
         ("embed --integerize", {"--input": entry_matrix3("1_000")}),
+        # a JSON string is not an array, even when its characters would parse
+        ("embed", {"--input": {"entries": ["10", "01"]}}),
+        (
+            "extend-tstar",
+            {"--input": {"n": 2, "u": identity_json(2), "diag_exponents": "01"}},
+        ),
+        (
+            "act",
+            {
+                "--rep": identity_json(3),
+                "--point": {"index_space": {"product": "QQ"}, "support": ["1", "2"]},
+            },
+        ),
     ],
 )
 def test_zero_denominator_is_malformed_input(tmp_path, capsys, command, inputs):
@@ -262,6 +275,19 @@ def test_zero_denominator_is_malformed_input(tmp_path, capsys, command, inputs):
     code, out, err = run_cli(capsys, *argv)
     assert code == 2 and out == ""
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--integerize"]])
+def test_result_too_large_to_print_is_a_precondition(tmp_path, capsys, flags):
+    # two 3,002-digit denominators: the image's entries have more digits
+    # than Python writes as text
+    a, b = "1" + "0" * 3000 + "7", "1" + "0" * 3000 + "9"
+    entries = [["1", f"1/{a}", "0"], ["0", "1", f"1/{b}"], ["0", "0", "1"]]
+    src = write_json(tmp_path / "in.json", {"n": 3, "entries": entries})
+    code, out, err = run_cli(capsys, "embed", *flags, "--input", src)
+    assert code == 3 and out == ""
+    assert err.startswith("error: ResultTooLarge: ") and err.count("\n") == 1
+    assert "Traceback" not in err
 
 
 EXPSUM_MATRIX = {

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 from fractions import Fraction
 
@@ -169,3 +171,135 @@ def test_hyperbolic_on_fuzzed_json_exits_cleanly(tmp_path_factory, doc):
     src.write_text(json.dumps(doc))
     code = main(["hyperbolic", "--input", str(src), "--output", str(out)])
     assert code in (0, 2, 3)
+
+
+# -- fuzzed act points and extend-tstar elements through the CLI ----------------
+# Each case is (document, allowed exit codes).  A well-formed document exits
+# 0; one with an array spelled as a string of its one-character items exits 2
+# (decoding such a string character by character would succeed and exit 0);
+# arbitrary documents exit 0, 2 or 3.
+
+CLEAN_EXITS = (0, 2, 3)
+
+
+def digit_lists(k):
+    return st.lists(st.sampled_from("0123456789"), min_size=k, max_size=k)
+
+
+fuzz_spaces = st.recursive(
+    st.sampled_from(["Q", "R", "Z", "X", ""]) | st.text(max_size=3),
+    lambda children: st.one_of(
+        st.fixed_dictionaries(
+            {"product": st.lists(children, max_size=3) | st.text(max_size=3)}
+        ),
+        st.fixed_dictionaries(
+            {"family": st.fixed_dictionaries({"index": children, "fiber": children})}
+        ),
+    ),
+    max_leaves=5,
+)
+fuzz_supports = st.recursive(
+    st.one_of(fuzz_scalars, fuzz_terms),
+    lambda children: st.one_of(
+        st.lists(children, max_size=3),
+        st.dictionaries(st.sampled_from(["index", "value"]), children, max_size=2),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def act_point_cases(draw):
+    coords = draw(digit_lists(2))
+    kinds = ["array", "object", "bare-string", "product", "support"]
+    kind = draw(st.sampled_from(kinds))
+    if kind == "array":
+        return coords, (0,)
+    if kind == "bare-string":
+        return "".join(coords), (2,)
+    space = {"product": ["Q", "Q"]}
+    if kind == "object":
+        return {"index_space": space, "support": coords}, (0,)
+    if kind == "product":
+        return {"index_space": {"product": "QQ"}, "support": coords}, (2,)
+    return {"index_space": space, "support": "".join(coords)}, (2,)
+
+
+fuzz_act_points = st.one_of(
+    act_point_cases(),
+    st.tuples(
+        st.lists(st.one_of(fuzz_scalars, fuzz_terms), max_size=3), st.just(CLEAN_EXITS)
+    ),
+    st.tuples(
+        st.fixed_dictionaries({"index_space": fuzz_spaces, "support": fuzz_supports}),
+        st.just(CLEAN_EXITS),
+    ),
+    st.tuples(fuzz_json, st.just(CLEAN_EXITS)),
+)
+
+
+@st.composite
+def tstar_cases(draw):
+    n = draw(st.integers(2, 3))
+    above = iter(draw(digit_lists(n * (n - 1) // 2)))
+    rows = [
+        ["1" if i == j else "0" if j < i else next(above) for j in range(n)]
+        for i in range(n)
+    ]
+    exps = draw(digit_lists(n))
+    kind = draw(st.sampled_from(["arrays", "rows", "diag_exponents"]))
+    entries = ["".join(row) for row in rows] if kind == "rows" else rows
+    if kind == "diag_exponents":
+        exps = "".join(exps)
+    doc = {"n": n, "u": {"n": n, "entries": entries}, "diag_exponents": exps}
+    return doc, (0,) if kind == "arrays" else (2,)
+
+
+fuzz_tstar_elements = st.one_of(
+    tstar_cases(),
+    st.tuples(
+        st.fixed_dictionaries(
+            {
+                "n": st.one_of(st.integers(0, 4), fuzz_scalars),
+                "u": st.one_of(fuzz_json, fuzz_matrices),
+                "diag_exponents": st.one_of(fuzz_json, fuzz_strings),
+            }
+        ),
+        st.just(CLEAN_EXITS),
+    ),
+    st.tuples(fuzz_json, st.just(CLEAN_EXITS)),
+)
+
+
+def run_fuzzed(where, argv, docs):
+    """Run ``affinetrees`` in process with each ``--flag: document`` of
+    ``docs`` written to a file; return the exit code and stderr."""
+    for flag, doc in docs.items():
+        path = where / f"{flag[2:]}.json"
+        path.write_text(json.dumps(doc))
+        argv = argv + [flag, str(path)]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv + ["--output", str(where / "out.json")])
+    return code, err.getvalue()
+
+
+@given(fuzz_act_points)
+@settings(max_examples=80, deadline=None)
+def test_act_on_fuzzed_points_exits_cleanly(tmp_path_factory, case):
+    point, allowed = case
+    rep = {"entries": [["1", "1/2", "1"], ["0", "1", "2"], ["0", "0", "1"]]}
+    code, err = run_fuzzed(
+        tmp_path_factory.mktemp("act"), ["act"], {"--rep": rep, "--point": point}
+    )
+    assert code in allowed and "Traceback" not in err
+
+
+@given(fuzz_tstar_elements)
+@settings(max_examples=80, deadline=None)
+def test_extend_tstar_on_fuzzed_elements_exits_cleanly(tmp_path_factory, case):
+    elem, allowed = case
+    code, err = run_fuzzed(
+        tmp_path_factory.mktemp("tstar"), ["extend-tstar"], {"--input": elem}
+    )
+    assert code in allowed and "Traceback" not in err

@@ -228,3 +228,40 @@ def test_unipotent_embedding_agrees_with_base_embedding():
     for i in range(4):
         assert big.rows[m + i][m + i] == ExpSum.one()
         assert big.rows[m + i][10] == ExpSum.zero()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+def test_conjugation_identities_embed_each_element_once(n, monkeypatch):
+    # per trial only u, its conjugate, g2 and g1 * g2 are embedded
+    calls = []
+
+    def counted(g):
+        calls.append(g)
+        return embed_unitriangular(g)
+
+    monkeypatch.setattr(triangular, "embed_unitriangular", counted)
+    report = verify_conjugation_identities(n, 1, seed=n)
+    assert all(v["failures"] == 0 for v in report.values())
+    assert len(calls) == 4
+
+
+def test_is_identity_builds_no_matrix(monkeypatch):
+    rng = trial_rng(11, "is-identity")
+    u = rand_unitriangular(rng, 4)
+    while u == TriMat.identity(4):
+        u = rand_unitriangular(rng, 4)
+    cases = [
+        (TriangularElement.identity(4), True),
+        (TriangularElement.unipotent(u), False),
+        (TriangularElement.diagonal((0, Fraction(1, 2), 0, 0)), False),
+    ]
+    built = []
+    init = TriMat.__init__
+
+    def counted(self, rows):
+        built.append(rows)
+        init(self, rows)
+
+    monkeypatch.setattr(TriMat, "__init__", counted)
+    assert [g.is_identity() for g, _ in cases] == [want for _, want in cases]
+    assert built == []
