@@ -6,12 +6,17 @@ byte-identical outputs.
 
 from __future__ import annotations
 
+import re
+
 from .embedding import AffineRep
 from .errors import DimensionMismatch
 from .ordered import LexFamily, LexVec, Product, Scalars, Space
 from .scalars import ExpSum, rat_from_str, rat_to_str
 from .trimat import TriMat
 from .triangular import TriangularElement
+
+
+_INTEGER = re.compile(r"[+-]?[0-9]+")
 
 
 def _array(obj, what: str) -> list:
@@ -135,13 +140,28 @@ def _value_to_json(space: Space, value):
     raise ValueError(f"unknown space: {space!r}")
 
 
+def _int_from_json(obj) -> int:
+    """A JSON int, or a string matching ``[+-]?[0-9]+`` once surrounding
+    whitespace is stripped (no digit separators or non-ASCII digits)."""
+    if isinstance(obj, int) and not isinstance(obj, bool):
+        return obj
+    if isinstance(obj, str) and _INTEGER.fullmatch(obj.strip()):
+        return int(obj)
+    raise ValueError(f"not an integer: {obj!r}")
+
+
 def _value_from_json(space: Space, obj):
     if isinstance(space, Scalars):
         if space.kind == "Z":
-            return int(str(obj))
+            return _int_from_json(obj)
         return scalar_from_json(obj)
     if isinstance(space, Product):
         values = _array(obj, "a product's value")
+        if len(values) != len(space.factors):
+            raise ValueError(
+                f"a product of {len(space.factors)} factors needs as many values,"
+                f" got {len(values)}"
+            )
         return tuple(_value_from_json(f, v) for f, v in zip(space.factors, values))
     if isinstance(space, LexFamily):
         return tuple(

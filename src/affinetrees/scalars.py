@@ -11,9 +11,15 @@ Two scalar rings are used everywhere else in the library:
   normalized sum always represents a nonzero real number; equality of
   represented reals is therefore decidable by comparing normalized term
   maps, and the sign of a nonzero sum can be determined by interval
-  refinement that is guaranteed to terminate.
+  refinement that is guaranteed to terminate.  Internally the term map
+  keys each exponent by its reduced ``(numerator, denominator)`` int pair
+  with a positive denominator (e**0 is ``(0, 1)``), so term products add
+  exponents in int arithmetic and hash their keys in C; coefficients are
+  nonzero Fractions.  The public views (:meth:`ExpSum.terms`, ``repr``)
+  give exponents back as Fractions.
 
-Both kinds of value are immutable and hashable.
+Both kinds of value are immutable and hashable; an ExpSum equal to a
+rational (a constant sum, or the zero sum) hashes like that rational.
 """
 
 from __future__ import annotations
@@ -105,14 +111,18 @@ EXP_INTERVAL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=EXP_INTERVAL_CACHE_SIZE)
-def _exp_interval(q: Fraction, depth: int, bits: int) -> tuple[Fraction, Fraction]:
-    """Rational interval [lo, hi] containing e**q.
+def _exp_interval(
+    key: tuple[int, int], depth: int, bits: int
+) -> tuple[Fraction, Fraction]:
+    """Rational interval [lo, hi] containing e**q, for the exponent q
+    keyed by its reduced ``(numerator, denominator)`` pair.
 
     Argument reduction brings the exponent into [-1/2, 1/2]; a Taylor
     partial sum with an explicit tail bound gives an interval there, and
     repeated squaring (with outward rounding to ``bits`` fractional bits,
     which keeps denominators from exploding) recovers e**q.
     """
+    q = Fraction(*key)
     k = 0
     x = q
     while abs(x) > _HALF:
@@ -134,49 +144,78 @@ def _exp_interval(q: Fraction, depth: int, bits: int) -> tuple[Fraction, Fractio
     return lo, hi
 
 
+#: Key of the exponent 0, i.e. of the constant term e**0.
+_ZERO_EXP = (0, 1)
+
+
+def _exp_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
+    """Key of the sum of two exponents, each keyed by its reduced
+    ``(numerator, denominator)`` pair with a positive denominator."""
+    an, ad = a
+    bn, bd = b
+    if ad == bd:
+        if ad == 1:
+            return an + bn, 1
+        num, den = an + bn, ad
+    else:
+        num, den = an * bd + bn * ad, ad * bd
+    g = math.gcd(num, den)
+    return num // g, den // g
+
+
 class ExpSum:
     """Immutable finite sum of rational multiples of rational exponentials."""
 
     __slots__ = ("_terms",)
 
     def __init__(self, terms=()):
-        data: dict[Fraction, Fraction] = {}
+        data: dict[tuple[int, int], Fraction] = {}
         items = terms.items() if isinstance(terms, dict) else terms
         for q, c in items:
             q = Fraction(q)
-            c = Fraction(c)
-            c += data.get(q, 0)
+            key = (q.numerator, q.denominator)
+            c = Fraction(c) + data.get(key, 0)
             if c:
-                data[q] = c
+                data[key] = c
             else:
-                data.pop(q, None)
-        object.__setattr__(self, "_terms", data)
+                data.pop(key, None)
+        self._terms = data
+
+    @staticmethod
+    def _trusted(terms: dict[tuple[int, int], Fraction]) -> "ExpSum":
+        """Wrap a term map that is already normal: reduced exponent keys
+        with positive denominators and nonzero Fraction coefficients."""
+        res = object.__new__(ExpSum)
+        res._terms = terms
+        return res
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ExpSum":
-        return cls()
+        return cls._trusted({})
 
     @classmethod
     def one(cls) -> "ExpSum":
-        return cls([(0, 1)])
+        return cls._trusted({_ZERO_EXP: Fraction(1)})
 
     @classmethod
     def constant(cls, c) -> "ExpSum":
         """The rational constant c, i.e. c * e**0."""
-        return cls([(0, Fraction(c))])
+        c = Fraction(c)
+        return cls._trusted({_ZERO_EXP: c} if c else {})
 
     @classmethod
     def exponential(cls, q, coeff=1) -> "ExpSum":
         """coeff * e**q."""
-        return cls([(Fraction(q), Fraction(coeff))])
+        q, c = Fraction(q), Fraction(coeff)
+        return cls._trusted({(q.numerator, q.denominator): c} if c else {})
 
     # -- views -------------------------------------------------------------
 
     def terms(self) -> list[tuple[Fraction, Fraction]]:
         """(exponent, coefficient) pairs sorted by exponent."""
-        return sorted(self._terms.items())
+        return sorted((Fraction(n, d), c) for (n, d), c in self._terms.items())
 
     def is_zero(self) -> bool:
         return not self._terms
@@ -200,21 +239,21 @@ class ExpSum:
             return NotImplemented
         out = dict(self._terms)
         for q, c in o._terms.items():
-            s = out.get(q, 0) + c
-            if s:
-                out[q] = s
+            prev = out.get(q)
+            if prev is None:
+                out[q] = c
             else:
-                out.pop(q, None)
-        res = ExpSum.__new__(ExpSum)
-        object.__setattr__(res, "_terms", out)
-        return res
+                c += prev
+                if c:
+                    out[q] = c
+                else:
+                    del out[q]
+        return ExpSum._trusted(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        res = ExpSum.__new__(ExpSum)
-        object.__setattr__(res, "_terms", {q: -c for q, c in self._terms.items()})
-        return res
+        return ExpSum._trusted({q: -c for q, c in self._terms.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
@@ -231,26 +270,30 @@ class ExpSum:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if not other:
-                return ExpSum()
-            res = ExpSum.__new__(ExpSum)
-            object.__setattr__(
-                res, "_terms", {q: c * other for q, c in self._terms.items()}
-            )
-            return res
+                return ExpSum._trusted({})
+            return ExpSum._trusted({q: c * other for q, c in self._terms.items()})
         if not isinstance(other, ExpSum):
             return NotImplemented
-        out: dict[Fraction, Fraction] = {}
+        out: dict[tuple[int, int], Fraction] = {}
         for q1, c1 in self._terms.items():
             for q2, c2 in other._terms.items():
-                q = q1 + q2
-                s = out.get(q, 0) + c1 * c2
-                if s:
-                    out[q] = s
+                if not q1[0]:
+                    q = q2
+                elif not q2[0]:
+                    q = q1
                 else:
-                    out.pop(q, None)
-        res = ExpSum.__new__(ExpSum)
-        object.__setattr__(res, "_terms", out)
-        return res
+                    q = _exp_add(q1, q2)
+                c = c1 * c2
+                prev = out.get(q)
+                if prev is None:
+                    out[q] = c
+                else:
+                    c += prev
+                    if c:
+                        out[q] = c
+                    else:
+                        del out[q]
+        return ExpSum._trusted(out)
 
     __rmul__ = __mul__
 
@@ -262,15 +305,17 @@ class ExpSum:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return ExpSum([(q, c / other) for q, c in self._terms.items()])
+            return ExpSum._trusted({q: c / other for q, c in self._terms.items()})
         if not isinstance(other, ExpSum):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
         if not other.is_monomial():
             raise ValueError("can only divide by a monomial c*e**q")
-        ((q0, c0),) = other._terms.items()
-        return ExpSum([(q - q0, c / c0) for q, c in self._terms.items()])
+        (((n0, d0), c0),) = other._terms.items()
+        return ExpSum._trusted(
+            {_exp_add(q, (-n0, d0)): c / c0 for q, c in self._terms.items()}
+        )
 
     # -- comparisons ---------------------------------------------------------
 
@@ -281,6 +326,11 @@ class ExpSum:
         return self._terms == o._terms
 
     def __hash__(self):
+        # Equal to the hash of the rational it equals, if it is one.
+        if not self._terms:
+            return hash(0)
+        if self._terms.keys() == {_ZERO_EXP}:
+            return hash(self._terms[_ZERO_EXP])
         return hash(frozenset(self._terms.items()))
 
     def __bool__(self):
@@ -291,8 +341,11 @@ class ExpSum:
 
         Zero is decided exactly (empty term map).  A sum whose coefficients
         all share one sign is decided exactly as well, since every e**q is
-        positive.  Mixed-sign sums are bracketed by rational intervals of
-        doubling Taylor depth until the interval excludes zero.
+        positive.  Mixed-sign sums are divided by the positive e**top of
+        their largest exponent and then bracketed by rational intervals of
+        doubling Taylor depth until the interval excludes zero.  Every
+        bracketed exponent is then at most 0, so each bracket lies in
+        [0, 1] at a fixed number of bits however large the exponents are.
         """
         if not self._terms:
             return 0
@@ -302,11 +355,18 @@ class ExpSum:
         if all(c < 0 for c in coeffs):
             return -1
         budget = max_refinements if max_refinements is not None else _max_refinements
+        # tn/td: the largest exponent (every denominator is positive)
+        keys = iter(self._terms)
+        tn, td = next(keys)
+        for n, d in keys:
+            if n * td > tn * d:
+                tn, td = n, d
+        shifted = [(_exp_add(q, (-tn, td)), c) for q, c in self._terms.items()]
         depth = 8
         for step in range(budget):
             bits = 32 + depth
             lo = hi = Fraction(0)
-            for q, c in self._terms.items():
+            for q, c in shifted:
                 l, h = _exp_interval(q, depth, bits)
                 if c >= 0:
                     lo += c * l

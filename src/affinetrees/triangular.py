@@ -210,7 +210,10 @@ def embed_triangular(g: TriangularElement) -> TriMat:
 
 def is_essentially_hyperbolic_embedded(g: TriangularElement) -> bool:
     """Exact essential-hyperbolicity verdict for the embedded image of a
-    nontrivial element."""
+    nontrivial element.
+
+    This embeds g; a caller that already holds ``embed_triangular(g)``
+    should call ``is_essentially_hyperbolic(image)`` on it instead."""
     if g.is_identity():
         raise IdentityInput("predicate undefined for the identity element")
     return is_essentially_hyperbolic(embed_triangular(g))

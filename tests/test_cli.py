@@ -2,11 +2,12 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
 import affinetrees
-from affinetrees import cli
+from affinetrees import cli, scalars
 from affinetrees.cli import MAX_POWER, main
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
@@ -484,3 +485,63 @@ def test_shared_parser_keeps_no_state_between_requests(tmp_path, capsys):
 def test_parser_is_not_built_at_import():
     code = "import affinetrees.cli as c; print(c.build_parser.cache_info().currsize)"
     assert run_alone("-c", code) == (0, "0\n")
+
+
+def test_act_rejects_product_values_of_the_wrong_length(tmp_path, capsys):
+    rep = write_json(
+        tmp_path / "rep.json",
+        {"entries": [["1", "1/2", "1"], ["0", "1", "2"], ["0", "0", "1"]]},
+    )
+    space = {"product": ["Q", "Q"]}
+    for support in (["1", "2", "3"], ["1"]):
+        point = write_json(
+            tmp_path / "p.json", {"index_space": space, "support": support}
+        )
+        code, out, err = run_cli(capsys, "act", "--rep", rep, "--point", point)
+        assert code == 2 and out == ""
+        assert "malformed point JSON" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("index", ["1_000", "١٢", "１２", "1/1", "12.0", "", True])
+def test_act_rejects_loose_integer_spellings(tmp_path, capsys, index):
+    rep = write_json(tmp_path / "rep.json", identity_json(3))
+    point = write_json(
+        tmp_path / "p.json",
+        {
+            "index_space": {"family": {"index": "Z", "fiber": "Q"}},
+            "support": [{"index": index, "value": "1"}],
+        },
+    )
+    code, _, err = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert code == 2
+    assert "malformed point JSON" in err and "not an integer" in err
+
+
+@pytest.mark.parametrize("exponent", ["100000", "1000000000"])
+def test_act_signs_a_diagonal_with_a_huge_exponent(
+    tmp_path, capsys, monkeypatch, exponent
+):
+    # e**q - 1 on the diagonal is tested for positivity; the sign test
+    # brackets e**0 and e**-q, never e**q, whose bracket has ~1.44 q bits
+    brackets = []
+    real = scalars._exp_interval
+
+    def nonpositive_only(key, depth, bits):
+        brackets.append(key)
+        assert key[0] <= 0, f"bracketed e**({key[0]}/{key[1]})"
+        return real(key, depth, bits)
+
+    monkeypatch.setattr(scalars, "_exp_interval", nonpositive_only)
+    diagonal = [{"coeff": "1", "exp": exponent}, {"coeff": "-1", "exp": "0"}]
+    rep = write_json(
+        tmp_path / "rep.json", {"entries": [[diagonal, "1/2"], ["0", "1"]]}
+    )
+    point = write_json(tmp_path / "p.json", ["3"])
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert time.perf_counter() - start < 1.0
+    assert code == 0 and brackets
+    # (e**q - 1) * 3 + 1/2
+    assert json.loads(out) == [
+        [{"coeff": "-5/2", "exp": "0"}, {"coeff": "3", "exp": exponent}]
+    ]

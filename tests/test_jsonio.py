@@ -98,6 +98,22 @@ def test_lexvec_roundtrip():
     assert lexvec_from_json(payload) == vec
 
 
+@pytest.mark.parametrize(
+    "support, value", [(12, 12), ("12", 12), ("-3", -3), ("+4", 4), (" 7 ", 7), ("007", 7)]
+)
+def test_integer_values_accept_json_ints_and_ascii_digits(support, value):
+    vec = lexvec_from_json({"index_space": "Z", "support": support})
+    assert vec.value == value and type(vec.value) is int
+
+
+@pytest.mark.parametrize(
+    "support", ["1_000", "١٢", "１２", "1/1", "1e3", "12.0", "", "+", True, 1.0, None]
+)
+def test_integer_values_reject_other_spellings(support):
+    with pytest.raises(ValueError):
+        lexvec_from_json({"index_space": "Z", "support": support})
+
+
 def test_wreath_elem_roundtrip_translation_base():
     group = WreathGroup(TranslationBundle(Scalars("Z")), Scalars("Z"))
     enc, dec = translation_h_codec(group.base)
@@ -125,6 +141,8 @@ fuzz_strings = st.one_of(
     # exponent, decimal and digit-separator spellings are not rationals here
     st.sampled_from(["1e30000", "1E5", "-2e-3", "1.5", ".5", "3/4.0", "1_000", "1/1_0"]),
     st.from_regex(r"[+-]?[0-9]{1,2}(e[+-]?[0-9]{1,5}|\.[0-9]{0,2}|_[0-9]{1,2})", fullmatch=True),
+    # non-ASCII digits are neither rationals nor integers here
+    st.sampled_from(["١٢", "１２", "-٣", "٣/٤"]),
     st.text(max_size=4),
 )
 fuzz_scalars = st.one_of(
@@ -211,7 +229,7 @@ fuzz_supports = st.recursive(
 @st.composite
 def act_point_cases(draw):
     coords = draw(digit_lists(2))
-    kinds = ["array", "object", "bare-string", "product", "support"]
+    kinds = ["array", "object", "bare-string", "product", "support", "extra", "z-index"]
     kind = draw(st.sampled_from(kinds))
     if kind == "array":
         return coords, (0,)
@@ -222,6 +240,12 @@ def act_point_cases(draw):
         return {"index_space": space, "support": coords}, (0,)
     if kind == "product":
         return {"index_space": {"product": "QQ"}, "support": coords}, (2,)
+    if kind == "extra":
+        return {"index_space": space, "support": coords + coords[:1]}, (2,)
+    if kind == "z-index":
+        index = draw(st.sampled_from(["1_000", "١٢", "１２", "1/1", "12.0"]))
+        family = {"family": {"index": "Z", "fiber": "Q"}}
+        return {"index_space": family, "support": [{"index": index, "value": "1"}]}, (2,)
     return {"index_space": space, "support": "".join(coords)}, (2,)
 
 

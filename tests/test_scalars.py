@@ -1,9 +1,12 @@
+import math
+import time
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from affinetrees import scalars
 from affinetrees.errors import PrecisionExhausted
 from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
@@ -204,3 +207,154 @@ def test_exp_interval_cache_is_bounded():
         assert ExpSum([(q, 1), (0, -1)]).sign() == (1 if q > 0 else -1)
     info = _exp_interval.cache_info()
     assert info.currsize <= info.maxsize
+
+
+# -- the int-pair exponent keys against a Fraction-keyed reference -----------------
+# The reference keeps the term map the way the public surface describes it:
+# Fraction exponents mapped to nonzero Fraction coefficients.
+
+
+def ref_of(pairs) -> dict:
+    out = {}
+    for q, c in pairs:
+        out[Fraction(q)] = out.get(Fraction(q), 0) + Fraction(c)
+    return {q: c for q, c in out.items() if c}
+
+
+def ref_add(a: dict, b: dict) -> dict:
+    return ref_of(list(a.items()) + list(b.items()))
+
+
+def ref_mul(a: dict, b: dict) -> dict:
+    return ref_of([(q1 + q2, c1 * c2) for q1, c1 in a.items() for q2, c2 in b.items()])
+
+
+def ref_sign(a: dict) -> int:
+    """Sign by brackets of the unshifted exponents (small exponents only)."""
+    if not a:
+        return 0
+    depth = 8
+    for _ in range(20):
+        bits = 32 + depth
+        lo = hi = Fraction(0)
+        for q, c in a.items():
+            l, h = _exp_interval((q.numerator, q.denominator), depth, bits)
+            lo += c * (l if c >= 0 else h)
+            hi += c * (h if c >= 0 else l)
+        if lo > 0 or hi < 0:
+            return 1 if lo > 0 else -1
+        depth *= 2
+    raise AssertionError("reference sign did not separate")
+
+
+def assert_matches(value: ExpSum, ref: dict):
+    assert value.terms() == sorted(ref.items())
+    for q, c in value.terms():
+        assert type(q) is Fraction and type(c) is Fraction
+    for n, d in value._terms:
+        assert type(n) is int and type(d) is int
+        assert d > 0 and math.gcd(n, d) == 1
+    assert value == ExpSum(ref.items())
+    assert hash(value) == hash(ExpSum(ref.items()))
+    if set(ref) <= {0}:
+        # a sum equal to a rational compares and hashes like it
+        rational = ref.get(Fraction(0), Fraction(0))
+        assert value == rational and hash(value) == hash(rational)
+
+
+# sums of these reduce (1/6 + 1/3 = 1/2) or cancel (1/2 - 1/2 = 0)
+oracle_exps = st.sampled_from(
+    [Fraction(k, d) for d in (1, 2, 3, 6) for k in range(-7, 8)]
+) | small_rats
+oracle_pairs = st.lists(st.tuples(oracle_exps, small_rats), max_size=4)
+
+
+@given(oracle_pairs, oracle_pairs, oracle_exps, small_rats)
+@settings(max_examples=150, deadline=None)
+def test_int_pair_keys_match_fraction_reference(pa, pb, q0, c0):
+    a, b = ExpSum(pa), ExpSum(pb)
+    ra, rb = ref_of(pa), ref_of(pb)
+    assert_matches(a, ra)
+    assert_matches(a + b, ref_add(ra, rb))
+    assert_matches(a - b, ref_add(ra, {q: -c for q, c in rb.items()}))
+    assert_matches(-a, {q: -c for q, c in ra.items()})
+    assert_matches(a * b, ref_mul(ra, rb))
+    assert_matches(b * a, ref_mul(ra, rb))
+    assert_matches(a * c0, ref_mul(ra, ref_of([(0, c0)])))
+    assert (a == b) == (ra == rb)
+    if c0:
+        assert_matches(a / c0, {q: c / c0 for q, c in ra.items()})
+        monomial = ExpSum.exponential(q0, c0)
+        assert_matches(monomial, {q0: c0})
+        assert_matches(a / monomial, {q - q0: c / c0 for q, c in ra.items()})
+        assert_matches(a * monomial / monomial, ra)
+    assert a.sign() == ref_sign(ra)
+    assert (a - b).sign() == ref_sign(ref_add(ra, {q: -c for q, c in rb.items()}))
+
+
+def test_reduced_and_cancelled_exponents_share_one_key():
+    sixth, third, half = Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)
+    reduced = ExpSum.exponential(sixth) * ExpSum.exponential(third)
+    assert reduced._terms == {(1, 2): 1} and reduced == ExpSum.exponential(half)
+    cancelled = ExpSum.exponential(half, 2) * ExpSum.exponential(-half, 3)
+    assert cancelled._terms == {(0, 1): 6}
+    assert cancelled == ExpSum.constant(6) == 6
+    quotient = ExpSum.exponential(half, 3) / ExpSum.exponential(half)
+    assert quotient._terms == {(0, 1): 3}
+    # e**(1/6) * e**(1/3) and e**(1/2) land on one key and add up
+    total = reduced + ExpSum.exponential(half, -1)
+    assert total.is_zero() and total._terms == {}
+    assert ExpSum([("2/4", 1), (Fraction(1, 2), 1)])._terms == {(1, 2): 2}
+
+
+@given(small_rats)
+@settings(max_examples=60, deadline=None)
+def test_rational_sums_hash_like_the_rational(p):
+    for value in (ExpSum.constant(p), ExpSum.exponential(0, p), ExpSum([(0, p)])):
+        assert value == p and hash(value) == hash(p)
+        assert len({value, p}) == 1
+    assert ExpSum() == 0 and hash(ExpSum()) == hash(0) == hash(ExpSum.zero())
+    assert {ExpSum.constant(p): "x"}[p] == "x"
+
+
+def test_term_products_hash_no_fraction(monkeypatch):
+    a = ExpSum([(Fraction(1, 2), 3), (0, -1), (2, Fraction(1, 3)), (Fraction(-5, 6), 2)])
+    b = ExpSum([(Fraction(1, 3), 1), (Fraction(-1, 2), 4), (0, 7)])
+    expected = ExpSum(ref_mul(ref_of(a.terms()), ref_of(b.terms())).items())
+    calls = []
+    real = Fraction.__hash__
+
+    def counting(self):
+        calls.append(self)
+        return real(self)
+
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    product = a * b
+    total = product + a + b
+    monkeypatch.undo()
+    assert calls == []
+    assert product == expected and total == expected + a + b
+
+
+def test_sign_brackets_no_positive_exponent(monkeypatch):
+    # e**q for q = 10**9 has about 1.44e9 bits; every bracket must stay in [0, 1]
+    brackets = []
+
+    def nonpositive_only(key, depth, bits):
+        brackets.append(key)
+        assert key[0] <= 0, f"bracketed e**({key[0]}/{key[1]})"
+        return _exp_interval(key, depth, bits)
+
+    monkeypatch.setattr(scalars, "_exp_interval", nonpositive_only)
+    big = 10**9
+    start = time.perf_counter()
+    assert ExpSum([(big, 1), (0, -1)]).sign() == 1
+    assert ExpSum([(big, -1), (0, 1)]).sign() == -1
+    assert ExpSum([(-big, 1), (0, -1)]).sign() == -1
+    # e**(q) - 3 e**(q - 1) = e**(q - 1) (e - 3) < 0
+    assert ExpSum([(big, 1), (big - 1, -3)]).sign() == -1
+    # 2 e**(q + 10**-6) > 2 e**q
+    q = Fraction(big, 7)
+    assert ExpSum([(q + Fraction(1, 10**6), 2), (q, -2)]).sign() == 1
+    assert time.perf_counter() - start < 1.0
+    assert brackets
