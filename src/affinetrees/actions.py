@@ -25,7 +25,6 @@ from .errors import (
 )
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
-from .scalars import ExpSum
 from .trimat import TriMat
 
 
@@ -61,7 +60,7 @@ class MatrixAffineAut:
         object.__setattr__(
             self, "translation", tuple(ring.coerce(v) for v in self.translation)
         )
-        if ring.kind == "Q" and isinstance(self.dilation.ring_one(), ExpSum):
+        if ring.kind == "Q" and self.dilation.expsum:
             raise IndexSpaceMismatch("exact-real dilation over the rationals")
 
     @property
@@ -127,7 +126,7 @@ def from_affine_matrix(mat: TriMat) -> MatrixAffineAut:
         raise NotAffineForm("bottom row must vanish off the corner")
     dilation = TriMat([[mat.rows[i][j] for j in range(N - 1)] for i in range(N - 1)])
     translation = tuple(mat.rows[i][N - 1] for i in range(N - 1))
-    ring = Scalars("R" if isinstance(mat.ring_one(), ExpSum) else "Q")
+    ring = Scalars("R" if mat.expsum else "Q")
     return MatrixAffineAut(dilation, translation, Product(*[ring] * (N - 1)))
 
 

@@ -23,7 +23,8 @@ from . import jsonio, scalars
 from .actions import from_affine_matrix
 from .embedding import (
     AffineRep,
-    _clear_denominators,
+    _clearing_scales,
+    _scaled_conjugate,
     integerize,
     is_essentially_hyperbolic,
 )
@@ -73,7 +74,7 @@ def _parse_matrix(obj) -> TriMat:
 
 
 def _require_rational(mats) -> None:
-    if any(isinstance(m.ring_one(), scalars.ExpSum) for m in mats):
+    if any(m.expsum for m in mats):
         raise CliInputError("clearing denominators needs rational matrices")
 
 
@@ -87,12 +88,12 @@ def cmd_embed(args) -> int:
         _require_rational([mat])
         # a rational unitriangular image and its inverse form an
         # inverse-closed set, so integerize's own checks would only repeat
-        # the inversion
+        # the inversion; only the image's conjugate is written
         image = rep.matrix
-        conj, conjugated = _clear_denominators([image, image.inverse()])
+        scale = _clearing_scales([image, image.inverse()])
         payload["integerized"] = {
-            "P": jsonio.mat_to_json(conj),
-            "conjugated": jsonio.mat_to_json(conjugated[0]),
+            "P": jsonio.mat_to_json(TriMat.diagonal(scale)),
+            "conjugated": jsonio.mat_to_json(_scaled_conjugate(image, scale)),
         }
     _emit(payload, args.output)
     return 0

@@ -354,7 +354,7 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
             raise DimensionMismatch("generators must share one dimension")
         if not g.is_unitriangular():
             raise NotUnitriangular("generators must be unitriangular")
-        if any(not isinstance(v, Fraction) for row in g.rows for v in row):
+        if g.expsum:
             raise TypeError("integerization needs rational generators")
     # a generator paired with an earlier one is that one's inverse, so its
     # own inverse is already known to be present
@@ -366,12 +366,13 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
             paired.add(gens.index(g.inverse()))
         except ValueError:
             raise NotInverseClosed(f"missing inverse of {g!r}") from None
-    return _clear_denominators(gens)
+    scale = _clearing_scales(gens)
+    return TriMat.diagonal(scale), [_scaled_conjugate(g, scale) for g in gens]
 
 
-def _clear_denominators(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
-    """The conjugator and conjugated generators of :func:`integerize`, for
-    generators already known to satisfy its preconditions."""
+def _clearing_scales(gens: list[TriMat]) -> list[int]:
+    """The diagonal s_1, ..., s_n of the conjugator of :func:`integerize`,
+    for generators already known to satisfy its preconditions."""
     n = gens[0].n
     row_lcm = [
         lcm(*(g.rows[i][j].denominator for g in gens for j in range(n)), 1)
@@ -382,12 +383,15 @@ def _clear_denominators(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
     for i in range(n - 1, -1, -1):
         acc *= row_lcm[i]
         scale[i] = acc
-    return TriMat.diagonal(scale), [
-        TriMat(
-            [
-                [v * (scale[i] // scale[j]) if v else v for j, v in enumerate(row)]
-                for i, row in enumerate(g.rows)
-            ]
-        )
-        for g in gens
-    ]
+    return scale
+
+
+def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:
+    """diag(scale) * g * diag(scale)**-1: entry (i, j) times s_i / s_j,
+    an integer for j >= i."""
+    return TriMat(
+        [
+            [v * (scale[i] // scale[j]) if v else v for j, v in enumerate(row)]
+            for i, row in enumerate(g.rows)
+        ]
+    )

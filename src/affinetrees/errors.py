@@ -70,3 +70,7 @@ class EmptyLevels(AffineTreesError, ValueError):
 
 class ConfigInvalid(AffineTreesError, ValueError):
     """Verification suite configuration failed validation."""
+
+
+class NotInvertible(AffineTreesError, ValueError):
+    """A diagonal entry has no inverse in the entry ring."""

@@ -88,7 +88,7 @@ def rat_to_str(q: Fraction) -> str:
     Raises :class:`ResultTooLarge` when p or q has more digits than the
     interpreter converts to text."""
     try:
-        return str(Fraction(q))
+        return str(q if isinstance(q, Fraction) else Fraction(q))
     except ValueError as exc:
         raise ResultTooLarge(
             f"an exact value has more than {sys.get_int_max_str_digits()} digits,"

@@ -4,10 +4,11 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from math import factorial, lcm
 
 import pytest
 import affinetrees
-from affinetrees import cli, scalars
+from affinetrees import cli, scalars, trimat
 from affinetrees.cli import MAX_POWER, main
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
@@ -545,3 +546,53 @@ def test_act_signs_a_diagonal_with_a_huge_exponent(
     assert json.loads(out) == [
         [{"coeff": "-5/2", "exp": "0"}, {"coeff": "3", "exp": exponent}]
     ]
+
+
+@pytest.mark.parametrize(
+    "point", [["1", "2"], {"index_space": {"product": ["R", "R"]}, "support": ["1", "2"]}]
+)
+def test_act_inverse_of_a_non_monomial_diagonal_exits_3(tmp_path, capsys, point):
+    # 2e + 1 is positive but has no inverse among exponential sums
+    diagonal = [{"coeff": "2", "exp": "1"}, {"coeff": "1", "exp": "0"}]
+    rep = write_json(
+        tmp_path / "rep.json",
+        {"entries": [[diagonal, "1/2", "1"], ["0", "1", "2"], ["0", "0", "1"]]},
+    )
+    point = write_json(tmp_path / "p.json", point)
+    code, out, err = run_cli(capsys, "act", "--rep", rep, "--point", point, "--power", "-2")
+    assert code == 3 and out == ""
+    assert err.startswith("error: NotInvertible: ") and "Traceback" not in err
+
+
+def coprime_60_digit_matrix(full):
+    """n = 8 unitriangular matrix whose entries above the diagonal (or, if
+    not full, in the last column) have pairwise coprime 60-digit
+    denominators k * 47! + 1, k = 1..28: a prime dividing two of them
+    divides their difference, a multiple of 47! by less than 47, so it
+    divides 47! and cannot divide k * 47! + 1."""
+    dens = iter(k * factorial(47) + 1 for k in range(1, 29))
+    return TriMat(
+        [
+            [
+                1 if i == j else 0 if j < i
+                else Fraction(j - i, next(dens)) if full or j == 7 else Fraction(j - i)
+                for j in range(8)
+            ]
+            for i in range(8)
+        ]
+    )
+
+
+@pytest.mark.parametrize("full, argv", [(False, ["--integerize"]), (True, [])])
+def test_embed_past_the_cutoff_matches_the_integer_route(
+    tmp_path, capsys, monkeypatch, full, argv
+):
+    mat = coprime_60_digit_matrix(full)
+    dens = [v.denominator for row in mat.rows for v in row]
+    assert lcm(*dens).bit_length() > trimat.MAX_COMMON_DENOMINATOR_BITS
+    src = write_json(tmp_path / "in.json", mat_to_json(mat))
+    by_fractions = run_cli(capsys, "embed", "--input", src, *argv)
+    monkeypatch.setattr(trimat, "MAX_COMMON_DENOMINATOR_BITS", 10**6)
+    in_integers = run_cli(capsys, "embed", "--input", src, *argv)
+    assert by_fractions[0] == 0
+    assert by_fractions == in_integers

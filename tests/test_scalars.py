@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetrees import scalars
-from affinetrees.errors import PrecisionExhausted
+from affinetrees.errors import PrecisionExhausted, ResultTooLarge
 from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
     ExpSum,
@@ -42,6 +42,10 @@ def test_rat_string_roundtrip():
     assert rat_from_str("5/10") == Fraction(1, 2)
     assert rat_to_str(Fraction(6, 4)) == "3/2"
     assert rat_to_str(Fraction(-7)) == "-7"
+    assert rat_to_str(-7) == "-7"
+    for huge in (Fraction(1, 10**5000 + 1), 10**5000):
+        with pytest.raises(ResultTooLarge):
+            rat_to_str(huge)
     with pytest.raises(ValueError):
         rat_from_str("1.5x")
 

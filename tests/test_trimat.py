@@ -8,12 +8,18 @@ from hypothesis import strategies as st
 from affinetrees.embedding import affine_algebra_rep, embed_unitriangular
 from affinetrees.errors import (
     DimensionMismatch,
+    NotInvertible,
     NotStrictUpper,
     NotUnitriangular,
 )
 from affinetrees.sampling import rand_strict_upper, rand_unitriangular, trial_rng
 from affinetrees.scalars import ExpSum
-from affinetrees.trimat import TriMat, nilpotent_exp, unipotent_log
+from affinetrees.trimat import (
+    MAX_COMMON_DENOMINATOR_BITS,
+    TriMat,
+    nilpotent_exp,
+    unipotent_log,
+)
 
 
 def elementary(n, i, j, value=1):
@@ -208,12 +214,25 @@ def unit_diagonal(x, one):
 
 
 rationals = st.fractions(min_value=-9, max_value=9, max_denominator=9)
+#: The Fermat numbers 2**(2**k) + 1 are pairwise coprime.  Those for
+#: k = 4..8 (17 to 257 bits) multiply to 497 bits, so a matrix over them
+#: has its common denominator within MAX_COMMON_DENOMINATOR_BITS = 512 and
+#: its rational series runs in integers; a factor PAST puts every nonzero
+#: entry's denominator past the cutoff.
+FERMAT = [2 ** (2**k) + 1 for k in range(4, 9)]
+PAST = 2**MAX_COMMON_DENOMINATOR_BITS + 1
+coprime_rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(FERMAT))
+past_cutoff_rationals = st.builds(
+    lambda p, q: Fraction(p, q * PAST), st.integers(-9, 9), st.sampled_from(FERMAT)
+)
 exp_sums = st.lists(
     st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), rationals), max_size=2
 ).map(ExpSum)
 #: ring -> (zero, one, nonzero-entry strategy); "mixed" keeps Fraction zeros
 RINGS = {
     "Q": (Fraction(0), Fraction(1), rationals),
+    "Q-coprime": (Fraction(0), Fraction(1), coprime_rationals),
+    "Q-past-cutoff": (Fraction(0), Fraction(1), past_cutoff_rationals),
     "R": (ExpSum(), ExpSum.one(), exp_sums),
     "mixed": (Fraction(0), Fraction(1), st.one_of(rationals, exp_sums)),
 }
@@ -302,6 +321,8 @@ monomials = st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), nonzero_ratio
 #: ring -> invertible non-unit diagonal entries
 DIAGONALS = {
     "Q": nonzero_rationals,
+    "Q-coprime": coprime_rationals.filter(bool),
+    "Q-past-cutoff": past_cutoff_rationals.filter(bool),
     "R": monomials,
     "mixed": st.one_of(nonzero_rationals, monomials),
 }
@@ -350,6 +371,49 @@ def inverse_cases():
 @pytest.mark.parametrize("mat", list(inverse_cases()))
 def test_inverse_matches_back_substitution_on_images(mat):
     assert_same(mat.inverse(), reference_inverse(mat))
+
+
+@pytest.mark.parametrize(
+    "mat",
+    [
+        TriMat([[1, 0], [0, 0]]),
+        TriMat([[ExpSum.one(), ExpSum()], [ExpSum(), ExpSum()]]),
+        TriMat.diagonal([ExpSum([(1, 2), (0, 1)]), ExpSum.one()]),
+    ],
+)
+def test_inverse_rejects_a_diagonal_entry_without_inverse(mat):
+    with pytest.raises(NotInvertible):
+        mat.inverse()
+
+
+def count_fraction_products(monkeypatch):
+    products = []
+    for name in ("__mul__", "__rmul__"):
+        real = getattr(Fraction, name)
+
+        def counting(self, other, real=real):
+            products.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(Fraction, name, counting)
+    return products
+
+
+@pytest.mark.parametrize("extra_bits, takes_fraction_path", [(0, False), (1, True)])
+def test_common_denominator_past_the_cutoff_takes_the_fraction_path(
+    monkeypatch, extra_bits, takes_fraction_path
+):
+    # one denominator of exactly MAX_COMMON_DENOMINATOR_BITS (+ extra_bits) bits
+    den = 2 ** (MAX_COMMON_DENOMINATOR_BITS + extra_bits) - 1
+    x = TriMat([[Fraction(j - i, den) if j > i else 0 for j in range(6)] for i in range(6)])
+    g = unit_diagonal(x, Fraction(1))
+    expected = reference_exp(x), reference_log(g), reference_inverse(g)
+    products = count_fraction_products(monkeypatch)
+    results = nilpotent_exp(x), unipotent_log(g), g.inverse()
+    assert bool(products) is takes_fraction_path
+    monkeypatch.undo()
+    for new, ref in zip(results, expected):
+        assert_same(new, ref)
 
 
 def test_unitriangular_inverse_divides_nothing(monkeypatch):
