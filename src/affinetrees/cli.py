@@ -58,7 +58,7 @@ def _load_json(path: str):
 
 
 def _emit(payload, path: str | None) -> None:
-    text = json.dumps(payload, sort_keys=True, indent=2) + "\n"
+    text = jsonio.dumps(payload) + "\n"
     if path and path != "-":
         with open(path, "w", encoding="utf-8") as handle:
             handle.write(text)

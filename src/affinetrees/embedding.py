@@ -372,10 +372,11 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
 
 def _clearing_scales(gens: list[TriMat]) -> list[int]:
     """The diagonal s_1, ..., s_n of the conjugator of :func:`integerize`,
-    for generators already known to satisfy its preconditions."""
+    for generators already known to satisfy its preconditions.  Being
+    unitriangular, they can have denominators only above the diagonal."""
     n = gens[0].n
     row_lcm = [
-        lcm(*(g.rows[i][j].denominator for g in gens for j in range(n)), 1)
+        lcm(*(g.rows[i][j].denominator for g in gens for j in range(i + 1, n)), 1)
         for i in range(n)
     ]
     scale = [1] * n

@@ -1,12 +1,13 @@
 """JSON encoding and decoding for every value that crosses the CLI
-boundary.  All numbers are exact strings ('p/q') or term lists for
-exponential sums -- never floats -- so identical inputs always produce
-byte-identical outputs.
+boundary, and the writer of the CLI's JSON text.  All numbers are exact
+strings ('p/q') or term lists for exponential sums -- never floats -- so
+identical inputs always produce byte-identical outputs.
 """
 
 from __future__ import annotations
 
 import re
+from json.encoder import encode_basestring_ascii as _escape
 
 from .embedding import AffineRep
 from .errors import DimensionMismatch
@@ -26,6 +27,51 @@ def _array(obj, what: str) -> list:
     return obj
 
 
+def dumps(obj) -> str:
+    """``obj`` as JSON text, byte for byte ``json.dumps(obj, sort_keys=True,
+    indent=2)``: sorted keys, ``": "`` after a key, each item on its own
+    line two spaces deeper, ``[]``/``{}`` when empty.  ``obj`` is built of
+    strings, ints, booleans, ``None``, lists, tuples and dicts with string
+    keys; anything else (a float included) raises :class:`TypeError`.
+
+    An indent makes :func:`json.dumps` run its pure-Python encoder; here the
+    leaves go through the C string escaper, a whole row of strings in one
+    call."""
+    return _dumps(obj, "\n")
+
+
+def _dumps(obj, newline: str) -> str:
+    # ``newline`` is a line break plus the indent of the line ``obj`` is on
+    if isinstance(obj, str):
+        return _escape(obj)
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        inner = newline + "  "
+        try:
+            body = ("," + inner).join(map(_escape, obj))
+        except TypeError:  # not a row of strings only
+            body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        return "[" + inner + body + newline + "]"
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        inner = newline + "  "
+        body = ("," + inner).join(
+            [_escape(k) + ": " + _dumps(obj[k], inner) for k in sorted(obj)]
+        )
+        return "{" + inner + body + newline + "}"
+    if obj is None:
+        return "null"
+    if obj is True:
+        return "true"
+    if obj is False:
+        return "false"
+    if isinstance(obj, int):
+        return int.__repr__(obj)
+    raise TypeError(f"Object of type {type(obj).__name__} is not JSON serializable")
+
+
 def scalar_to_json(value):
     if isinstance(value, ExpSum):
         return [
@@ -43,19 +89,29 @@ def scalar_from_json(obj):
 
 
 def mat_to_json(mat: TriMat) -> dict:
-    return {
-        "n": mat.n,
-        "entries": [[scalar_to_json(v) for v in row] for row in mat.rows],
-    }
+    if mat.expsum:
+        entries = [[scalar_to_json(v) for v in row] for row in mat.rows]
+    else:
+        entries = [[rat_to_str(v) if v else "0" for v in row] for row in mat.rows]
+    return {"n": mat.n, "entries": entries}
 
 
 def mat_from_json(obj) -> TriMat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     entries = _array(obj["entries"], "'entries'")
-    mat = TriMat(
-        [[scalar_from_json(v) for v in _array(row, "matrix row")] for row in entries]
-    )
+    # each distinct string is parsed once per matrix; most entries repeat
+    parsed = {}
+
+    def scalar(v):
+        if isinstance(v, str):
+            q = parsed.get(v)
+            if q is None:
+                q = parsed[v] = rat_from_str(v)
+            return q
+        return scalar_from_json(v)
+
+    mat = TriMat([[scalar(v) for v in _array(row, "matrix row")] for row in entries])
     if "n" in obj and obj["n"] != mat.n:
         raise DimensionMismatch(
             f"declared dimension {obj['n']} but entries are {mat.n}x{mat.n}"

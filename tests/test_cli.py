@@ -8,8 +8,9 @@ from math import factorial, lcm
 
 import pytest
 import affinetrees
-from affinetrees import cli, scalars, trimat
+from affinetrees import cli, jsonio, scalars, trimat
 from affinetrees.cli import MAX_POWER, main
+from affinetrees.embedding import AffineRep
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
 from affinetrees.sampling import rand_unitriangular, trial_rng
@@ -596,3 +597,53 @@ def test_embed_past_the_cutoff_matches_the_integer_route(
     in_integers = run_cli(capsys, "embed", "--input", src, *argv)
     assert by_fractions[0] == 0
     assert by_fractions == in_integers
+
+
+# -- every subcommand's output is json.dumps(payload, sort_keys=True, indent=2) --
+
+G = rand_unitriangular(trial_rng(10, "writer"), 5)
+G_IMAGE = mat_to_json(AffineRep.of(G).matrix)
+REP_3 = {"entries": [["1", "1/2", "1"], ["0", "1", "2"], ["0", "0", "1"]]}
+TSTAR = {
+    "n": 3,
+    "u": {"entries": [["1", "2", "1/3"], ["0", "1", "-4"], ["0", "0", "1"]]},
+    "diag_exponents": ["1", "-1/2", "0"],
+}
+WRITER_CASES = {
+    "embed": (["embed"], {"--input": mat_to_json(G)}),
+    "embed-integerize": (["embed", "--integerize"], {"--input": mat_to_json(G)}),
+    "hyperbolic": (["hyperbolic"], {"--input": G_IMAGE}),
+    "integerize": (
+        ["integerize"], {"--input": [mat_to_json(G), mat_to_json(G.inverse())]}
+    ),
+    "extend-tstar": (["extend-tstar"], {"--input": TSTAR}),
+    "act-array": (["act", "--power", "3"], {"--rep": REP_3, "--point": ["1/2", "-2"]}),
+    "act-index-space": (
+        ["act", "--power", "-2"],
+        {
+            "--rep": REP_3,
+            "--point": {"index_space": {"product": ["Q", "Q"]}, "support": ["1", "2"]},
+        },
+    ),
+    "wreath": (["wreath", "--levels", "Z,Q,Z", "--samples", "5", "--seed", "3"], {}),
+    "verify": (
+        ["verify", "--suite", "all", "--n", "2..3", "--samples", "1", "--seed", "1"], {}
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(WRITER_CASES))
+def test_output_is_indented_sorted_json(tmp_path, capsys, monkeypatch, case):
+    argv, docs = WRITER_CASES[case]
+    for flag, doc in docs.items():
+        argv = argv + [flag, write_json(tmp_path / f"{flag[2:]}.json", doc)]
+    payloads, dumps = [], jsonio.dumps
+
+    def spy(payload):
+        payloads.append(payload)
+        return dumps(payload)
+
+    monkeypatch.setattr(jsonio, "dumps", spy)
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 0 and err == "" and len(payloads) == 1
+    assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"

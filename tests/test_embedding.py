@@ -1,10 +1,14 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from affinetrees import embedding
 from affinetrees.embedding import (
     AffineRep,
+    _clearing_scales,
     affine_algebra_rep,
     certify_admissible,
     coord_block,
@@ -35,7 +39,7 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
-from affinetrees.trimat import TriMat, nilpotent_exp
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, nilpotent_exp
 
 
 def elementary(n, i, j, value=1):
@@ -516,3 +520,41 @@ def test_integerize_random_sets():
             assert all(v.denominator == 1 for row in after.rows for v in row)
             if before != eye:
                 assert is_essentially_hyperbolic(before) == is_essentially_hyperbolic(after)
+
+
+#: a factor of every denominator that puts a matrix's common denominator
+#: past the cutoff, so its inverse takes the Fraction route
+PAST = 2**MAX_COMMON_DENOMINATOR_BITS + 1
+
+
+@st.composite
+def inverse_closed_sets(draw):
+    n = draw(st.integers(1, 8))
+    factor = draw(st.sampled_from([1, PAST]))
+    entries = st.fractions(min_value=-9, max_value=9, max_denominator=9).map(
+        lambda q: q / factor
+    )
+    gens = []
+    for _ in range(draw(st.integers(1, 2))):
+        g = TriMat(
+            [[1 if i == j else draw(entries) if j > i else 0 for j in range(n)]
+             for i in range(n)]
+        )
+        gens += [g, g.inverse()]
+    return gens
+
+
+def full_row_scales(gens):
+    """s_i = d_i * ... * d_n with d_i the lcm over every entry of row i."""
+    n = gens[0].n
+    scale, acc = [1] * n, 1
+    for i in range(n - 1, -1, -1):
+        acc *= lcm(*(g.rows[i][j].denominator for g in gens for j in range(n)))
+        scale[i] = acc
+    return scale
+
+
+@given(inverse_closed_sets())
+@settings(max_examples=100, deadline=None)
+def test_clearing_scales_match_full_rows(gens):
+    assert _clearing_scales(gens) == full_row_scales(gens)

@@ -8,10 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetrees.cli import main
-from affinetrees.errors import DimensionMismatch
+from affinetrees.errors import DimensionMismatch, ResultTooLarge
 from affinetrees.jsonio import (
     affine_rep_from_json,
     affine_rep_to_json,
+    dumps,
     lexvec_from_json,
     lexvec_to_json,
     mat_from_json,
@@ -27,13 +28,13 @@ from affinetrees.jsonio import (
     wreath_elem_from_json,
     wreath_elem_to_json,
 )
-from affinetrees.embedding import AffineRep
+from affinetrees.embedding import AffineRep, _clearing_scales
 from affinetrees.harness import make_unitriangular_image_bundle
 from affinetrees.ordered import LexFamily, LexVec, Product, Scalars
 from affinetrees.sampling import rand_unitriangular, trial_rng
 from affinetrees.scalars import ExpSum
 from affinetrees.triangular import TriangularElement
-from affinetrees.trimat import TriMat
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat
 from affinetrees.wreath import TranslationBundle, WreathGroup
 
 
@@ -327,3 +328,162 @@ def test_extend_tstar_on_fuzzed_elements_exits_cleanly(tmp_path_factory, case):
         tmp_path_factory.mktemp("tstar"), ["extend-tstar"], {"--input": elem}
     )
     assert code in allowed and "Traceback" not in err
+
+
+# -- the writer against json.dumps(..., sort_keys=True, indent=2) --------------
+
+tricky_strings = st.one_of(
+    st.text(max_size=6),
+    st.sampled_from(
+        ['"', "\\", '\\"', "\n\t\r\b\f", "\x00\x1f\x7f", ""]
+        + ["é", "日本", "𝔽", "\u2028", "\ud800"]
+    ),
+)
+json_leaves = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.sampled_from([10**100, -(10**100), -1, 0]),
+    tricky_strings,
+)
+json_values = st.recursive(
+    json_leaves,
+    lambda children: st.one_of(
+        st.lists(children, max_size=4),
+        st.lists(tricky_strings, min_size=1, max_size=4),
+        # check witnesses hold tuples, which json.dumps writes as arrays
+        st.lists(children, max_size=3).map(tuple),
+        st.dictionaries(tricky_strings, children, max_size=4),
+    ),
+    max_leaves=25,
+)
+
+
+@given(json_values)
+@settings(max_examples=300, deadline=None)
+def test_dumps_matches_indented_sorted_json_dumps(value):
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
+@pytest.mark.parametrize("value", [Fraction(1, 2), ["a", Fraction(1)], {"a": {1, 2}}])
+def test_dumps_rejects_what_json_dumps_rejects(value):
+    with pytest.raises(TypeError):
+        json.dumps(value, sort_keys=True, indent=2)
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+@pytest.mark.parametrize("value", [{1: "a"}, 1.5, ["a", float("nan")]])
+def test_dumps_takes_no_floats_or_other_keys(value):
+    with pytest.raises(TypeError):
+        dumps(value)
+
+
+# -- the memoised matrix decoder against per-entry decoding ---------------------
+
+rational_cells = st.one_of(
+    st.sampled_from(["0", "1", "-1", "1/2", " 2 ", "+3", "2/4", "007", "-0"]),
+    st.from_regex(r"-?[0-9]{1,2}(/[1-9][0-9]?)?", fullmatch=True),
+    st.integers(-9, 9),
+)
+rational_strings = st.from_regex(r"-?[0-9](/[1-9])?", fullmatch=True)
+expsum_cells = st.lists(
+    st.fixed_dictionaries({"exp": rational_strings, "coeff": rational_strings}),
+    max_size=3,
+)
+CELLS = {
+    "Q": rational_cells,
+    "R": expsum_cells,
+    "mixed": st.one_of(rational_cells, expsum_cells),
+}
+
+
+@st.composite
+def matrix_docs(draw):
+    n = draw(st.integers(1, 6))
+    cells = CELLS[draw(st.sampled_from(sorted(CELLS)))]
+    row = st.lists(cells, min_size=n, max_size=n)
+    return {"n": n, "entries": draw(st.lists(row, min_size=n, max_size=n))}
+
+
+def per_entry_decoding(doc):
+    return TriMat([[scalar_from_json(v) for v in row] for row in doc["entries"]])
+
+
+@given(matrix_docs())
+@settings(max_examples=150, deadline=None)
+def test_mat_from_json_matches_per_entry_decoding(doc):
+    new, ref = mat_from_json(doc), per_entry_decoding(doc)
+    assert new == ref
+    assert repr(new) == repr(ref)
+    assert [type(v) for row in new.rows for v in row] == [
+        type(v) for row in ref.rows for v in row
+    ]
+
+
+@pytest.mark.parametrize(
+    "entries, message",
+    [
+        ([["x"] * 5 for _ in range(5)], "not a rational: 'x'"),
+        (
+            [["1", "2", "3"], ["0", "1", "2 "], ["2 ", "2 ", "2.0"]],
+            "not a rational: '2.0'",
+        ),
+        ([["1", True], ["0", "1"]], "not a rational: True"),
+        ([["1", "1/0"], ["1/0", "1/0"]], "zero denominator: '1/0'"),
+        ([["1", "2"], "01"], "matrix row must be a JSON array, got str"),
+    ],
+)
+def test_malformed_matrices_keep_their_message(tmp_path, entries, message):
+    doc = {"entries": entries}
+    with pytest.raises(ValueError) as caught:
+        mat_from_json(doc)
+    assert str(caught.value) == message
+    code, err = run_fuzzed(tmp_path, ["hyperbolic"], {"--input": doc})
+    assert code == 2
+    assert err == f"error: malformed matrix JSON: {message}\n"
+
+
+# -- the rational encoder against per-entry encoding ----------------------------
+
+PAST = 2**MAX_COMMON_DENOMINATOR_BITS + 1
+ENTRIES = {
+    "Q": st.fractions(min_value=-9, max_value=9, max_denominator=9),
+    "Q-past-cutoff": st.builds(
+        lambda p, q: Fraction(p, q * PAST), st.integers(-9, 9), st.integers(1, 9)
+    ),
+    "R": expsum_cells.map(scalar_from_json),
+}
+
+
+@st.composite
+def matrices(draw):
+    n = draw(st.integers(1, 6))
+    ring = draw(st.sampled_from(sorted(ENTRIES)))
+    zero = st.just(Fraction(0)) if ring != "R" else st.just(ExpSum())
+    cells = st.one_of(zero, ENTRIES[ring])
+    row = st.lists(cells, min_size=n, max_size=n)
+    return TriMat(draw(st.lists(row, min_size=n, max_size=n)))
+
+
+@given(matrices())
+@settings(max_examples=150, deadline=None)
+def test_mat_to_json_matches_per_entry_encoding(mat):
+    assert mat_to_json(mat) == {
+        "n": mat.n,
+        "entries": [[scalar_to_json(v) for v in row] for row in mat.rows],
+    }
+
+
+def test_mat_to_json_of_a_rational_matrix_too_large_to_print():
+    # two 3,002-digit denominators: the image and the conjugator of
+    # ``embed --integerize`` both have entries with more digits than
+    # Python writes as text
+    a, b = 10**3001 + 7, 10**3001 + 9
+    mat = TriMat([[1, Fraction(1, a), 0], [0, 1, Fraction(1, b)], [0, 0, 1]])
+    image = AffineRep.of(mat).matrix
+    scale = _clearing_scales([image, image.inverse()])
+    for big in (image, TriMat.diagonal(scale)):
+        assert not big.expsum
+        with pytest.raises(ResultTooLarge):
+            mat_to_json(big)
