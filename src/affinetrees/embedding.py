@@ -3,9 +3,11 @@
 The strictly upper triangular matrices of size n carry a grading by
 superdiagonals: sigma_i * sigma_j lands in sigma_{i+j}.  Weighting the
 commutator of graded pieces by j/(i+j) yields a left-symmetric product,
-and the matrix of left multiplication by a fixed element -- written in a
-flattened coordinate system that lists the superdiagonals from longest
-index to shortest -- is strictly block-upper triangular.  Adjoining the
+which is one entrywise sum (:func:`left_symmetric_product` derives it;
+the graded definition is kept as the ``verify`` oracle).  The matrix of
+left multiplication by a fixed element -- written in a flattened
+coordinate system that lists the superdiagonals from longest index to
+shortest -- is strictly block-upper triangular.  Adjoining the
 coordinate vector as a final column produces a Lie algebra map into the
 affine algebra of dimension m = n(n-1)/2, and conjugating by the matrix
 exponential/logarithm turns it into an injective group homomorphism from
@@ -46,18 +48,6 @@ def coord_count(n: int) -> int:
     return n * (n - 1) // 2
 
 
-# -- superdiagonal grading ---------------------------------------------------
-
-
-def superdiag_part(mat: TriMat, i: int) -> TriMat:
-    """Matrix keeping only the i-th superdiagonal of ``mat``."""
-    zero = mat.ring_zero()
-    rows = [[zero] * mat.n for _ in range(mat.n)]
-    for k in range(mat.n - i):
-        rows[k][k + i] = mat.rows[k][k + i]
-    return TriMat(rows)
-
-
 def lowest_superdiag(mat: TriMat) -> int:
     """Smallest i with a nonzero i-th superdiagonal; raises on zero input."""
     for i in range(1, mat.n):
@@ -70,24 +60,30 @@ def lowest_superdiag(mat: TriMat) -> int:
 
 
 def left_symmetric_product(x: TriMat, y: TriMat) -> TriMat:
-    """Bilinear extension of  S_i . T_j = j/(i+j) [S_i, T_j]  over the grading."""
+    """Bilinear extension of  S_i . T_j = j/(i+j) [S_i, T_j]  over the
+    grading, entry by entry.  In entry (a, b), S_i T_j has i = c - a and
+    j = b - c, T_j S_i has j = c - a and i = b - c, and j/(i+j) = j/(b-a):
+    (x.y)[a][b] = sum_{a<c<b} ((b-c) x[a][c] y[c][b] - (c-a) y[a][c] x[c][b]) / (b-a).
+    Each entry starts from the operands' common ring zero, so it has the
+    type the graded definition (the ``verify`` oracle) gives it."""
     if x.n != y.n:
         raise DimensionMismatch(f"{x.n} vs {y.n}")
     if not x.is_strict_upper() or not y.is_strict_upper():
         raise NotStrictUpper("left-symmetric product needs strict upper operands")
-    n = x.n
-    out = TriMat.zeros(n, x.ring_zero() + y.ring_zero())
-    for i in range(1, n):
-        xi = superdiag_part(x, i)
-        if all(not v for row in xi.rows for v in row):
-            continue
-        for j in range(1, n - i):
-            yj = superdiag_part(y, j)
-            if all(not v for row in yj.rows for v in row):
-                continue
-            bracket = xi * yj - yj * xi
-            out = out + bracket.scale(Fraction(j, i + j))
-    return out
+    n, xr, yr = x.n, x.rows, y.rows
+    zero = x.ring_zero() + y.ring_zero()
+    rows = [[zero] * n for _ in range(n)]
+    for a in range(n - 2):
+        xa, ya = xr[a], yr[a]
+        for b in range(a + 2, n):
+            acc = zero
+            for c in range(a + 1, b):
+                if xa[c] and yr[c][b]:
+                    acc += (b - c) * xa[c] * yr[c][b]
+                if ya[c] and xr[c][b]:
+                    acc -= (c - a) * ya[c] * xr[c][b]
+            rows[a][b] = acc / (b - a)
+    return TriMat(rows)
 
 
 # -- flattened coordinates ----------------------------------------------------
@@ -388,11 +384,12 @@ def _clearing_scales(gens: list[TriMat]) -> list[int]:
 
 
 def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:
-    """diag(scale) * g * diag(scale)**-1: entry (i, j) times s_i / s_j,
-    an integer for j >= i."""
-    return TriMat(
-        [
-            [v * (scale[i] // scale[j]) if v else v for j, v in enumerate(row)]
-            for i, row in enumerate(g.rows)
-        ]
-    )
+    """diag(scale) * g * diag(scale)**-1 for scales made by :func:`_clearing_scales`
+    from a set holding g: above the diagonal, entry (i, j) times s_i / s_j is
+    an integer.  The diagonal and the zeros below it are copied."""
+    rows = [list(row) for row in g.rows]
+    for i, row in enumerate(rows):
+        for j in range(i + 1, len(row)):
+            if v := row[j]:
+                row[j] = Fraction(v.numerator * (scale[i] // scale[j]) // v.denominator)
+    return TriMat(rows)

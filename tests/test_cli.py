@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -433,6 +434,30 @@ def test_env_refinement_override(tmp_path, capsys, monkeypatch):
     assert scalars.get_default_max_refinements() == 64
 
 
+def test_refinement_budget_from_the_environment(tmp_path, capsys, monkeypatch):
+    # e - c, with c the 53-digit decimal expansion of e cut after 52
+    # places, is about 7.5e-53: one refinement cannot separate its sign
+    # from 0, the default budget can
+    c = Fraction(27182818284590452353602874713526624977572470936999595, 10**52)
+    diagonal = [{"coeff": "1", "exp": "1"}, {"coeff": str(-c), "exp": "0"}]
+    rep = write_json(
+        tmp_path / "rep.json", {"entries": [[diagonal, "1/2"], ["0", "1"]]}
+    )
+    point = write_json(tmp_path / "p.json", ["3"])
+    monkeypatch.setenv("AFFINE_MAX_REFINEMENTS", "1")
+    code, out, err = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert code == 3 and out == ""
+    assert err.startswith("error: PrecisionExhausted: ") and err.count("\n") == 1
+    assert scalars.get_default_max_refinements() == 64
+    monkeypatch.delenv("AFFINE_MAX_REFINEMENTS")
+    code, out, err = run_cli(capsys, "act", "--rep", rep, "--point", point)
+    assert code == 0 and err == ""
+    # (e - c) * 3 + 1/2
+    assert json.loads(out) == [
+        [{"coeff": str(Fraction(1, 2) - 3 * c), "exp": "0"}, {"coeff": "3", "exp": "1"}]
+    ]
+
+
 def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
     src = tmp_path / "deep.json"
     src.write_text("[" * 100_000 + "]" * 100_000)
@@ -647,3 +672,43 @@ def test_output_is_indented_sorted_json(tmp_path, capsys, monkeypatch, case):
     code, out, err = run_cli(capsys, *argv)
     assert code == 0 and err == "" and len(payloads) == 1
     assert out == json.dumps(payloads[0], sort_keys=True, indent=2) + "\n"
+
+
+# -- pinned output bytes ------------------------------------------------------------
+
+
+def golden_rational_8():
+    """Fixed rational unitriangular 8 x 8 matrix: entry (i, j), i < j, is
+    ((3i + 5j) mod 13 - 6) / ((ij mod 7) + 1)."""
+    return TriMat(
+        [
+            [
+                Fraction((3 * i + 5 * j) % 13 - 6, (i * j) % 7 + 1)
+                if j > i
+                else int(i == j)
+                for j in range(8)
+            ]
+            for i in range(8)
+        ]
+    )
+
+
+#: SHA-256 of the stdout of each command, recorded before the
+#: left-symmetric product was rewritten as one pass over the entries.
+#: Refactors keep these bytes; a digest changes only with the output.
+GOLDEN_DIGESTS = {
+    "verify": "23946b7848ab287a8fa421ed05f3ea07603a3bbd767cb8f416586807b80ea877",
+    "embed-integerize": "d1029ab9c5f3d27b18001184fe6ef60ac6849abb5a9a7f906fe4fd35d23e6295",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
+def test_output_bytes_match_pinned_digests(tmp_path, capsys, command):
+    if command == "verify":
+        argv = ["verify", "--suite", "all", "--n", "2..4", "--samples", "2", "--seed", "0"]
+    else:
+        src = write_json(tmp_path / "in.json", mat_to_json(golden_rational_8()))
+        argv = ["embed", "--input", src, "--integerize"]
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]

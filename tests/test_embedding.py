@@ -9,6 +9,7 @@ from affinetrees import embedding
 from affinetrees.embedding import (
     AffineRep,
     _clearing_scales,
+    _scaled_conjugate,
     affine_algebra_rep,
     certify_admissible,
     coord_block,
@@ -31,7 +32,9 @@ from affinetrees.errors import (
     NotUnitriangular,
     ZeroInput,
 )
+from affinetrees.harness import _product_graded, superdiag_part
 from affinetrees.sampling import (
+    rand_exponents,
     rand_fraction,
     rand_nontrivial_unitriangular,
     rand_strict_upper,
@@ -39,6 +42,7 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
+from affinetrees.triangular import conjugate_by_diagonal
 from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, nilpotent_exp
 
 
@@ -96,6 +100,32 @@ def test_left_symmetry_axiom():
         x, y, z = (rand_strict_upper(rng, n) for _ in range(3))
         p = left_symmetric_product
         assert p(p(x, y), z) - p(x, p(y, z)) == p(p(y, x), z) - p(y, p(x, z))
+
+
+def entry_types(mat):
+    return [list(map(type, row)) for row in mat.rows]
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_product_matches_graded_oracle_over_both_rings(n):
+    # the verify suites draw rational operands only
+    for t in range(3):
+        rng = trial_rng(6, "graded-oracle", n, t)
+        x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+        exponents = rand_exponents(rng, n)
+        cx, cy = conjugate_by_diagonal(exponents, x), conjugate_by_diagonal(exponents, y)
+        for a, b in [
+            (x.to_expsum(), y.to_expsum()),
+            (cx, cy),
+            (x, y.to_expsum()),
+            (cx, y),
+            # entries past the second superdiagonal have no nonzero term
+            (superdiag_part(x, 1), superdiag_part(y, 1).to_expsum()),
+        ]:
+            got, want = left_symmetric_product(a, b), _product_graded(a, b)
+            assert got == want and repr(got) == repr(want)
+            assert entry_types(got) == entry_types(want)
+            assert got.expsum
 
 
 # -- flattened coordinates -----------------------------------------------------------
@@ -558,3 +588,19 @@ def full_row_scales(gens):
 @settings(max_examples=100, deadline=None)
 def test_clearing_scales_match_full_rows(gens):
     assert _clearing_scales(gens) == full_row_scales(gens)
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_scaled_conjugate_matches_dense_product(n):
+    for t in range(2):
+        g = rand_unitriangular(trial_rng(7, "scaled-conjugate", n, t), n)
+        image = embed_unitriangular(g)
+        scale = _clearing_scales([image, image.inverse()])
+        dense = (
+            TriMat.diagonal(scale)
+            * image
+            * TriMat.diagonal([Fraction(1, s) for s in scale])
+        )
+        got = _scaled_conjugate(image, scale)
+        assert got == dense and repr(got) == repr(dense)
+        assert all(type(v) is Fraction for row in got.rows for v in row)

@@ -103,15 +103,15 @@ def test_witness_replays_identically():
 
 
 def test_failing_check_replays_from_verdict_alone(monkeypatch):
-    # the entrywise route agrees only on the first call, so the check
+    # the graded oracle agrees only on the first call, so the check
     # fails from trial 1 on
     calls = []
 
-    def wrong_entrywise(x, y):
+    def wrong_graded(x, y):
         calls.append(None)
         return harness.left_symmetric_product(x, y) if len(calls) == 1 else x
 
-    monkeypatch.setattr(harness, "_product_entrywise", wrong_entrywise)
+    monkeypatch.setattr(harness, "_product_graded", wrong_graded)
     verdict = run_suite(SuiteConfig(suite="lsa", n_low=3, n_high=3, samples=3, seed=8))
     payload = verdict.to_json()
     (check,) = [c for c in payload["checks"] if c["failures"]]

@@ -205,12 +205,18 @@ def test_scalar_sign_dispatch():
 def test_exp_interval_cache_is_bounded():
     _exp_interval.cache_clear()
     assert _exp_interval.cache_info().maxsize == EXP_INTERVAL_CACHE_SIZE
-    for k in range(1, EXP_INTERVAL_CACHE_SIZE + 100):
-        q = Fraction(k if k % 2 else -k, 97)
-        # e**q - 1 has mixed-sign coefficients and the sign of q
-        assert ExpSum([(q, 1), (0, -1)]).sign() == (1 if q > 0 else -1)
+    ks = range(1, EXP_INTERVAL_CACHE_SIZE + 100)
+    qs = [Fraction(k if k % 2 else -k, 97) for k in ks]
+    # e**q - 1 has mixed-sign coefficients and the sign of q; its sign
+    # test brackets e**-|q|, a key no other q uses
+    sums = [(ExpSum([(q, 1), (0, -1)]), 1 if q > 0 else -1) for q in qs]
+    assert all(value.sign() == sign for value, sign in sums)
     info = _exp_interval.cache_info()
+    assert info.misses > EXP_INTERVAL_CACHE_SIZE
     assert info.currsize <= info.maxsize
+    # evicted brackets are computed again, not lost
+    assert all(value.sign() == sign for value, sign in sums[:10])
+    assert _exp_interval.cache_info().currsize <= info.maxsize
 
 
 # -- the int-pair exponent keys against a Fraction-keyed reference -----------------
