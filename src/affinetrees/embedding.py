@@ -305,12 +305,14 @@ def certify_admissible(x: TriMat) -> AdmissibleReport:
     """For nonzero strict upper x with lowest nonzero superdiagonal i0,
     verify that every block of the left-multiplication matrix strictly
     below the i0-th block superdiagonal vanishes, and that the embedded
-    exponential passes :func:`is_essentially_hyperbolic`."""
+    exponential passes :func:`is_essentially_hyperbolic`.  The matrix is
+    :func:`left_mult_matrix_closed`; the ``verify`` embedding suite checks
+    it against the bilinear :func:`left_mult_matrix`."""
     if not x.is_strict_upper():
         raise NotStrictUpper("certification needs a strict upper matrix")
     i0 = lowest_superdiag(x)  # raises ZeroInput on the zero matrix
     n = x.n
-    lam = left_mult_matrix(x)
+    lam = left_mult_matrix_closed(x)
     blocks_checked = 0
     clean = True
     for a in range(1, n):  # block row, sizes 1..n-1

@@ -57,15 +57,17 @@ def conjugate_by_diagonal(exponents, mat: TriMat) -> TriMat:
     )
 
 
-def _coord_multipliers(exponents) -> list:
-    """e**(q_r - q_s) for the coordinate housing matrix entry (r, s), in
-    the flattened coordinate order of :func:`coord_vector`."""
+def _coord_exponents(exponents) -> list:
+    """q_r - q_s for the coordinate housing matrix entry (r, s), in the
+    flattened coordinate order of :func:`coord_vector`."""
     n = len(exponents)
-    return [
-        ExpSum.exponential(exponents[r] - exponents[r + n - k])
-        for k in range(1, n)
-        for r in range(k)
-    ]
+    return [exponents[r] - exponents[r + n - k] for k in range(1, n) for r in range(k)]
+
+
+def _coord_multipliers(exponents) -> list:
+    """e**q for each q of :func:`_coord_exponents`: how conjugation by the
+    diagonal scales each flattened coordinate."""
+    return [ExpSum.exponential(q) for q in _coord_exponents(exponents)]
 
 
 def conj_coord_matrix(exponents) -> TriMat:
@@ -235,10 +237,6 @@ IDENTITY_TAGS = (
 )
 
 
-def _apply_diag_to_vector(diag: TriMat, vec):
-    return tuple(diag.rows[i][i] * v for i, v in enumerate(vec))
-
-
 def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
     """Check the commutation identities tying diagonal conjugation to every
     stage of the embedding, plus isomorphism evidence for the full map.
@@ -271,42 +269,45 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         u = rand_unitriangular(rng, n).to_expsum()
         x_conj = conjugate_by_diagonal(exps, x)
         u_conj = conjugate_by_diagonal(exps, u)
-        pad = conj_coord_matrix_affine(exps)
-        pad_inv = pad.inverse()
-        core = conj_coord_matrix(exps)
-        core_inv = core.inverse()
+        # Conjugating by the coordinate diagonal scales entries: (m+1)-sized
+        # matrices by pad_exps, m-sized ones and vectors by core_exps.  The
+        # dense product with the diagonal stays on the left of exp_conj.
+        core_exps = _coord_exponents(exps)
+        pad_exps = core_exps + [Fraction(0)]
+        mults = _coord_multipliers(exps)
 
         big = rand_strict_upper(rng, m + 1).to_expsum()
-        lhs = pad * nilpotent_exp(big) * pad_inv
-        rhs = nilpotent_exp(pad * big * pad_inv)
+        pad = conj_coord_matrix_affine(exps)
+        lhs = pad * nilpotent_exp(big) * pad.inverse()
+        rhs = nilpotent_exp(conjugate_by_diagonal(pad_exps, big))
         record("exp_conj", lhs == rhs, {"trial": t, "exponents": repr(exps)})
 
         lhs = conjugate_by_diagonal(exps, unipotent_log(u))
         rhs = unipotent_log(u_conj)
         record("log_conj", lhs == rhs, {"trial": t, "u": repr(u)})
 
-        lhs = _apply_diag_to_vector(core, coord_vector(x))
+        lhs = tuple(c * v for c, v in zip(mults, coord_vector(x)))
         rhs = coord_vector(x_conj)
         record("coord_conj", lhs == rhs, {"trial": t, "x": repr(x)})
 
-        lhs = core * left_mult_matrix_closed(x) * core_inv
+        lhs = conjugate_by_diagonal(core_exps, left_mult_matrix_closed(x))
         rhs = left_mult_matrix_closed(x_conj)
         record("left_mult_conj", lhs == rhs, {"trial": t, "x": repr(x)})
 
-        lhs = pad * affine_algebra_rep(x) * pad_inv
+        lhs = conjugate_by_diagonal(pad_exps, affine_algebra_rep(x))
         rhs = affine_algebra_rep(x_conj)
         record("algebra_rep_conj", lhs == rhs, {"trial": t, "x": repr(x)})
 
         rep = embed_unitriangular(u)
         rep_conj = embed_unitriangular(u_conj)
-        lhs = pad * rep * pad_inv
+        lhs = conjugate_by_diagonal(pad_exps, rep)
         record("group_rep_conj", lhs == rep_conj, {"trial": t, "u": repr(u)})
 
         lin = TriMat([[rep.rows[i][j] for j in range(m)] for i in range(m)])
         lin_conj = TriMat([[rep_conj.rows[i][j] for j in range(m)] for i in range(m)])
         record(
             "linear_part_conj",
-            core * lin * core_inv == lin_conj,
+            conjugate_by_diagonal(core_exps, lin) == lin_conj,
             {"trial": t, "u": repr(u)},
         )
 
@@ -314,7 +315,7 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         trans_conj = tuple(rep_conj.rows[i][m] for i in range(m))
         record(
             "translation_part_conj",
-            _apply_diag_to_vector(core, trans) == trans_conj,
+            tuple(c * v for c, v in zip(mults, trans)) == trans_conj,
             {"trial": t, "u": repr(u)},
         )
 

@@ -8,17 +8,23 @@ and logarithm are the finite sums valid for strictly-upper /
 unitriangular matrices: both stop at the first zero power of the
 nilpotent part (the n-th at latest).
 
-Over the rationals the series runs in integer arithmetic over one common
-denominator: with D the lcm of the denominators of the strict part N,
-the powers of the integer matrix M = D * N are formed with int products
-only, and each entry of the sum is divided out once at the end.  The
-inverse of a rational unitriangular matrix is the series
-(I + N)**-1 = sum_k (-N)**k, formed the same way.  D can be far larger
-than any single entry's denominator (pairwise coprime denominators
-multiply), and the integers then grow faster than the Fraction
-arithmetic they replace.  So the integer path runs only while D has at
-most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the series sums
-Fractions and the inverse back-substitutes, as for ExpSum entries.
+The series runs in integer arithmetic over one common denominator D,
+the lcm of the denominators of the rational coefficients of the strict
+part N: the powers of M = D * N are formed with int products and dict
+sums only, and each entry of the sum is divided out once at the end.
+Over the rationals M is an integer matrix.  Over ExpSum entries every
+exponent lies in (1/L)Z, with L the lcm of the exponents' denominators,
+so each entry of M is a sparse Laurent polynomial {x: c} in e**(1/L)
+with int keys and coefficients; a matrix whose exponents are all 0 (a
+rational matrix lifted by :meth:`TriMat.to_expsum`, say) runs as an
+integer matrix and is lifted back.  The inverse of a unitriangular
+matrix is the series (I + N)**-1 = sum_k (-N)**k, formed the same way.
+D can be far larger than any single entry's denominator (pairwise
+coprime denominators multiply), and the integers then grow faster than
+the Fraction arithmetic they replace.  So the integer path runs only
+while D has at most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise
+the series sums entries in their own ring and the inverse
+back-substitutes, as for a diagonal other than 1.
 """
 
 from __future__ import annotations
@@ -26,7 +32,7 @@ from __future__ import annotations
 import operator
 from fractions import Fraction
 from itertools import chain
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -35,11 +41,11 @@ from .errors import (
     NotUnitriangular,
     NotUpperTriangular,
 )
-from .scalars import ExpSum, scalar_sign
+from .scalars import _ZERO_EXP, ExpSum, scalar_sign
 
-#: Largest common denominator, in bits, for which a rational series (and
-#: a rational unitriangular inverse) runs in integer arithmetic; set below
-#: the measured crossover given in :func:`_series`.
+#: Largest common denominator, in bits, for which a series (and a
+#: unitriangular inverse) runs in integer arithmetic, over either ring;
+#: set below the measured crossover given in :func:`_series`.
 MAX_COMMON_DENOMINATOR_BITS = 512
 
 _RING_TYPES = frozenset((Fraction, ExpSum))
@@ -196,13 +202,13 @@ class TriMat:
     def inverse(self) -> "TriMat":
         """Inverse of an upper-triangular matrix.
 
-        A rational unitriangular matrix whose strict part has a common
-        denominator of at most :data:`MAX_COMMON_DENOMINATOR_BITS` bits is
-        inverted as the series sum_k (-N)**k in integer arithmetic (see
-        :func:`_series`).  Any other matrix is inverted row by row from the
-        bottom: row i is (e_i - sum_k a_ik * row k) / a_ii over the rows
-        k > i already inverted, skipping zeros; a unit diagonal entry
-        divides nothing.
+        A unitriangular matrix, over either ring, whose strict part has a
+        common coefficient denominator of at most
+        :data:`MAX_COMMON_DENOMINATOR_BITS` bits is inverted as the series
+        sum_k (-N)**k in integer arithmetic (see :func:`_series`).  Any
+        other matrix is inverted row by row from the bottom: row i is
+        (e_i - sum_k a_ik * row k) / a_ii over the rows k > i already
+        inverted, skipping zeros; a unit diagonal entry divides nothing.
 
         Diagonal entries must be invertible in the entry ring: nonzero,
         and for ExpSum entries monomials.  Otherwise :class:`NotInvertible`
@@ -215,10 +221,10 @@ class TriMat:
             d = rows[i][i]
             if not (d.is_monomial() if isinstance(d, ExpSum) else d):
                 raise NotInvertible(f"diagonal entry {d!r} has no inverse in the entry ring")
-        if not self.expsum and all(rows[i][i] == 1 for i in range(n)):
-            strict, denominator = _strict_part(self)
-            if denominator is not None:
-                return _series(self, True, lambda k: (-1) ** k, strict, denominator)
+        if all(rows[i][i] == 1 for i in range(n)):
+            strict, d, el = _strict_part(self)
+            if d is not None:
+                return _series(self, True, lambda k: (-1) ** k, strict, d, el)
         one = self.ring_one()
         zero = one - one
         out = [None] * n
@@ -242,36 +248,109 @@ class TriMat:
         return TriMat(out)
 
 
-def _strict_part(mat: TriMat):
-    """(rows, D): the strict upper part of mat as sparse rows {j: entry}.
-
-    For a rational mat whose strict part has a common denominator D of at
-    most MAX_COMMON_DENOMINATOR_BITS bits, the rows hold the integers
-    D * entry; otherwise D is None and the rows hold the entries."""
-    n = mat.n
-    rows = [{j: r[j] for j in range(i + 1, n) if r[j]} for i, r in enumerate(mat.rows)]
-    if mat.expsum:
-        return rows, None
+def _common_denominator(denominators):
+    """lcm of the denominators, or None once it has more than
+    MAX_COMMON_DENOMINATOR_BITS bits."""
     d = 1
-    for q in {v.denominator for row in rows for v in row.values()}:
+    for q in set(denominators):
         d = lcm(d, q)
         # stop early: the lcm of many large denominators is costly
         if d.bit_length() > MAX_COMMON_DENOMINATOR_BITS:
-            return rows, None
-    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows], d
+            return None
+    return d
 
 
-def _series(mat: TriMat, diag: bool, coeff, strict, d) -> TriMat:
+def _strict_part(mat: TriMat):
+    """(rows, d, el): the strict upper part of mat as sparse rows {j: entry}.
+
+    d is the common denominator D of the rational coefficients of the
+    strict part, or None when D has more than MAX_COMMON_DENOMINATOR_BITS
+    bits; the rows then hold the entries.  Otherwise they hold D * entry:
+    ints when every exponent is 0 (el is None), and else, with el the lcm
+    of the exponents' denominators, Laurent polynomials {x: c} with int
+    keys and coefficients, standing for sum_x c * e**(x / el)."""
+    n = mat.n
+    rows = [{j: r[j] for j in range(i + 1, n) if r[j]} for i, r in enumerate(mat.rows)]
+    consts = rows
+    if mat.expsum:
+        # term maps; a Fraction entry of a mixed matrix is a constant term
+        terms = [
+            {j: v._terms if type(v) is ExpSum else {_ZERO_EXP: v} for j, v in row.items()}
+            for row in rows
+        ]
+        keys = {q for row in terms for t in row.values() for q in t}
+        if not keys <= {_ZERO_EXP}:
+            d = _common_denominator(
+                c.denominator for row in terms for t in row.values() for c in t.values()
+            )
+            if d is None:
+                return rows, None, None
+            el = lcm(*(q for _, q in keys))
+            return [
+                {
+                    j: {p * (el // q): c.numerator * (d // c.denominator) for (p, q), c in t.items()}
+                    for j, t in row.items()
+                }
+                for row in terms
+            ], d, el
+        consts = [{j: t[_ZERO_EXP] for j, t in row.items()} for row in terms]
+    d = _common_denominator(v.denominator for row in consts for v in row.values())
+    if d is None:
+        return rows, None, None
+    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in consts], d, None
+
+
+def _sparse_step(power, strict):
+    """power * strict over sparse rows, zero entries dropped."""
+    out = []
+    for prow in power:
+        acc = {}
+        for m, p in prow.items():
+            for j, b in strict[m].items():
+                acc[j] = acc[j] + p * b if j in acc else p * b
+        out.append({j: v for j, v in acc.items() if v})
+    return out
+
+
+def _laurent_step(power, strict):
+    """power * strict over sparse rows of Laurent polynomials {x: c},
+    zero terms and zero entries dropped."""
+    out = []
+    for prow in power:
+        acc = {}
+        for m, p in prow.items():
+            for j, b in strict[m].items():
+                t = acc.get(j)
+                if t is None:
+                    t = acc[j] = {}
+                for x1, c1 in p.items():
+                    for x2, c2 in b.items():
+                        x = x1 + x2
+                        t[x] = t[x] + c1 * c2 if x in t else c1 * c2
+        row = {}
+        for j, t in acc.items():
+            t = {x: c for x, c in t.items() if c}
+            if t:
+                row[j] = t
+        out.append(row)
+    return out
+
+
+def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     """diag * I + sum_k coeff(k) * B**k, B the strict upper part of mat.
 
-    ``strict, d`` is :func:`_strict_part` of mat.  The powers are formed
-    row by row over sparse rows, up to the last nonzero power K.  With
-    d None they are powers of B in its own ring, and each entry sums
+    ``strict, d, el`` is :func:`_strict_part` of mat.  The powers are
+    formed row by row over sparse rows, up to the last nonzero power K.
+    With d None they are powers of B in its own ring, and each entry sums
     coeff(k) * B**k[i][j] from the ring zero of mat.  Otherwise they are
-    powers of the integer matrix M = d * B, and each entry is built once,
-    as Fraction(sum_k w_k * M**k[i][j], L * d**K), with L the lcm of the
-    coefficients' denominators and the integer weights
-    w_k = coeff(k) * L * d**(K - k).
+    powers of M = d * B, whose entries are ints or (el not None) Laurent
+    polynomials {x: c} over the ints, so they take int products and dict
+    sums only.  With L the lcm of the coefficients' denominators and the
+    integer weights w_k = coeff(k) * L * d**(K - k), each entry is built
+    once from s = sum_k w_k * M**k[i][j]: as Fraction(s, L * d**K), lifted
+    to a constant ExpSum for an ExpSum matrix whose exponents are all 0,
+    or as the ExpSum with a term Fraction(c, L * d**K) * e**(x / el), its
+    exponent reduced, for each term c * e**(x / el) of s.
 
     The integers then have about K times as many bits as d, so the
     integer path is only faster while d is small.  Measured on a 2-core
@@ -282,41 +361,77 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d) -> TriMat:
     914 bits and 0.085 s against 0.58 s at 5558 bits.  The crossover lay
     near 900 bits at n = 8 and n = 3 and near 1100 bits at n = 5, so
     MAX_COMMON_DENOMINATOR_BITS = 512 keeps the integer path where it is
-    faster at every size measured.
+    faster at every size measured.  On the same VM, ExpSum matrices whose
+    entries are two-term sums (exponents with denominators 2 and 3, and
+    distinct prime coefficient denominators) took, embedded and inverted,
+    0.0061 s in integers against 0.0121 s by Fractions at d of 483 bits,
+    0.013 s against 0.014 s at 963 bits and 0.033 s against 0.015 s at
+    1923 bits at n = 5, and 0.18 s against 0.32 s at 451 bits, 0.35 s
+    against 0.39 s at 899 bits and 1.05 s against 0.44 s at 1795 bits at
+    n = 8.  Their crossover also lies near 1000 bits, so they share the
+    cutoff.
+
+    Rejected for ExpSum entries: dense Kronecker substitution, which
+    packs each Laurent polynomial into one int at 2**b per exponent step
+    and multiplies those.  It won only on constant matrices (5.8x at
+    16 x 16), which the int path already covers; on diagonally conjugated
+    or mixed entries it took 6.6 ms to 24.5 s against 0.9-122 ms for
+    Fraction coefficients, because their exponents lie sparsely in
+    (1/el)Z and the packed ints are mostly zero bits.
     """
     n = mat.n
+    step = _sparse_step if el is None else _laurent_step
     powers, power = [], strict
     while any(power):
         powers.append(power)
-        nxt = []
-        for prow in power:
-            acc = {}
-            for m, p in prow.items():
-                for j, b in strict[m].items():
-                    acc[j] = acc[j] + p * b if j in acc else p * b
-            nxt.append({j: v for j, v in acc.items() if v})
-        power = nxt
+        power = step(power, strict)
     coeffs = [coeff(k) for k in range(1, len(powers) + 1)]
+    one = mat.ring_one()
+    zero = one - one
     if d is None:
-        one = mat.ring_one()
-        zero, weights = one - one, coeffs
+        start, weights = zero, coeffs
     else:
         last = len(coeffs)
         lcd = lcm(*(c.denominator for c in coeffs))
         den = lcd * d**last
-        one, zero = Fraction(1), 0
+        start = 0
         weights = [
             c.numerator * (lcd // c.denominator) * d ** (last - k)
             for k, c in enumerate(coeffs, 1)
         ]
-    out = [[zero] * n for _ in range(n)]
-    for w, power in zip(weights, powers):
-        for orow, prow in zip(out, power):
-            for m, p in prow.items():
-                orow[m] = orow[m] + p * w
-    if d is not None:
-        zero = Fraction(0)
-        out = [[Fraction(s, den) if s else zero for s in row] for row in out]
+    if el is None:
+        out = [[start] * n for _ in range(n)]
+        for w, power in zip(weights, powers):
+            for orow, prow in zip(out, power):
+                for m, p in prow.items():
+                    orow[m] = orow[m] + p * w
+        if d is not None:
+            out = [[Fraction(s, den) if s else zero for s in row] for row in out]
+            if mat.expsum:
+                out = [
+                    [ExpSum._trusted({_ZERO_EXP: v}) if v else zero for v in row]
+                    for row in out
+                ]
+    else:
+        sums = [{} for _ in range(n)]
+        for w, power in zip(weights, powers):
+            for srow, prow in zip(sums, power):
+                for m, p in prow.items():
+                    t = srow.get(m)
+                    if t is None:
+                        t = srow[m] = {}
+                    for x, c in p.items():
+                        t[x] = t[x] + c * w if x in t else c * w
+        out = [[zero] * n for _ in range(n)]
+        for orow, srow in zip(out, sums):
+            for m, t in srow.items():
+                terms = {}
+                for x, s in t.items():
+                    if s:
+                        g = gcd(x, el)
+                        terms[x // g, el // g] = Fraction(s, den)
+                if terms:
+                    orow[m] = ExpSum._trusted(terms)
     if diag:
         for i, row in enumerate(out):
             row[i] = one

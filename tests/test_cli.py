@@ -15,6 +15,7 @@ from affinetrees.embedding import AffineRep
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
 from affinetrees.sampling import rand_unitriangular, trial_rng
+from affinetrees.triangular import TriangularElement
 from affinetrees.trimat import TriMat
 
 
@@ -712,3 +713,69 @@ def test_output_bytes_match_pinned_digests(tmp_path, capsys, command):
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
+
+
+def golden_tstar_4():
+    """g * h in T*(4) for constant unipotent parts and opposite diagonal
+    exponents (1/2, 0, -1/3, 1): unipotent, with entries that are sums of
+    exponentials whose exponents have denominators 2, 3 and 6."""
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    exps = (half, Fraction(0), -third, Fraction(1))
+    g = TriangularElement(
+        4,
+        TriMat(
+            [[1, half, -2, third], [0, 1, Fraction(3, 4), -1], [0, 0, 1, Fraction(2, 5)], [0, 0, 0, 1]]
+        ),
+        exps,
+    )
+    h = TriangularElement(
+        4,
+        TriMat([[1, -1, third, 2], [0, 1, half, Fraction(-3, 2)], [0, 0, 1, 1], [0, 0, 0, 1]]),
+        tuple(-q for q in exps),
+    )
+    return g * h
+
+
+#: A point of the 10-dimensional space the image of golden_tstar_4 acts
+#: on, in matrix coordinate order, with exponential-sum coordinates.
+GOLDEN_TSTAR_POINT = [
+    "1",
+    [{"coeff": "2", "exp": "1/2"}, {"coeff": "-1", "exp": "0"}],
+    "-3/2",
+    [{"coeff": "1/3", "exp": "-1/3"}],
+    "0",
+    [{"coeff": "-5", "exp": "1"}, {"coeff": "7/2", "exp": "1/6"}],
+    "2",
+    "1/7",
+    [{"coeff": "1", "exp": "-1/2"}],
+    "-4",
+]
+
+#: SHA-256 of the stdout of extend-tstar on golden_tstar_4 and of act with
+#: its image on GOLDEN_TSTAR_POINT, recorded before ExpSum series ran in
+#: integer arithmetic.
+GOLDEN_TSTAR_DIGESTS = {
+    "extend-tstar": "8651c475161ca078bc9d125bb3e6280f08b5d60c1e90de7fefa05cd5f0441afd",
+    "act": "a5feb5a61915180959019beab600ae516b6c8b805a26e2b2ba6f3effa4f2dc91",
+    "act-inverse": "4ce1753bab3d05ddc4e5945640616bb286248eb6349ce96853452d80c69cae70",
+}
+
+
+@pytest.mark.parametrize("command", sorted(GOLDEN_TSTAR_DIGESTS))
+def test_tstar_output_bytes_match_pinned_digests(tmp_path, capsys, command):
+    gh = golden_tstar_4()
+    assert not any(gh.exponents)
+    assert any(
+        len(v.terms()) > 1 and any(q.denominator == 3 for q, _ in v.terms())
+        for row in gh.u.rows for v in row
+    )
+    src = write_json(tmp_path / "g.json", jsonio.triangular_to_json(gh))
+    code, out, _ = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 0
+    if command != "extend-tstar":
+        rep = write_json(tmp_path / "rep.json", json.loads(out))
+        point = write_json(tmp_path / "p.json", GOLDEN_TSTAR_POINT)
+        power = "-1" if command == "act-inverse" else "2"
+        code, out, _ = run_cli(capsys, "act", "--rep", rep, "--point", point, "--power", power)
+        assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TSTAR_DIGESTS[command]

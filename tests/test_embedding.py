@@ -494,6 +494,25 @@ def test_certify_random():
         assert certify_admissible(x).ok
 
 
+@pytest.mark.parametrize("n", range(2, 9))
+def test_certify_matches_report_from_bilinear_matrix(n, monkeypatch):
+    rng = trial_rng(31, "certify-routes", n)
+    inputs = []
+    for i0 in range(1, n):
+        # nonzero only from the i0-th superdiagonal up
+        x = rand_strict_upper(rng, n)
+        x = TriMat(
+            [[v if j - i >= i0 else Fraction(0) for j, v in enumerate(row)]
+             for i, row in enumerate(x.rows)]
+        )
+        if any(v for row in x.rows for v in row):
+            inputs.extend(ring_variants(x, rng))
+    reports = [certify_admissible(x) for x in inputs]
+    monkeypatch.setattr(embedding, "left_mult_matrix_closed", left_mult_matrix)
+    assert [certify_admissible(x) for x in inputs] == reports
+    assert all(report.ok for report in reports)
+
+
 # -- clearing denominators -----------------------------------------------------------
 
 

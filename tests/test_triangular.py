@@ -15,7 +15,9 @@ from affinetrees.sampling import (
 from affinetrees.scalars import ExpSum
 from affinetrees.triangular import (
     TriangularElement,
+    _coord_exponents,
     conj_coord_matrix,
+    conj_coord_matrix_affine,
     conjugate_by_diagonal,
     embed_diagonal_part,
     embed_triangular,
@@ -52,6 +54,25 @@ def test_coordinate_conjugation_oracle():
         )
         rhs = coord_vector(conjugate_by_diagonal(exps, x))
         assert lhs == rhs
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_coordinate_scaling_matches_dense_product(n):
+    # verify_conjugation_identities scales entries in place of these products
+    rng = trial_rng(9, "coord-scaling", n)
+    exps = rand_exponents(rng, n)
+    m = coord_count(n)
+    core_exps = _coord_exponents(exps)
+    for size, diag_exps, diag in (
+        (m, core_exps, conj_coord_matrix(exps)),
+        (m + 1, core_exps + [0], conj_coord_matrix_affine(exps)),
+    ):
+        dense = rand_strict_upper(rng, size).to_expsum()
+        conjugated = conjugate_by_diagonal(
+            rand_exponents(rng, size), rand_unitriangular(rng, size)
+        )
+        for x in (dense, conjugated):
+            assert conjugate_by_diagonal(diag_exps, x) == diag * x * diag.inverse()
 
 
 def test_embed_identity():

@@ -225,15 +225,28 @@ coprime_rationals = st.builds(Fraction, st.integers(-9, 9), st.sampled_from(FERM
 past_cutoff_rationals = st.builds(
     lambda p, q: Fraction(p, q * PAST), st.integers(-9, 9), st.sampled_from(FERMAT)
 )
-exp_sums = st.lists(
-    st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), rationals), max_size=2
-).map(ExpSum)
-#: ring -> (zero, one, nonzero-entry strategy); "mixed" keeps Fraction zeros
+exponents = st.sampled_from([-1, 0, Fraction(1, 2), 1])
+#: Exponents p/q over the 46 primes q < 200, whose lcm has up to 273 bits.
+PRIMES = [q for q in range(2, 200) if all(q % r for r in range(2, q))]
+wide_exponents = st.builds(Fraction, st.integers(-3, 3), st.sampled_from(PRIMES))
+
+
+def sums_of(exps, coefficients):
+    """Sums of up to two terms c * e**q."""
+    return st.lists(st.tuples(exps, coefficients), max_size=2).map(ExpSum)
+
+
+exp_sums = sums_of(exponents, rationals)
+#: ring -> (zero, one, nonzero-entry strategy); "mixed" keeps Fraction zeros.
+#: The ExpSum rings with coprime or past-cutoff coefficients put their
+#: series on either side of the cutoff, as for the rationals.
 RINGS = {
     "Q": (Fraction(0), Fraction(1), rationals),
     "Q-coprime": (Fraction(0), Fraction(1), coprime_rationals),
     "Q-past-cutoff": (Fraction(0), Fraction(1), past_cutoff_rationals),
     "R": (ExpSum(), ExpSum.one(), exp_sums),
+    "R-coprime": (ExpSum(), ExpSum.one(), sums_of(wide_exponents, coprime_rationals)),
+    "R-past-cutoff": (ExpSum(), ExpSum.one(), sums_of(exponents, past_cutoff_rationals)),
     "mixed": (Fraction(0), Fraction(1), st.one_of(rationals, exp_sums)),
 }
 
@@ -315,15 +328,21 @@ def reference_inverse(mat):
 
 
 nonzero_rationals = rationals.filter(bool)
-monomials = st.tuples(st.sampled_from([-1, 0, Fraction(1, 2), 1]), nonzero_rationals).map(
-    lambda qc: ExpSum.exponential(*qc)
-)
+
+
+def monomials_of(exps, coefficients):
+    return st.tuples(exps, coefficients.filter(bool)).map(lambda qc: ExpSum.exponential(*qc))
+
+
+monomials = monomials_of(exponents, rationals)
 #: ring -> invertible non-unit diagonal entries
 DIAGONALS = {
     "Q": nonzero_rationals,
     "Q-coprime": coprime_rationals.filter(bool),
     "Q-past-cutoff": past_cutoff_rationals.filter(bool),
     "R": monomials,
+    "R-coprime": monomials_of(wide_exponents, coprime_rationals),
+    "R-past-cutoff": monomials_of(exponents, past_cutoff_rationals),
     "mixed": st.one_of(nonzero_rationals, monomials),
 }
 
@@ -399,14 +418,28 @@ def count_fraction_products(monkeypatch):
     return products
 
 
+#: ring -> (entry (i, j) of a strict upper matrix from its coefficient, one)
+CUTOFF_RINGS = {
+    "Q": (lambda i, j, c: c, Fraction(1)),
+    "R": (
+        lambda i, j, c: ExpSum([(Fraction(j - i, 3), c), (Fraction(-1, 2), c * i)]),
+        ExpSum.one(),
+    ),
+}
+
+
+@pytest.mark.parametrize("ring", sorted(CUTOFF_RINGS))
 @pytest.mark.parametrize("extra_bits, takes_fraction_path", [(0, False), (1, True)])
 def test_common_denominator_past_the_cutoff_takes_the_fraction_path(
-    monkeypatch, extra_bits, takes_fraction_path
+    monkeypatch, ring, extra_bits, takes_fraction_path
 ):
     # one denominator of exactly MAX_COMMON_DENOMINATOR_BITS (+ extra_bits) bits
     den = 2 ** (MAX_COMMON_DENOMINATOR_BITS + extra_bits) - 1
-    x = TriMat([[Fraction(j - i, den) if j > i else 0 for j in range(6)] for i in range(6)])
-    g = unit_diagonal(x, Fraction(1))
+    entry, one = CUTOFF_RINGS[ring]
+    x = TriMat(
+        [[entry(i, j, Fraction(j - i, den)) if j > i else 0 for j in range(6)] for i in range(6)]
+    )
+    g = unit_diagonal(x, one)
     expected = reference_exp(x), reference_log(g), reference_inverse(g)
     products = count_fraction_products(monkeypatch)
     results = nilpotent_exp(x), unipotent_log(g), g.inverse()
