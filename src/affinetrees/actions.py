@@ -63,6 +63,16 @@ class MatrixAffineAut:
         if ring.kind == "Q" and self.dilation.expsum:
             raise IndexSpaceMismatch("exact-real dilation over the rationals")
 
+    @classmethod
+    def _trusted(cls, dilation: TriMat, translation: tuple, space: Product):
+        """Build from parts already valid for ``space``, unchecked: the
+        translation a tuple in the space's ring, of the dilation's size."""
+        aut = object.__new__(cls)
+        object.__setattr__(aut, "dilation", dilation)
+        object.__setattr__(aut, "translation", translation)
+        object.__setattr__(aut, "space", space)
+        return aut
+
     @property
     def dim(self) -> int:
         return self.dilation.n
@@ -97,13 +107,13 @@ class MatrixAffineAut:
         dil = self.dilation * other.dilation
         # translations are stored in matrix row order, so no reversal here
         moved = _affine(self.dilation.rows, other.translation, self.translation)
-        return MatrixAffineAut(dil, tuple(moved), self.space)
+        return MatrixAffineAut._trusted(dil, tuple(moved), self.space)
 
     def invert(self) -> "MatrixAffineAut":
         dil = self.dilation.inverse()
         zeros = (self.space.factors[0].zero(),) * self.dim
-        neg = [-v for v in _affine(dil.rows, self.translation, zeros)]
-        return MatrixAffineAut(dil, tuple(neg), self.space)
+        neg = tuple(-v for v in _affine(dil.rows, self.translation, zeros))
+        return MatrixAffineAut._trusted(dil, neg, self.space)
 
     def to_affine_matrix(self) -> TriMat:
         rows = [list(row) + [t] for row, t in zip(self.dilation.rows, self.translation)]

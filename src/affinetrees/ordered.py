@@ -18,14 +18,50 @@ Values are validated and normalised where they enter, by
 ``LexVec(space, value)`` and :meth:`Space.coerce`; :meth:`Space.sample`
 returns normal forms too.  ``add``, ``neg`` and ``sub`` take and return
 normal forms, so :class:`LexVec` arithmetic does not coerce again.
+Family values stay sorted by index, so a sum or difference is merged into
+a copy of one operand by bisection (:func:`merge_sorted`) rather than
+rebuilt through a dict and sorted again.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
+from operator import itemgetter
 
 from .errors import IndexSpaceMismatch, ZeroComparand
 from .scalars import ExpSum
+
+
+_INDEX = itemgetter(0)
+
+
+def merge_sorted(pairs: tuple, updates, combine, is_zero) -> tuple:
+    """Merge index-sorted ``updates`` into the index-sorted ``pairs``.
+
+    For each ``(idx, u)`` the value v stored at idx becomes
+    ``combine(v, u)``, or ``combine(None, u)`` where idx is absent; a
+    result for which ``is_zero`` holds is dropped.  Each update's place is
+    found by bisection, starting where the previous one was found, so no
+    index is hashed and the untouched pairs are not sorted again.
+    """
+    if not updates:
+        return pairs
+    out = list(pairs)
+    pos = 0
+    for idx, u in updates:
+        pos = bisect_left(out, idx, pos, key=_INDEX)
+        if pos < len(out) and out[pos][0] == idx:
+            v = combine(out[pos][1], u)
+            if is_zero(v):
+                del out[pos]
+            else:
+                out[pos] = (idx, v)
+        else:
+            v = combine(None, u)
+            if not is_zero(v):
+                out.insert(pos, (idx, v))
+    return tuple(out)
 
 
 class Space:
@@ -122,6 +158,9 @@ class Scalars(Space):
     def neg(self, a):
         return -a
 
+    def sub(self, a, b):
+        return a - b
+
     def compare(self, a, b) -> int:
         if self.kind == "R":
             return (a - b).sign()
@@ -180,6 +219,9 @@ class Product(Space):
 
     def neg(self, a):
         return tuple(f.neg(x) for f, x in zip(self.factors, a))
+
+    def sub(self, a, b):
+        return tuple(f.sub(x, y) for f, x, y in zip(self.factors, a, b))
 
     def compare(self, a, b) -> int:
         for f, x, y in zip(self.factors, a, b):
@@ -249,27 +291,40 @@ class LexFamily(Space):
         return not value
 
     def add(self, a, b):
-        out = dict(a)
-        for idx, v in b:
-            if idx in out:
-                s = self.fiber.add(out[idx], v)
-                if self.fiber.is_zero(s):
-                    del out[idx]
-                else:
-                    out[idx] = s
-            else:
-                out[idx] = v
-        return tuple(sorted(out.items(), key=lambda kv: kv[0]))
+        fiber = self.fiber
+        return merge_sorted(
+            a, b, lambda x, v: v if x is None else fiber.add(x, v), fiber.is_zero
+        )
 
     def neg(self, a):
         return tuple((idx, self.fiber.neg(v)) for idx, v in a)
 
+    def sub(self, a, b):
+        fiber = self.fiber
+        return merge_sorted(
+            a,
+            b,
+            lambda x, v: fiber.neg(v) if x is None else fiber.sub(x, v),
+            fiber.is_zero,
+        )
+
     def compare(self, a, b) -> int:
-        da, db = dict(a), dict(b)
-        for idx in sorted(set(da) | set(db)):
-            va = da.get(idx, self.fiber.zero())
-            vb = db.get(idx, self.fiber.zero())
-            c = self.fiber.compare(va, vb)
+        """Compare at the least index where the families differ, walking
+        both sorted supports together; an absent index holds zero."""
+        fiber = self.fiber
+        i = j = 0
+        na, nb = len(a), len(b)
+        while i < na or j < nb:
+            if j == nb or (i < na and a[i][0] < b[j][0]):
+                c = fiber.compare(a[i][1], fiber.zero())
+                i += 1
+            elif i == na or b[j][0] < a[i][0]:
+                c = fiber.compare(fiber.zero(), b[j][1])
+                j += 1
+            else:
+                c = fiber.compare(a[i][1], b[j][1])
+                i += 1
+                j += 1
             if c:
                 return c
         return 0

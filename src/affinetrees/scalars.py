@@ -259,13 +259,24 @@ class ExpSum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self + (-o)
+        out = dict(self._terms)
+        for q, c in o._terms.items():
+            prev = out.get(q)
+            if prev is None:
+                out[q] = -c
+            else:
+                c = prev - c
+                if c:
+                    out[q] = c
+                else:
+                    del out[q]
+        return ExpSum._trusted(out)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o + (-self)
+        return o - self
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):

@@ -46,13 +46,14 @@ def conjugate_by_diagonal(exponents, mat: TriMat) -> TriMat:
     if len(exponents) != mat.n:
         raise DimensionMismatch("one exponent per matrix row required")
     m = mat.to_expsum()
+    zero = m.ring_zero()
     return TriMat(
         [
             [
-                m.rows[i][j] * ExpSum.exponential(exponents[i] - exponents[j])
-                for j in range(mat.n)
+                v * ExpSum.exponential(qi - qj) if v else zero
+                for qj, v in zip(exponents, row)
             ]
-            for i in range(mat.n)
+            for qi, row in zip(exponents, m.rows)
         ]
     )
 

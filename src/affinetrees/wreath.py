@@ -18,6 +18,13 @@ and return normalised values and elements without checking them; the
 validating constructors are :meth:`WreathGroup.element` (through each
 base's ``check_element``), ``MatrixAffineAut``, ``from_affine_matrix``
 and ``LexVec(space, value)``.
+
+A uniform index shift preserves the order of a support or family, and an
+element changes at most the fibers at its own support indices.  So
+``act``, ``mul`` and ``dilate`` shift the sorted tuples in one pass and
+merge the few changed indices in by bisection
+(:func:`~affinetrees.ordered.merge_sorted`); no index is hashed and
+nothing is sorted again.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from dataclasses import dataclass
 
 from .actions import MatrixAffineAut
 from .errors import EmptyLevels, StructureMismatch
-from .ordered import LexFamily, LexVec, Product, Scalars
+from .ordered import LexFamily, LexVec, Product, Scalars, merge_sorted
 from .trimat import TriMat
 
 
@@ -179,13 +186,15 @@ class WreathGroup:
         """(a_shift, (k_i)) * (b_shift, (h_i)) has map i -> k_{i-b_shift} h_i."""
         self.check_element(a)
         self.check_element(b)
-        out = {i + b.shift: k for i, k in a.support}
-        for i, h in b.support:
-            k = out.pop(i, None)
-            v = h if k is None else self.base.mul(k, h)
-            if k is None or not self.base.is_identity(v):
-                out[i] = v
-        return WreathElem(a.shift + b.shift, tuple(sorted(out.items())))
+        base, t = self.base, b.shift
+        shifted = tuple((i + t, k) for i, k in a.support) if t else a.support
+        support = merge_sorted(
+            shifted,
+            b.support,
+            lambda k, h: h if k is None else base.mul(k, h),
+            base.is_identity,
+        )
+        return WreathElem(a.shift + t, support)
 
     def inv(self, a: WreathElem) -> WreathElem:
         """(shift, (h_i))**-1 = (-shift, (h_{i+shift}**-1)); checked against
@@ -204,29 +213,34 @@ class WreathGroup:
         """(shift, (h_i)) . (c, (v_i)) = (c + shift, (h_{i+shift} v_{i+shift})_i)."""
         self.check_element(g)
         c, fam = value
-        fiber = self.fiber_space
-        moved = dict(fam)
-        for src, h in g.support:
-            v = self.base.act(h, moved.get(src, fiber.zero()))
-            if fiber.is_zero(v):
-                moved.pop(src, None)
-            else:
-                moved[src] = v
-        return (c + g.shift, tuple(sorted((i - g.shift, v) for i, v in moved.items())))
+        base, fiber, t = self.base, self.fiber_space, g.shift
+        moved = merge_sorted(
+            fam,
+            g.support,
+            lambda v, h: base.act(h, fiber.zero() if v is None else v),
+            fiber.is_zero,
+        )
+        if t:
+            moved = tuple((i - t, v) for i, v in moved)
+        return (c + t, moved)
 
     def dilate(self, g: WreathElem, value):
         """First coordinate fixed; fiber at i becomes the h_{i+shift}
         dilation of the fiber at i+shift."""
         self.check_element(g)
         c, fam = value
-        hmap = g.mapping()
-        out = []
-        for src, v in fam:
-            if src in hmap:
-                v = self.base.dilate(hmap[src], v)
-            if not self.fiber_space.is_zero(v):
-                out.append((src - g.shift, v))
-        return (c, tuple(out))
+        base, fiber, t = self.base, self.fiber_space, g.shift
+        zero = fiber.zero()
+        # a dilation is linear, so an absent fiber stays absent
+        out = merge_sorted(
+            fam,
+            g.support,
+            lambda v, h: zero if v is None else base.dilate(h, v),
+            fiber.is_zero,
+        )
+        if t:
+            out = tuple((i - t, v) for i, v in out)
+        return (c, out)
 
     def act_vec(self, g: WreathElem, point: LexVec) -> LexVec:
         if point.space != self.point_space:

@@ -231,3 +231,39 @@ def test_point_ring_checked_at_construction():
         MatrixAffineAut(
             TriMat.identity(1, ExpSum.one()), (0,), Product(Scalars("Q"))
         )
+
+
+def validated(aut):
+    return MatrixAffineAut(aut.dilation, aut.translation, aut.space)
+
+
+@pytest.mark.parametrize("ring", ["Q", "R", "R-rational-dilation"])
+def test_compose_and_invert_results_pass_validation(ring):
+    # compose and invert skip the constructor's checks; their results
+    # must be what the validating constructor would have built
+    e = ExpSum.exponential
+    for t in range(10):
+        rng = trial_rng(15, "trusted-aut", ring, t)
+        n = rng.randint(2, 5)
+        mats = []
+        for _ in range(2):
+            u = rand_unitriangular(rng, n).rows
+            rows = [list(row) for row in u]
+            for i in range(n - 1):
+                rows[i][n - 1] = rand_fraction(rng)
+            if ring == "R":
+                for i in range(n - 1):
+                    rows[i][i] = e(rand_fraction(rng, 3, 3))
+                    rows[i][n - 1] = rows[i][n - 1] + e(rand_fraction(rng, 2, 2))
+            elif ring == "R-rational-dilation":
+                for i in range(n - 1):
+                    rows[i][n - 1] = e(rand_fraction(rng, 2, 2), rows[i][n - 1] or 1)
+            mats.append(from_affine_matrix(TriMat(rows)))
+        a, b = mats
+        for aut in (a.compose(b), b.compose(a), a.invert(), a.compose(b).invert()):
+            assert repr(aut) == repr(validated(aut))
+            assert aut == validated(aut)
+            assert type(aut.translation) is tuple
+            kind = aut.space.factors[0].kind
+            assert {type(v) for v in aut.translation} == {ExpSum if kind == "R" else Fraction}
+        assert a.compose(a.invert()).is_identity()

@@ -154,3 +154,126 @@ def test_scalar_kind_validation():
         LexVec(Z3, (Fraction(1, 2), 0, 0))
     with pytest.raises(ValueError):
         Scalars("X")
+
+
+# -- the merge against the dict-and-sort bodies it replaced ------------------
+
+
+class DictFamily(LexFamily):
+    """The oracle: each value copied into a dict keyed by index, then the
+    union re-sorted."""
+
+    def add(self, a, b):
+        out = dict(a)
+        for idx, v in b:
+            if idx in out:
+                s = self.fiber.add(out[idx], v)
+                if self.fiber.is_zero(s):
+                    del out[idx]
+                else:
+                    out[idx] = s
+            else:
+                out[idx] = v
+        return tuple(sorted(out.items(), key=lambda kv: kv[0]))
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+    def compare(self, a, b) -> int:
+        da, db = dict(a), dict(b)
+        for idx in sorted(set(da) | set(db)):
+            va = da.get(idx, self.fiber.zero())
+            vb = db.get(idx, self.fiber.zero())
+            c = self.fiber.compare(va, vb)
+            if c:
+                return c
+        return 0
+
+
+class DictProduct(Product):
+    """Product whose difference is the sum with the negation, as before
+    ``sub`` was componentwise."""
+
+    def sub(self, a, b):
+        return self.add(a, self.neg(b))
+
+
+def oracle_space(space):
+    if isinstance(space, LexFamily):
+        return DictFamily(space.index, oracle_space(space.fiber))
+    if isinstance(space, Product):
+        return DictProduct(*(oracle_space(f) for f in space.factors))
+    return space
+
+
+def index_pool(index):
+    if index.kind == "Z":
+        return list(range(-3, 4))
+    return sorted({Fraction(p, q) for p in range(-3, 4) for q in (1, 2, 3)})
+
+
+@st.composite
+def space_values(draw, space):
+    if isinstance(space, Scalars):
+        c = Fraction(draw(st.integers(-3, 3)), draw(st.integers(1, 3)))
+        if space.kind == "Z":
+            return c.numerator
+        if space.kind == "Q":
+            return c
+        value = ExpSum.constant(c)
+        if draw(st.booleans()):
+            q = Fraction(draw(st.integers(-2, 2)), draw(st.integers(1, 2)))
+            value = value + ExpSum.exponential(q, draw(st.integers(-2, 2)))
+        return value
+    if isinstance(space, Product):
+        return tuple(draw(space_values(f)) for f in space.factors)
+    indices = draw(st.lists(st.sampled_from(index_pool(space.index)), max_size=4))
+    return space.coerce({i: draw(space_values(space.fiber)) for i in indices})
+
+
+@st.composite
+def colliding_pairs(draw, space):
+    """(a, b) where b shares indices with a: some fibers negated (their
+    sum vanishes), some repeated (their difference vanishes), some
+    redrawn, plus fresh ones."""
+    a = draw(space_values(space))
+    b = {}
+    for idx, v in a:
+        mode = draw(st.sampled_from(("skip", "negate", "repeat", "redraw")))
+        if mode == "negate":
+            b[idx] = space.fiber.neg(v)
+        elif mode == "repeat":
+            b[idx] = v
+        elif mode == "redraw":
+            b[idx] = draw(space_values(space.fiber))
+    for idx, v in draw(space_values(space)):
+        b.setdefault(idx, v)
+    return a, space.coerce(b)
+
+
+FAMILIES = [
+    LexFamily(Scalars("Z"), Scalars("Q")),
+    LexFamily(Scalars("Q"), Scalars("R")),
+    LexFamily(Scalars("Z"), Product(Scalars("Q"), LexFamily(Scalars("Q"), Scalars("Z")))),
+    LexFamily(Scalars("Q"), LexFamily(Scalars("Z"), Scalars("Z"))),
+]
+
+
+@pytest.mark.parametrize("space", FAMILIES, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_family_merge_matches_dict_oracle(space, data):
+    oracle = oracle_space(space)
+    a, b = data.draw(colliding_pairs(space))
+    for op in ("add", "sub"):
+        got = getattr(space, op)(a, b)
+        want = getattr(oracle, op)(a, b)
+        assert got == want
+        assert repr(got) == repr(want)
+        assert repr(got) == repr(space.coerce(got))
+    assert not space.sub(a, a)
+    assert not space.add(a, space.neg(a))
+    assert space.compare(a, b) == oracle.compare(a, b)
+    assert space.compare(b, a) == oracle.compare(b, a) == -space.compare(a, b)
+    assert space.compare(a, a) == 0
+    assert space.compare(a, ()) == oracle.compare(a, ())

@@ -116,6 +116,18 @@ def test_ring_axioms(a, b, c):
     assert a * (b + c) == a * b + a * c
 
 
+@given(expsums(), expsums(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_difference_matches_sum_with_negation(a, b, overlap):
+    if overlap:
+        # shared exponents, some of whose terms cancel
+        b = b + a
+    for got, want in ((a - b, a + (-b)), (b - a, b + (-a)), (1 - a, 1 + (-a))):
+        assert got._terms == want._terms
+        assert repr(got) == repr(want)
+    assert not (a - a)._terms
+
+
 @given(expsums())
 @settings(max_examples=60, deadline=None)
 def test_sign_zero_iff_empty(a):

@@ -75,6 +75,29 @@ def test_coordinate_scaling_matches_dense_product(n):
             assert conjugate_by_diagonal(diag_exps, x) == diag * x * diag.inverse()
 
 
+@pytest.mark.parametrize("ring", ["Q", "R"])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_conjugate_by_diagonal_matches_dense_product(n, ring):
+    # zero entries are skipped rather than multiplied by e**(q_i - q_j)
+    rng = trial_rng(10, "conjugate-dense", n, ring)
+    exps = rand_exponents(rng, n)
+    d = TriMat.diagonal([ExpSum.exponential(q) for q in exps])
+    d_inv = TriMat.diagonal([ExpSum.exponential(-q) for q in exps])
+    unit = rand_unitriangular(rng, n)
+    if ring == "R":
+        unit = conjugate_by_diagonal(rand_exponents(rng, n), unit)
+    sparse = TriMat(
+        [[v if rng.random() < 0.4 else 0 * v for v in row] for row in unit.rows]
+    )
+    full = TriMat([[rng.randint(-2, 2) for _ in range(n)] for _ in range(n)])
+    for m in (unit, sparse, full, TriMat.zeros(n)):
+        got = conjugate_by_diagonal(exps, m)
+        want = d * m * d_inv
+        assert got == want
+        assert repr(got) == repr(want)
+        assert got.expsum
+
+
 def test_embed_identity():
     g = TriangularElement.identity(4)
     assert embed_triangular(g) == TriMat.identity(11, ExpSum.one())

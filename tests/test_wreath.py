@@ -1,8 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from affinetrees.actions import from_affine_matrix
+from affinetrees.actions import MatrixAffineAut, from_affine_matrix
 from affinetrees.errors import EmptyLevels, StructureMismatch
 from affinetrees.harness import make_unitriangular_image_bundle
 from affinetrees.ordered import LexVec, Scalars, lex_distance
@@ -11,6 +13,7 @@ from affinetrees.scalars import ExpSum
 from affinetrees.trimat import TriMat
 from affinetrees.wreath import (
     TranslationBundle,
+    WreathElem,
     WreathGroup,
     iterated_wreath,
 )
@@ -270,3 +273,132 @@ def test_expsum_aut_results_are_normal_forms():
         ):
             assert_normal_vec(vec)
         assert inverse.act(aut.act(p)) == p
+
+
+# -- the merge against the dict-and-sort bodies it replaced ------------------
+
+
+class DictWreath(WreathGroup):
+    """The oracle: supports and families copied into dicts keyed by index,
+    then re-sorted."""
+
+    def mul(self, a, b):
+        out = {i + b.shift: k for i, k in a.support}
+        for i, h in b.support:
+            k = out.pop(i, None)
+            v = h if k is None else self.base.mul(k, h)
+            if k is None or not self.base.is_identity(v):
+                out[i] = v
+        return WreathElem(a.shift + b.shift, tuple(sorted(out.items())))
+
+    def act(self, g, value):
+        c, fam = value
+        fiber = self.fiber_space
+        moved = dict(fam)
+        for src, h in g.support:
+            v = self.base.act(h, moved.get(src, fiber.zero()))
+            if fiber.is_zero(v):
+                moved.pop(src, None)
+            else:
+                moved[src] = v
+        return (c + g.shift, tuple(sorted((i - g.shift, v) for i, v in moved.items())))
+
+    def dilate(self, g, value):
+        c, fam = value
+        hmap = g.mapping()
+        out = []
+        for src, v in fam:
+            if src in hmap:
+                v = self.base.dilate(hmap[src], v)
+            if not self.fiber_space.is_zero(v):
+                out.append((src - g.shift, v))
+        return (c, tuple(out))
+
+
+def oracle_group(group):
+    if isinstance(group, WreathGroup):
+        return DictWreath(oracle_group(group.base), group.index_space)
+    return group
+
+
+def index_pool(index):
+    if index.kind == "Z":
+        return list(range(-2, 3))
+    return sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2)})
+
+
+def killer(bundle, value):
+    """A base element that acts on ``value`` to give zero."""
+    if isinstance(bundle, TranslationBundle):
+        return bundle.inv(value)
+    if isinstance(bundle, WreathGroup):
+        c, fam = value
+        return bundle.element(-c, {i: killer(bundle.base, v) for i, v in fam})
+    h = bundle.sample_element(trial_rng(0, "killer", repr(value)))
+    moved = h._mat_apply(value, True)
+    n = len(moved)
+    shift = MatrixAffineAut(
+        TriMat.identity(n), tuple(-x for x in reversed(moved)), bundle.point_space
+    )
+    return shift.compose(h)
+
+
+@st.composite
+def wreath_cases(draw, group):
+    """Elements a, b and points p, q with colliding indices: b's support
+    holds inverses of some of a's fibers (so a*b loses them), and a's
+    support holds fibers that act on p's fibers to give zero."""
+    rng = trial_rng(draw(st.integers(0, 2**32 - 1)), "wreath-oracle")
+    pool = index_pool(group.index_space)
+    index = st.sampled_from(pool)
+
+    def element(shift, extra):
+        mapping = {i: group.base.sample_element(rng) for i in draw(st.lists(index, max_size=3))}
+        return group.element(shift, {**mapping, **extra})
+
+    def point():
+        fam = {i: group.fiber_space.sample(rng) for i in draw(st.lists(index, max_size=3))}
+        return group.point_space.coerce((draw(index), fam))
+
+    p, q = point(), point()
+    kills = {i: killer(group.base, v) for i, v in p[1] if draw(st.booleans())}
+    a = element(draw(index), kills)
+    tb = draw(index)
+    undo = {i + tb: group.base.inv(k) for i, k in a.support if draw(st.booleans())}
+    return a, element(tb, undo), p, q
+
+
+def assert_same(got, want):
+    assert got == want
+    assert repr(got) == repr(want)
+
+
+ORACLE_GROUPS = {
+    "ZZZ": iterated_wreath(["Z", "Z", "Z"]),
+    "QQ": iterated_wreath(["Q", "Q"]),
+    "ZQQ": iterated_wreath(["Z", "Q", "Q"]),
+    "U3-Z": WreathGroup(make_unitriangular_image_bundle(3), Scalars("Z")),
+    "U3-Q": WreathGroup(make_unitriangular_image_bundle(3), Scalars("Q")),
+}
+
+
+@pytest.mark.parametrize("kind", ORACLE_GROUPS)
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_merge_matches_dict_oracle(kind, data):
+    group = ORACLE_GROUPS[kind]
+    oracle = oracle_group(group)
+    a, b, p, q = data.draw(wreath_cases(group))
+    for x, y in ((a, b), (b, a), (a, group.inv(a)), (group.inv(b), b), (a, a)):
+        assert_same(group.mul(x, y), oracle.mul(x, y))
+    assert group.is_identity(group.mul(a, group.inv(a)))
+    ab = group.mul(a, b)
+    for g in (a, b, ab, group.inv(a), group.identity()):
+        for point in (p, q):
+            assert_same(group.act(g, point), oracle.act(g, point))
+            assert_same(group.dilate(g, point), oracle.dilate(g, point))
+    # fibers that a acts to zero leave no entry behind
+    fam, moved = dict(p[1]), dict(group.act(a, p)[1])
+    for i, h in a.support:
+        if i in fam and group.fiber_space.is_zero(group.base.act(h, fam[i])):
+            assert i - a.shift not in moved
