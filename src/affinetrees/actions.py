@@ -7,6 +7,23 @@ significant point coordinate, while :class:`~affinetrees.ordered.Product`
 spaces list the most significant component first.  The bridge therefore
 reverses coordinates when moving between matrices and points.
 
+A matrix automorphism applies its dilation in integer arithmetic.  The
+rows [dilation | translation] are written once, on first use, over the
+common denominator D_A of their rational coefficients, by the encoder
+the matrix series use (:func:`~affinetrees.trimat._encode`): as ints,
+or for exponential-sum entries as sparse Laurent polynomials {x: c} in
+e**(1/L).  Each point (or translation, for ``compose`` and ``invert``)
+is encoded the same way over its own D_x; the constant 1 that meets the
+translation column is D_x.  Every output entry is then built once, as a
+Fraction over D_A * D_x or an ExpSum with such coefficients, in the ring
+of the point space: a rational dilation on a power of R still gives
+ExpSum values.  The encoding is stored on the automorphism outside its
+fields, so ``==``, ``hash`` and ``repr`` do not see it.  While either
+common denominator has more than
+:data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the entries
+are summed in their own ring instead (:func:`_affine`), which also
+serves the tests as the oracle of the integer path.
+
 Diagnostics distinguish *certified* verdicts (the exact matrix predicate)
 from *sampled* evidence, since sampling cannot prove universally
 quantified claims.
@@ -15,6 +32,8 @@ quantified claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from math import gcd, lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -25,7 +44,10 @@ from .errors import (
 )
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
-from .trimat import TriMat
+from .scalars import _ZERO_EXP, ExpSum
+from .trimat import TriMat, _encode
+
+_FZERO = Fraction(0)
 
 
 def _affine(rows, xs, offsets) -> list:
@@ -36,6 +58,84 @@ def _affine(rows, xs, offsets) -> list:
             if a and x:
                 acc = acc + a * x
         out.append(acc)
+    return out
+
+
+def _encode_affine(dilation: TriMat, translation, expsum: bool):
+    """:func:`~affinetrees.trimat._encode` of the rows of [dilation |
+    translation], the translation in column n."""
+    rows = [{j: v for j, v in enumerate(row) if v} for row in dilation.rows]
+    n = dilation.n
+    for row, t in zip(rows, translation):
+        if t:
+            row[n] = t
+    return _encode(rows, expsum)
+
+
+def _rescaled(row: dict, f: int) -> dict:
+    """A sparse row of Laurent polynomials in e**(1/el) (or of ints, the
+    constant polynomials) written in e**(1/(f * el))."""
+    if f == 0:
+        return {j: {0: c} for j, c in row.items()}
+    if f == 1:
+        return row
+    return {j: {x * f: c for x, c in t.items()} for j, t in row.items()}
+
+
+def _affine_int(enc, xs, translate: bool, expsum: bool):
+    """rows * xs (+ the translation column when ``translate``) from the
+    encoding ``enc`` of :func:`_encode_affine`, in integer arithmetic, or
+    None when xs's common denominator is past the cutoff.
+
+    xs is encoded over its own denominator D_x, and the constant 1 that
+    meets the translation column as D_x, so each output entry is built
+    once over D_A * D_x: a Fraction, a constant ExpSum, or an ExpSum whose
+    exponents are reduced from the lcm L of both exponent denominators.
+    """
+    rows, da, ela = enc
+    n = len(xs)
+    (xrow,), dx, elx = _encode([{j: x for j, x in enumerate(xs) if x}], expsum)
+    if dx is None:
+        return None
+    den = da * dx
+    if ela is None and elx is None:
+        if translate:
+            xrow[n] = dx
+        out = []
+        for row in rows:
+            s = 0
+            for j, a in row.items():
+                b = xrow.get(j)
+                if b is not None:
+                    s += a * b
+            out.append(Fraction(s, den) if s else _FZERO)
+        if expsum:
+            out = [ExpSum._trusted({_ZERO_EXP: v} if v else {}) for v in out]
+        return out
+    el = lcm(ela or 1, elx or 1)
+    xrow = _rescaled(xrow, el // elx if elx else 0)
+    if translate:
+        xrow[n] = {0: dx}
+    fa = el // ela if ela else 0
+    if fa != 1:
+        rows = [_rescaled(row, fa) for row in rows]
+    out = []
+    for row in rows:
+        acc = {}
+        for j, a in row.items():
+            b = xrow.get(j)
+            if b is None:
+                continue
+            for x1, c1 in a.items():
+                for x2, c2 in b.items():
+                    x = x1 + x2
+                    acc[x] = acc[x] + c1 * c2 if x in acc else c1 * c2
+        terms = {}
+        for x, s in acc.items():
+            if s:
+                g = gcd(x, el)
+                terms[x // g, el // g] = Fraction(s, den)
+        out.append(ExpSum._trusted(terms))
     return out
 
 
@@ -84,11 +184,27 @@ class MatrixAffineAut:
             for j, v in enumerate(row)
         )
 
-    def _mat_apply(self, values, translate: bool):
+    def _apply(self, xs, translate: bool) -> list:
+        """dilation * xs (+ translation), xs and the result in matrix
+        coordinate order: by :func:`_affine_int` over the encoding stored
+        on first use, or by :func:`_affine` past the cutoff."""
+        expsum = self.space.factors[0].kind == "R"
+        enc = self.__dict__.get("_enc")
+        if enc is None:
+            enc = _encode_affine(self.dilation, self.translation, expsum)
+            # not a field: ==, hash and repr do not see it
+            object.__setattr__(self, "_enc", enc)
+        if enc[1] is not None:
+            out = _affine_int(enc, xs, translate, expsum)
+            if out is not None:
+                return out
         offsets = self.translation
         if not translate:
             offsets = (self.space.factors[0].zero(),) * self.dim
-        return tuple(reversed(_affine(self.dilation.rows, values[::-1], offsets)))
+        return _affine(self.dilation.rows, xs, offsets)
+
+    def _mat_apply(self, values, translate: bool):
+        return tuple(reversed(self._apply(values[::-1], translate)))
 
     def act(self, point: LexVec) -> LexVec:
         if point.space != self.space:
@@ -106,13 +222,14 @@ class MatrixAffineAut:
             raise IndexSpaceMismatch("can only compose over one space")
         dil = self.dilation * other.dilation
         # translations are stored in matrix row order, so no reversal here
-        moved = _affine(self.dilation.rows, other.translation, self.translation)
+        moved = self._apply(other.translation, True)
         return MatrixAffineAut._trusted(dil, tuple(moved), self.space)
 
     def invert(self) -> "MatrixAffineAut":
         dil = self.dilation.inverse()
         zeros = (self.space.factors[0].zero(),) * self.dim
-        neg = tuple(-v for v in _affine(dil.rows, self.translation, zeros))
+        linear = MatrixAffineAut._trusted(dil, zeros, self.space)
+        neg = tuple(-v for v in linear._apply(self.translation, False))
         return MatrixAffineAut._trusted(dil, neg, self.space)
 
     def to_affine_matrix(self) -> TriMat:

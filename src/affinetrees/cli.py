@@ -28,7 +28,7 @@ from .embedding import (
     integerize,
     is_essentially_hyperbolic,
 )
-from .errors import AffineTreesError, ConfigInvalid
+from .errors import AffineTreesError, ConfigInvalid, ResultTooLarge
 from .harness import SuiteConfig, run_suite, _wreath_law_checks
 from .ordered import LexVec
 from .triangular import embed_triangular
@@ -41,6 +41,12 @@ EXIT_PRECONDITION = 3
 
 #: Largest ``|--power|`` that ``act`` accepts; each step is one affine map.
 MAX_POWER = 10_000
+
+#: Most exponential-sum terms, over all coordinates, that ``act`` lets a
+#: point reach between steps.  A dilation with exponential entries moves
+#: exponents on every step, so the terms grow with the power and each step
+#: costs more than the last.
+MAX_POINT_TERMS = 4_096
 
 
 class CliInputError(Exception):
@@ -167,8 +173,14 @@ def cmd_act(args) -> int:
         as_list = False
     power = args.power
     acting = aut if power >= 0 else aut.invert()
-    for _ in range(abs(power)):
+    expsum = aut.space.factors[0].kind == "R"
+    for step in range(1, abs(power) + 1):
         point = acting.act(point)
+        if expsum and sum(len(v._terms) for v in point.value) > MAX_POINT_TERMS:
+            raise ResultTooLarge(
+                f"the point has more than {MAX_POINT_TERMS} exponential-sum terms"
+                f" after {step} of {abs(power)} steps"
+            )
     if as_list:
         out = [jsonio.scalar_to_json(v) for v in reversed(point.value)]
     else:

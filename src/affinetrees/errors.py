@@ -17,7 +17,8 @@ class PrecisionExhausted(AffineTreesError):
 
 class ResultTooLarge(AffineTreesError):
     """An exact result has more digits than the interpreter writes as text
-    (``sys.get_int_max_str_digits()``)."""
+    (``sys.get_int_max_str_digits()``), or an iterated action's point has
+    more exponential-sum terms than ``act`` allows."""
 
 
 class DimensionMismatch(AffineTreesError, ValueError):

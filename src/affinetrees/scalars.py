@@ -211,6 +211,13 @@ class ExpSum:
         q, c = Fraction(q), Fraction(coeff)
         return cls._trusted({(q.numerator, q.denominator): c} if c else {})
 
+    def _shifted(self, key: tuple[int, int]) -> "ExpSum":
+        """self * e**q for the exponent q keyed by ``key``: every exponent
+        moves by q and the coefficients stay, so nothing is multiplied."""
+        if not key[0]:
+            return self
+        return ExpSum._trusted({_exp_add(q, key): c for q, c in self._terms.items()})
+
     # -- views -------------------------------------------------------------
 
     def terms(self) -> list[tuple[Fraction, Fraction]]:

@@ -50,12 +50,17 @@ def conjugate_by_diagonal(exponents, mat: TriMat) -> TriMat:
     return TriMat(
         [
             [
-                v * ExpSum.exponential(qi - qj) if v else zero
+                v._shifted(_key(qi - qj)) if v else zero
                 for qj, v in zip(exponents, row)
             ]
             for qi, row in zip(exponents, m.rows)
         ]
     )
+
+
+def _key(q: Fraction) -> tuple[int, int]:
+    """The term-map key of the exponent q."""
+    return q.numerator, q.denominator
 
 
 def _coord_exponents(exponents) -> list:
@@ -138,15 +143,8 @@ class TriangularElement:
 
     def matrix(self) -> TriMat:
         """The represented upper triangular matrix u * d."""
-        return TriMat(
-            [
-                [
-                    self.u.rows[i][j] * ExpSum.exponential(self.exponents[j])
-                    for j in range(self.n)
-                ]
-                for i in range(self.n)
-            ]
-        )
+        keys = [_key(q) for q in self.exponents]
+        return TriMat([[v._shifted(k) for v, k in zip(row, keys)] for row in self.u.rows])
 
     def __mul__(self, other):
         if not isinstance(other, TriangularElement):
@@ -175,10 +173,10 @@ def _image(rep: TriMat, exponents) -> TriMat:
     """
     n = len(exponents)
     m = rep.n - 1
-    mult = _coord_multipliers(exponents)
+    keys = [_key(q) for q in _coord_exponents(exponents)]
     zero, one = ExpSum.zero(), ExpSum.one()
     rows = [
-        [v * mult[s] if v else v for s, v in enumerate(row[:m])]
+        [v._shifted(k) if v else v for v, k in zip(row, keys)]
         + [zero] * n
         + [row[m]]
         for row in rep.rows[:m]

@@ -24,7 +24,9 @@ coprime denominators multiply), and the integers then grow faster than
 the Fraction arithmetic they replace.  So the integer path runs only
 while D has at most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise
 the series sums entries in their own ring and the inverse
-back-substitutes, as for a diagonal other than 1.
+back-substitutes, as for a diagonal other than 1.  The same encoder,
+:func:`_encode`, writes the rows of an affine automorphism for
+:mod:`~affinetrees.actions`.
 """
 
 from __future__ import annotations
@@ -260,20 +262,20 @@ def _common_denominator(denominators):
     return d
 
 
-def _strict_part(mat: TriMat):
-    """(rows, d, el): the strict upper part of mat as sparse rows {j: entry}.
+def _encode(rows, expsum: bool):
+    """(rows, d, el): sparse rows {j: nonzero entry} over one common
+    denominator, for integer arithmetic.
 
     d is the common denominator D of the rational coefficients of the
-    strict part, or None when D has more than MAX_COMMON_DENOMINATOR_BITS
-    bits; the rows then hold the entries.  Otherwise they hold D * entry:
-    ints when every exponent is 0 (el is None), and else, with el the lcm
-    of the exponents' denominators, Laurent polynomials {x: c} with int
-    keys and coefficients, standing for sum_x c * e**(x / el)."""
-    n = mat.n
-    rows = [{j: r[j] for j in range(i + 1, n) if r[j]} for i, r in enumerate(mat.rows)]
+    entries, or None when D has more than MAX_COMMON_DENOMINATOR_BITS
+    bits; the rows are then returned as given.  Otherwise they hold
+    D * entry: ints when every exponent is 0 (el is None), and else, with
+    el the lcm of the exponents' denominators, Laurent polynomials {x: c}
+    with int keys and coefficients, standing for sum_x c * e**(x / el).
+    ``expsum`` says whether any entry may be an ExpSum; a Fraction among
+    ExpSum entries is a constant term."""
     consts = rows
-    if mat.expsum:
-        # term maps; a Fraction entry of a mixed matrix is a constant term
+    if expsum:
         terms = [
             {j: v._terms if type(v) is ExpSum else {_ZERO_EXP: v} for j, v in row.items()}
             for row in rows
@@ -298,6 +300,13 @@ def _strict_part(mat: TriMat):
     if d is None:
         return rows, None, None
     return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in consts], d, None
+
+
+def _strict_part(mat: TriMat):
+    """:func:`_encode` of the strict upper part of mat."""
+    n = mat.n
+    rows = [{j: r[j] for j in range(i + 1, n) if r[j]} for i, r in enumerate(mat.rows)]
+    return _encode(rows, mat.expsum)
 
 
 def _sparse_step(power, strict):

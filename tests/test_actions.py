@@ -1,10 +1,14 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from affinetrees import actions
 from affinetrees.actions import (
     MatrixAffineAut,
     ProductAut,
+    _affine,
     check_affine_law,
     check_free_and_rigid,
     from_affine_matrix,
@@ -19,7 +23,7 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
-from affinetrees.trimat import TriMat
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat
 
 
 def translation_matrix(*column):
@@ -267,3 +271,119 @@ def test_compose_and_invert_results_pass_validation(ring):
             kind = aut.space.factors[0].kind
             assert {type(v) for v in aut.translation} == {ExpSum if kind == "R" else Fraction}
         assert a.compose(a.invert()).is_identity()
+
+
+# -- the integer kernel against the ring-summing oracle ------------------------
+
+PAST = 2**MAX_COMMON_DENOMINATOR_BITS + 1
+rationals = st.fractions(min_value=-6, max_value=6, max_denominator=6)
+positive = st.fractions(min_value=Fraction(1, 6), max_value=6, max_denominator=6)
+#: Rationals whose denominator alone is past the cutoff.
+past_rationals = st.builds(lambda p: Fraction(p, PAST), st.integers(1, 9))
+#: Exponents with denominators 1, 2, 3 and 5, so the dilation's and the
+#: point's exponent lcms often differ.
+exponents = st.sampled_from([0, 1, -1, Fraction(1, 2), Fraction(-1, 3), Fraction(2, 5)])
+
+
+def sums_of(coefficients):
+    """Sums of up to three terms c * e**q."""
+    return st.lists(st.tuples(exponents, coefficients), max_size=3).map(ExpSum)
+
+
+def monomials_of(coefficients):
+    return st.builds(ExpSum.exponential, exponents, coefficients)
+
+
+sums = sums_of(rationals)
+constants = st.builds(ExpSum.constant, rationals)
+#: kind -> (ring, diagonal, off-diagonal, translation, coordinate)
+KERNEL_KINDS = {
+    "Q": ("Q", positive, rationals, rationals, rationals),
+    "R": ("R", monomials_of(positive), sums, sums, sums),
+    "R-rational-dilation": ("R", positive, rationals, st.one_of(rationals, sums), sums),
+    "R-constant": ("R", st.builds(ExpSum.constant, positive), constants, constants, constants),
+    "Q-past-cutoff": ("Q", past_rationals, rationals, rationals, rationals),
+    "R-past-cutoff": ("R", monomials_of(past_rationals), sums, sums, sums),
+    "R-point-past-cutoff": ("R", monomials_of(positive), sums, sums, sums_of(past_rationals)),
+}
+
+
+@st.composite
+def kernel_cases(draw, kind):
+    """(a, b, p): two automorphisms of one space of dimension 1..5 and a
+    point of it, each entry zero about a third of the time."""
+    ring, diagonal, entries, translations, coords = KERNEL_KINDS[kind]
+    n = draw(st.integers(1, 5))
+    zero = Scalars(ring).zero()
+    space = Product(*[Scalars(ring)] * n)
+
+    def entry(values):
+        return draw(st.one_of(st.just(zero), values, values))
+
+    auts = []
+    for _ in range(2):
+        rows = [
+            [draw(diagonal) if j == i else entry(entries) if j > i else zero for j in range(n)]
+            for i in range(n)
+        ]
+        auts.append(MatrixAffineAut(TriMat(rows), tuple(entry(translations) for _ in range(n)), space))
+    p = LexVec(space, tuple(entry(coords) for _ in range(n)))
+    return auts[0], auts[1], p
+
+
+def assert_same_terms(got, want):
+    assert len(got) == len(want)
+    for g, w in zip(got, want):
+        assert type(g) is type(w)
+        assert repr(g) == repr(w)
+        if isinstance(w, ExpSum):
+            assert g._terms == w._terms
+
+
+def oracle(aut, xs, translate):
+    offsets = aut.translation if translate else (aut.space.factors[0].zero(),) * aut.dim
+    return _affine(aut.dilation.rows, xs, offsets)
+
+
+@pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_integer_kernel_matches_ring_sums(kind, data):
+    a, b, p = data.draw(kernel_cases(kind))
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return _affine(*args)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actions, "_affine", counted)
+        moved, stretched = a.act(p), a.dilate(p)
+        # a past-cutoff point takes the fallback unless it is zero
+        expect_fallback = kind.endswith("past-cutoff") and (
+            kind != "R-point-past-cutoff" or any(p.value)
+        )
+        assert len(calls) == (2 if expect_fallback else 0)
+        composed, inverted = a.compose(b), a.invert()
+    want = tuple(reversed(oracle(a, p.value[::-1], True)))
+    assert_same_terms(moved.value, want)
+    want = tuple(reversed(oracle(a, p.value[::-1], False)))
+    assert_same_terms(stretched.value, want)
+    assert_same_terms(composed.translation, oracle(a, b.translation, True))
+    linear = MatrixAffineAut(inverted.dilation, (a.space.factors[0].zero(),) * a.dim, a.space)
+    want = [-v for v in oracle(linear, a.translation, False)]
+    assert_same_terms(inverted.translation, want)
+
+
+def test_equality_hash_and_repr_ignore_the_stored_encoding():
+    rng = trial_rng(16, "stored-encoding")
+    g = rand_unitriangular(rng, 4)
+    aut = from_affine_matrix(embed_unitriangular(g))
+    twin = from_affine_matrix(embed_unitriangular(g))
+    before = (repr(aut), hash(aut))
+    p = LexVec(aut.space, aut.space.sample(rng))
+    moved = aut.act(p)
+    assert "_enc" in vars(aut) and "_enc" not in vars(twin)
+    assert (repr(aut), hash(aut)) == before
+    assert aut == twin and twin == aut
+    assert aut.act(p) == moved == twin.act(p)

@@ -10,7 +10,7 @@ from math import factorial, lcm
 import pytest
 import affinetrees
 from affinetrees import cli, jsonio, scalars, trimat
-from affinetrees.cli import MAX_POWER, main
+from affinetrees.cli import MAX_POINT_TERMS, MAX_POWER, main
 from affinetrees.embedding import AffineRep
 from affinetrees.harness import MAX_SAMPLES, example4_image
 from affinetrees.jsonio import mat_from_json, mat_to_json
@@ -213,6 +213,30 @@ def test_act_power_at_bound(tmp_path, capsys, power):
     )
     assert code == 0
     assert json.loads(out) == [str(power)]
+
+
+@pytest.mark.parametrize("power", [MAX_POWER, -MAX_POWER])
+def test_act_power_on_exact_real_image_stops_at_term_bound(tmp_path, capsys, power):
+    # each step moves the exponents and adds about 43 terms, and the steps
+    # grow dearer: all 10,000 would take hours; the term bound stops it
+    n = 3
+    u = TriMat(
+        [[Fraction(int(i == j)) if j <= i else Fraction(1, 2 + i + j) for j in range(n)] for i in range(n)]
+    )
+    g = TriangularElement(n, u, (Fraction(1, 2), Fraction(-1, 3), Fraction(1, 5)))
+    src = write_json(tmp_path / "g.json", jsonio.triangular_to_json(g))
+    code, out, _ = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 0
+    rep = write_json(tmp_path / "rep.json", json.loads(out))
+    point = write_json(tmp_path / "p.json", ["1/3"] * 6)
+    start = time.perf_counter()
+    code, out, err = run_cli(
+        capsys, "act", "--rep", rep, "--point", point, "--power", str(power)
+    )
+    assert time.perf_counter() - start < 60
+    assert code == 3 and out == ""
+    assert err.startswith("error: ResultTooLarge: ") and err.count("\n") == 1
+    assert f"more than {MAX_POINT_TERMS} exponential-sum terms" in err
 
 
 @pytest.mark.parametrize("power", [MAX_POWER + 1, -MAX_POWER - 1])

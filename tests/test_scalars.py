@@ -128,6 +128,16 @@ def test_difference_matches_sum_with_negation(a, b, overlap):
     assert not (a - a)._terms
 
 
+@given(expsums(), small_rats)
+@settings(max_examples=60, deadline=None)
+def test_shift_matches_product_with_unit_monomial(a, q):
+    for value, exp in ((a, q), (a, Fraction(0)), (ExpSum.zero(), q)):
+        got = value._shifted((exp.numerator, exp.denominator))
+        want = value * ExpSum.exponential(exp)
+        assert got._terms == want._terms
+        assert repr(got) == repr(want)
+
+
 @given(expsums())
 @settings(max_examples=60, deadline=None)
 def test_sign_zero_iff_empty(a):
