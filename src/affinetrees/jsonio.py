@@ -136,8 +136,16 @@ def triangular_to_json(g: TriangularElement) -> dict:
 
 
 def triangular_from_json(obj) -> TriangularElement:
+    if not isinstance(obj, dict):
+        raise ValueError(
+            "element JSON must be an object with fields 'n', 'u' and "
+            f"'diag_exponents', got {type(obj).__name__}"
+        )
+    n = obj["n"]
+    if type(n) is not int:
+        raise ValueError(f"'n' must be a JSON integer, got {type(n).__name__}")
     return TriangularElement(
-        obj["n"],
+        n,
         mat_from_json(obj["u"]),
         tuple(
             rat_from_str(q)

@@ -125,6 +125,17 @@ class TriangularElement:
         object.__setattr__(self, "exponents", exps)
 
     @classmethod
+    def _trusted(cls, n: int, u: TriMat, exponents: tuple) -> "TriangularElement":
+        """Build from parts already valid, unchecked: ``u`` an n x n
+        unitriangular ``TriMat`` over ExpSum entries and ``exponents`` a
+        tuple of n Fractions."""
+        g = object.__new__(cls)
+        object.__setattr__(g, "n", n)
+        object.__setattr__(g, "u", u)
+        object.__setattr__(g, "exponents", exponents)
+        return g
+
+    @classmethod
     def identity(cls, n: int) -> "TriangularElement":
         return cls(n, TriMat.identity(n, ExpSum.one()), (Fraction(0),) * n)
 
@@ -153,11 +164,11 @@ class TriangularElement:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
         u = self.u * conjugate_by_diagonal(self.exponents, other.u)
         exps = tuple(a + b for a, b in zip(self.exponents, other.exponents))
-        return TriangularElement(self.n, u, exps)
+        return TriangularElement._trusted(self.n, u, exps)
 
     def inverse(self) -> "TriangularElement":
         neg = tuple(-q for q in self.exponents)
-        return TriangularElement(
+        return TriangularElement._trusted(
             self.n, conjugate_by_diagonal(neg, self.u.inverse()), neg
         )
 
@@ -202,19 +213,37 @@ def embed_diagonal_part(exponents) -> TriMat:
     return _image(identity, exponents)
 
 
+#: (element, image) of the last :func:`embed_triangular` call, rebound as
+#: one tuple so a reader never sees an element with another's image
+_last_embedding: tuple = (object(), None)
+
+
 def embed_triangular(g: TriangularElement) -> TriMat:
     """The full embedding: image of the unipotent part times the image of
     the diagonal part.  Multiplicative on the whole group.  The dimension
-    is checked by :func:`embed_unitriangular` before any other work."""
-    return _image(embed_unitriangular(g.u), g.exponents)
+    is checked by :func:`embed_unitriangular` before any other work.
+
+    The last element embedded and its image are kept in a one-slot memo
+    matched by identity (``g is element``): asking again for the same
+    object returns the same image object without embedding, while an equal
+    but distinct element is embedded again.  Elements and images are
+    immutable, so a hit is exact; an error is never stored."""
+    global _last_embedding
+    element, image = _last_embedding
+    if element is g:
+        return image
+    image = _image(embed_unitriangular(g.u), g.exponents)
+    _last_embedding = (g, image)
+    return image
 
 
 def is_essentially_hyperbolic_embedded(g: TriangularElement) -> bool:
     """Exact essential-hyperbolicity verdict for the embedded image of a
     nontrivial element.
 
-    This embeds g; a caller that already holds ``embed_triangular(g)``
-    should call ``is_essentially_hyperbolic(image)`` on it instead."""
+    The image comes from :func:`embed_triangular`, so right after
+    ``embed_triangular(g)`` for the same object g it is reused from the
+    one-slot memo instead of being embedded again."""
     if g.is_identity():
         raise IdentityInput("predicate undefined for the identity element")
     return is_essentially_hyperbolic(embed_triangular(g))
@@ -253,13 +282,15 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         tag: {"trials": 0, "failures": 0, "witness": None} for tag in IDENTITY_TAGS
     }
 
-    def record(tag, ok, witness):
+    def record(tag, t, ok, **inputs):
+        # the witness, with the repr of each input, is built on failure only
         entry = report[tag]
         entry["trials"] += 1
         if not ok:
             entry["failures"] += 1
             if entry["witness"] is None:
-                entry["witness"] = witness
+                witness = {k: repr(v) for k, v in inputs.items()}
+                entry["witness"] = {"trial": t, **witness}
 
     for t in range(samples):
         rng = trial_rng(seed, "conj-identities", n, t)
@@ -279,51 +310,45 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         pad = conj_coord_matrix_affine(exps)
         lhs = pad * nilpotent_exp(big) * pad.inverse()
         rhs = nilpotent_exp(conjugate_by_diagonal(pad_exps, big))
-        record("exp_conj", lhs == rhs, {"trial": t, "exponents": repr(exps)})
+        record("exp_conj", t, lhs == rhs, exponents=exps)
 
         lhs = conjugate_by_diagonal(exps, unipotent_log(u))
         rhs = unipotent_log(u_conj)
-        record("log_conj", lhs == rhs, {"trial": t, "u": repr(u)})
+        record("log_conj", t, lhs == rhs, u=u)
 
         lhs = tuple(c * v for c, v in zip(mults, coord_vector(x)))
         rhs = coord_vector(x_conj)
-        record("coord_conj", lhs == rhs, {"trial": t, "x": repr(x)})
+        record("coord_conj", t, lhs == rhs, x=x)
 
         lhs = conjugate_by_diagonal(core_exps, left_mult_matrix_closed(x))
         rhs = left_mult_matrix_closed(x_conj)
-        record("left_mult_conj", lhs == rhs, {"trial": t, "x": repr(x)})
+        record("left_mult_conj", t, lhs == rhs, x=x)
 
         lhs = conjugate_by_diagonal(pad_exps, affine_algebra_rep(x))
         rhs = affine_algebra_rep(x_conj)
-        record("algebra_rep_conj", lhs == rhs, {"trial": t, "x": repr(x)})
+        record("algebra_rep_conj", t, lhs == rhs, x=x)
 
         rep = embed_unitriangular(u)
         rep_conj = embed_unitriangular(u_conj)
         lhs = conjugate_by_diagonal(pad_exps, rep)
-        record("group_rep_conj", lhs == rep_conj, {"trial": t, "u": repr(u)})
+        record("group_rep_conj", t, lhs == rep_conj, u=u)
 
         lin = TriMat([[rep.rows[i][j] for j in range(m)] for i in range(m)])
         lin_conj = TriMat([[rep_conj.rows[i][j] for j in range(m)] for i in range(m)])
-        record(
-            "linear_part_conj",
-            conjugate_by_diagonal(core_exps, lin) == lin_conj,
-            {"trial": t, "u": repr(u)},
-        )
+        lhs = conjugate_by_diagonal(core_exps, lin)
+        record("linear_part_conj", t, lhs == lin_conj, u=u)
 
         trans = tuple(rep.rows[i][m] for i in range(m))
         trans_conj = tuple(rep_conj.rows[i][m] for i in range(m))
-        record(
-            "translation_part_conj",
-            tuple(c * v for c, v in zip(mults, trans)) == trans_conj,
-            {"trial": t, "u": repr(u)},
-        )
+        lhs = tuple(c * v for c, v in zip(mults, trans))
+        record("translation_part_conj", t, lhs == trans_conj, u=u)
 
         zeros = (Fraction(0),) * n
         unipotent_image = _image(rep, zeros)
         demb = embed_diagonal_part(exps)
         lhs = demb * unipotent_image * demb.inverse()
         rhs = _image(rep_conj, zeros)
-        record("full_embedding_conj", lhs == rhs, {"trial": t, "u": repr(u)})
+        record("full_embedding_conj", t, lhs == rhs, u=u)
 
         g1 = TriangularElement(n, u, exps)
         g2 = TriangularElement(
@@ -338,6 +363,6 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         if ok and any(exps) and not _is_identity_matrix(u):
             # unipotent and diagonal images only share the identity
             ok = unipotent_image != demb
-        record("embedding_isomorphism", ok, {"trial": t, "g1": repr(g1)})
+        record("embedding_isomorphism", t, ok, g1=g1)
 
     return report

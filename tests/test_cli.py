@@ -161,6 +161,25 @@ def test_extend_tstar_rejects_dimension_nine(tmp_path, capsys):
     assert "2 <= n <= 8" in err
 
 
+@pytest.mark.parametrize(
+    "elem",
+    [
+        {"n": 2.0, "u": identity_json(2), "diag_exponents": ["1", "0"]},
+        {"n": "2", "u": identity_json(2), "diag_exponents": ["1", "0"]},
+        {"n": True, "u": identity_json(2), "diag_exponents": ["1", "0"]},
+        {"u": identity_json(2), "diag_exponents": ["1", "0"]},
+        [],
+        "n",
+    ],
+)
+def test_extend_tstar_rejects_malformed_element(tmp_path, capsys, elem):
+    src = write_json(tmp_path / "g.json", elem)
+    code, out, err = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed element JSON: ") and err.count("\n") == 1
+    assert "'n'" in err
+
+
 def test_act_identity(tmp_path, capsys):
     rep = write_json(tmp_path / "rep.json", identity_json(4))
     point = write_json(tmp_path / "p.json", ["1", "2/3", "-5"])

@@ -1,10 +1,12 @@
+import gc
+import weakref
 from fractions import Fraction
 
 import pytest
 
 from affinetrees import triangular
 from affinetrees.embedding import coord_count, coord_vector, embed_unitriangular
-from affinetrees.errors import DimensionMismatch, IdentityInput
+from affinetrees.errors import DimensionMismatch, IdentityInput, NotUnitriangular
 from affinetrees.harness import SuiteConfig, run_suite
 from affinetrees.sampling import (
     rand_exponents,
@@ -16,6 +18,7 @@ from affinetrees.scalars import ExpSum
 from affinetrees.triangular import (
     TriangularElement,
     _coord_exponents,
+    _image,
     conj_coord_matrix,
     conj_coord_matrix_affine,
     conjugate_by_diagonal,
@@ -309,3 +312,146 @@ def test_is_identity_builds_no_matrix(monkeypatch):
     monkeypatch.setattr(TriMat, "__init__", counted)
     assert [g.is_identity() for g, _ in cases] == [want for _, want in cases]
     assert built == []
+
+
+# -- the one-slot embedding memo ------------------------------------------------
+
+
+def nontrivial_element(seed, n=4):
+    rng = trial_rng(seed, "memo")
+    return TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+
+
+@pytest.fixture
+def embed_calls(monkeypatch):
+    calls = []
+
+    def counted(u):
+        calls.append(u)
+        return embed_unitriangular(u)
+
+    monkeypatch.setattr(triangular, "embed_unitriangular", counted)
+    return calls
+
+
+def test_verdict_after_embedding_reuses_the_image(embed_calls):
+    g = nontrivial_element(1)
+    image = embed_triangular(g)
+    assert is_essentially_hyperbolic_embedded(g)
+    assert len(embed_calls) == 1
+    assert embed_triangular(g) is image
+    assert len(embed_calls) == 1
+    assert image == _image(embed_unitriangular(g.u), g.exponents)
+
+
+def test_equal_but_distinct_element_is_embedded_again(embed_calls):
+    g = nontrivial_element(2)
+    twin = TriangularElement(g.n, g.u, g.exponents)
+    assert twin == g and twin is not g
+    image = embed_triangular(g)
+    twin_image = embed_triangular(twin)
+    assert len(embed_calls) == 2
+    assert twin_image == image and twin_image is not image
+
+
+def test_memo_holds_one_element():
+    g = nontrivial_element(3)
+    embed_triangular(g)
+    ref = weakref.ref(g)
+    embed_triangular(nontrivial_element(4))
+    del g
+    gc.collect()
+    assert ref() is None
+
+
+def test_errors_are_raised_on_every_call(embed_calls):
+    g = nontrivial_element(5)
+    image = embed_triangular(g)
+    bad = TriangularElement.diagonal((Fraction(1),))
+    for _ in range(2):
+        with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+            embed_triangular(bad)
+    # a failed call leaves the last image in place
+    assert embed_triangular(g) is image
+    identity = TriangularElement.identity(3)
+    embed_triangular(identity)
+    for _ in range(2):
+        with pytest.raises(IdentityInput):
+            is_essentially_hyperbolic_embedded(identity)
+
+
+# -- products and inverses through the trusted constructor ----------------------
+
+
+@pytest.mark.parametrize("n", range(2, 7))
+def test_products_and_inverses_match_validated_construction(n):
+    for t in range(4):
+        rng = trial_rng(n, "trusted", t)
+        g1 = TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+        g2 = TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+        product = g1 * g2
+        validated = TriangularElement(
+            n,
+            g1.u * conjugate_by_diagonal(g1.exponents, g2.u),
+            tuple(a + b for a, b in zip(g1.exponents, g2.exponents)),
+        )
+        assert product == validated and repr(product) == repr(validated)
+        inverse = g1.inverse()
+        neg = tuple(-q for q in g1.exponents)
+        validated = TriangularElement(n, conjugate_by_diagonal(neg, g1.u.inverse()), neg)
+        assert inverse == validated and repr(inverse) == repr(validated)
+        assert product.u.expsum and inverse.u.expsum
+        assert all(type(q) is Fraction for q in product.exponents + inverse.exponents)
+
+
+def test_public_constructor_still_validates():
+    with pytest.raises(NotUnitriangular):
+        TriangularElement(2, TriMat([[2, 0], [0, 1]]), (0, 0))
+    with pytest.raises(DimensionMismatch):
+        TriangularElement(3, TriMat.identity(2), (0, 0, 0))
+    with pytest.raises(DimensionMismatch):
+        TriangularElement(2, TriMat.identity(2), (0,))
+
+
+# -- witnesses of failed identity checks ----------------------------------------
+
+
+def _drawn_inputs(seed, n, t):
+    """exps, x and u as drawn at the start of trial t of the identity checks."""
+    rng = trial_rng(seed, "conj-identities", n, t)
+    exps = rand_exponents(rng, n)
+    x = rand_strict_upper(rng, n).to_expsum()
+    u = rand_unitriangular(rng, n).to_expsum()
+    return exps, x, u
+
+
+@pytest.mark.parametrize(
+    "tag, target, key",
+    [
+        ("exp_conj", "nilpotent_exp", "exponents"),
+        ("log_conj", "unipotent_log", "u"),
+        ("left_mult_conj", "left_mult_matrix_closed", "x"),
+    ],
+)
+def test_forced_failure_reports_first_failing_trial(monkeypatch, tag, target, key):
+    # each target runs twice per trial; from trial 1 on, each call adds a
+    # different multiple of the identity, so the two sides of the tag's
+    # identity differ on every trial but the first
+    original = getattr(triangular, target)
+    calls = []
+
+    def skewed(mat):
+        calls.append(mat)
+        out = original(mat)
+        if len(calls) <= 2:
+            return out
+        return out + TriMat.identity(out.n, ExpSum.constant(len(calls)))
+
+    monkeypatch.setattr(triangular, target, skewed)
+    seed, n, samples = 4, 3, 3
+    report = verify_conjugation_identities(n, samples, seed)
+    assert report[tag]["failures"] == samples - 1
+    assert [t for t, v in report.items() if v["failures"]] == [tag]
+    exps, x, u = _drawn_inputs(seed, n, 1)
+    drawn = {"exponents": exps, "x": x, "u": u}
+    assert report[tag]["witness"] == {"trial": 1, key: repr(drawn[key])}
