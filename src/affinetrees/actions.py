@@ -14,10 +14,12 @@ the matrix series use (:func:`~affinetrees.trimat._encode`): as ints,
 or for exponential-sum entries as sparse Laurent polynomials {x: c} in
 e**(1/L).  Each point (or translation, for ``compose`` and ``invert``)
 is encoded the same way over its own D_x; the constant 1 that meets the
-translation column is D_x.  Every output entry is then built once, as a
-Fraction over D_A * D_x or an ExpSum with such coefficients, in the ring
-of the point space: a rational dilation on a power of R still gives
-ExpSum values.  The encoding is stored on the automorphism outside its
+translation column is D_x.  An exponential sum already stores int
+numerators over one denominator, so encoding only rescales them.  Every
+output entry is then built once, with one gcd, as a Fraction over
+D_A * D_x or an ExpSum with int numerators over it, in the ring of the
+point space: a rational dilation on a power of R still gives ExpSum
+values.  The encoding is stored on the automorphism outside its
 fields, so ``==``, ``hash`` and ``repr`` do not see it.  While either
 common denominator has more than
 :data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the entries
@@ -33,7 +35,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -45,7 +47,7 @@ from .errors import (
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
 from .scalars import _ZERO_EXP, ExpSum
-from .trimat import TriMat, _encode
+from .trimat import TriMat, _decode, _encode
 
 _FZERO = Fraction(0)
 
@@ -89,8 +91,9 @@ def _affine_int(enc, xs, translate: bool, expsum: bool):
 
     xs is encoded over its own denominator D_x, and the constant 1 that
     meets the translation column as D_x, so each output entry is built
-    once over D_A * D_x: a Fraction, a constant ExpSum, or an ExpSum whose
-    exponents are reduced from the lcm L of both exponent denominators.
+    once over D_A * D_x with one gcd: a Fraction, a constant ExpSum, or
+    an ExpSum whose exponents are reduced from the lcm L of both exponent
+    denominators (:func:`~affinetrees.trimat._decode`).
     """
     rows, da, ela = enc
     n = len(xs)
@@ -108,9 +111,10 @@ def _affine_int(enc, xs, translate: bool, expsum: bool):
                 b = xrow.get(j)
                 if b is not None:
                     s += a * b
-            out.append(Fraction(s, den) if s else _FZERO)
-        if expsum:
-            out = [ExpSum._trusted({_ZERO_EXP: v} if v else {}) for v in out]
+            if expsum:
+                out.append(ExpSum._reduced(den, {_ZERO_EXP: s} if s else {}, den))
+            else:
+                out.append(Fraction(s, den) if s else _FZERO)
         return out
     el = lcm(ela or 1, elx or 1)
     xrow = _rescaled(xrow, el // elx if elx else 0)
@@ -130,12 +134,7 @@ def _affine_int(enc, xs, translate: bool, expsum: bool):
                 for x2, c2 in b.items():
                     x = x1 + x2
                     acc[x] = acc[x] + c1 * c2 if x in acc else c1 * c2
-        terms = {}
-        for x, s in acc.items():
-            if s:
-                g = gcd(x, el)
-                terms[x // g, el // g] = Fraction(s, den)
-        out.append(ExpSum._trusted(terms))
+        out.append(_decode(acc, el, den))
     return out
 
 

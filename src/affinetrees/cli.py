@@ -28,7 +28,7 @@ from .embedding import (
     integerize,
     is_essentially_hyperbolic,
 )
-from .errors import AffineTreesError, ConfigInvalid, ResultTooLarge
+from .errors import AffineTreesError, ConfigInvalid, ResultTooLarge, TooManyLevels
 from .harness import SuiteConfig, run_suite, _wreath_law_checks
 from .ordered import LexVec
 from .triangular import embed_triangular
@@ -176,7 +176,7 @@ def cmd_act(args) -> int:
     expsum = aut.space.factors[0].kind == "R"
     for step in range(1, abs(power) + 1):
         point = acting.act(point)
-        if expsum and sum(len(v._terms) for v in point.value) > MAX_POINT_TERMS:
+        if expsum and sum(v.term_count() for v in point.value) > MAX_POINT_TERMS:
             raise ResultTooLarge(
                 f"the point has more than {MAX_POINT_TERMS} exponential-sum terms"
                 f" after {step} of {abs(power)} steps"
@@ -222,7 +222,10 @@ def cmd_wreath(args) -> int:
     levels = [part.strip() for part in args.levels.split(",") if part.strip()]
     if not levels or any(kind not in ("Z", "Q") for kind in levels):
         raise CliInputError("--levels must be a comma list of Z or Q")
-    bundle = iterated_wreath(levels)
+    try:
+        bundle = iterated_wreath(levels)
+    except TooManyLevels as exc:
+        raise CliInputError(f"--levels: {exc}") from exc
     if not isinstance(bundle, WreathGroup):
         raise CliInputError("need at least two levels to form a wreath product")
     cfg = SuiteConfig(suite="wreath", samples=args.samples, seed=args.seed)

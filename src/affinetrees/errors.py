@@ -69,6 +69,11 @@ class EmptyLevels(AffineTreesError, ValueError):
     """An iterated wreath construction needs at least one level."""
 
 
+class TooManyLevels(AffineTreesError, ValueError):
+    """An iterated wreath construction has more levels than
+    ``wreath.MAX_WREATH_LEVELS``."""
+
+
 class ConfigInvalid(AffineTreesError, ValueError):
     """Verification suite configuration failed validation."""
 

@@ -22,7 +22,6 @@ bindings and demand exact equality.
 
 from __future__ import annotations
 
-import json
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -137,9 +136,6 @@ class Verdict:
             "passed": self.passed,
             "checks": [c.to_json() for c in self.checks],
         }
-
-    def json_str(self) -> str:
-        return json.dumps(self.to_json(), sort_keys=True, indent=2)
 
 
 def _run(cfg: SuiteConfig, name: str, law: str, body) -> CheckResult:

@@ -112,10 +112,16 @@ def mat_from_json(obj) -> TriMat:
         return scalar_from_json(v)
 
     mat = TriMat([[scalar(v) for v in _array(row, "matrix row")] for row in entries])
-    if "n" in obj and obj["n"] != mat.n:
-        raise DimensionMismatch(
-            f"declared dimension {obj['n']} but entries are {mat.n}x{mat.n}"
-        )
+    if "n" in obj:
+        n = obj["n"]
+        if type(n) is not int:
+            raise ValueError(
+                f"matrix field 'n' must be a JSON integer, got {type(n).__name__}"
+            )
+        if n != mat.n:
+            raise DimensionMismatch(
+                f"declared dimension {n} but entries are {mat.n}x{mat.n}"
+            )
     return mat
 
 

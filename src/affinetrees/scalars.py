@@ -9,14 +9,18 @@ Two scalar rings are used everywhere else in the library:
   coefficients ``c_q`` and rational exponents ``q``.  Distinct exponentials
   ``e**q`` are linearly independent over the rationals, so a nonempty
   normalized sum always represents a nonzero real number; equality of
-  represented reals is therefore decidable by comparing normalized term
-  maps, and the sign of a nonzero sum can be determined by interval
-  refinement that is guaranteed to terminate.  Internally the term map
-  keys each exponent by its reduced ``(numerator, denominator)`` int pair
-  with a positive denominator (e**0 is ``(0, 1)``), so term products add
-  exponents in int arithmetic and hash their keys in C; coefficients are
-  nonzero Fractions.  The public views (:meth:`ExpSum.terms`, ``repr``)
-  give exponents back as Fractions.
+  represented reals is therefore decidable by comparing normalized forms,
+  and the sign of a nonzero sum can be determined by interval refinement
+  that is guaranteed to terminate.  Internally a sum is stored the way
+  FLINT's ``fmpq_poly`` stores a rational polynomial: int numerators over
+  one common positive int denominator, in canonical form (the denominator
+  and all the numerators have gcd 1, no numerator is 0, and the zero sum
+  has denominator 1).  The numerators are keyed by each exponent's
+  reduced ``(numerator, denominator)`` int pair with a positive
+  denominator (e**0 is ``(0, 1)``).  So sums and products are int work
+  plus one gcd per result, exponents add in int arithmetic, and keys hash
+  in C.  The public views (:meth:`ExpSum.terms`, ``repr``) give exponents
+  and coefficients back as Fractions.
 
 Both kinds of value are immutable and hashable; an ExpSum equal to a
 rational (a constant sum, or the zero sum) hashes like that rational.
@@ -29,6 +33,7 @@ import re
 import sys
 from fractions import Fraction
 from functools import lru_cache
+from math import gcd, lcm
 
 from .errors import PrecisionExhausted, ResultTooLarge
 
@@ -115,7 +120,8 @@ def _exp_interval(
     key: tuple[int, int], depth: int, bits: int
 ) -> tuple[Fraction, Fraction]:
     """Rational interval [lo, hi] containing e**q, for the exponent q
-    keyed by its reduced ``(numerator, denominator)`` pair.
+    keyed by its reduced ``(numerator, denominator)`` pair; both ends are
+    multiples of 2**-bits.
 
     Argument reduction brings the exponent into [-1/2, 1/2]; a Taylor
     partial sum with an explicit tail bound gives an interval there, and
@@ -166,7 +172,7 @@ def _exp_add(a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
 class ExpSum:
     """Immutable finite sum of rational multiples of rational exponentials."""
 
-    __slots__ = ("_terms",)
+    __slots__ = ("_den", "_num")
 
     def __init__(self, terms=()):
         data: dict[tuple[int, int], Fraction] = {}
@@ -179,56 +185,85 @@ class ExpSum:
                 data[key] = c
             else:
                 data.pop(key, None)
-        self._terms = data
+        # over the lcm of reduced denominators the numerators share no
+        # factor with it, so the form is canonical without a gcd
+        den = lcm(*(c.denominator for c in data.values()))
+        self._den = den
+        self._num = {q: c.numerator * (den // c.denominator) for q, c in data.items()}
 
     @staticmethod
-    def _trusted(terms: dict[tuple[int, int], Fraction]) -> "ExpSum":
-        """Wrap a term map that is already normal: reduced exponent keys
-        with positive denominators and nonzero Fraction coefficients."""
+    def _trusted(den: int, num: dict[tuple[int, int], int]) -> "ExpSum":
+        """Wrap numerators already in canonical form over ``den``: reduced
+        exponent keys with positive denominators, nonzero int numerators,
+        den > 0 sharing no factor with all of them (den 1 if none)."""
         res = object.__new__(ExpSum)
-        res._terms = terms
+        res._den = den
+        res._num = num
         return res
+
+    @staticmethod
+    def _reduced(den: int, num: dict[tuple[int, int], int], g: int) -> "ExpSum":
+        """num / den in canonical form, given that every common factor of
+        den and the numerators divides g."""
+        if not num:
+            return ExpSum._trusted(1, num)
+        if g != 1:
+            g = gcd(g, *num.values())
+            if g != 1:
+                den //= g
+                num = {q: c // g for q, c in num.items()}
+        return ExpSum._trusted(den, num)
 
     # -- constructors -----------------------------------------------------
 
     @classmethod
     def zero(cls) -> "ExpSum":
-        return cls._trusted({})
+        return cls._trusted(1, {})
 
     @classmethod
     def one(cls) -> "ExpSum":
-        return cls._trusted({_ZERO_EXP: Fraction(1)})
+        return cls._trusted(1, {_ZERO_EXP: 1})
 
     @classmethod
     def constant(cls, c) -> "ExpSum":
         """The rational constant c, i.e. c * e**0."""
         c = Fraction(c)
-        return cls._trusted({_ZERO_EXP: c} if c else {})
+        return cls._trusted(c.denominator, {_ZERO_EXP: c.numerator} if c else {})
 
     @classmethod
     def exponential(cls, q, coeff=1) -> "ExpSum":
         """coeff * e**q."""
         q, c = Fraction(q), Fraction(coeff)
-        return cls._trusted({(q.numerator, q.denominator): c} if c else {})
+        return cls._trusted(
+            c.denominator, {(q.numerator, q.denominator): c.numerator} if c else {}
+        )
 
     def _shifted(self, key: tuple[int, int]) -> "ExpSum":
         """self * e**q for the exponent q keyed by ``key``: every exponent
         moves by q and the coefficients stay, so nothing is multiplied."""
         if not key[0]:
             return self
-        return ExpSum._trusted({_exp_add(q, key): c for q, c in self._terms.items()})
+        return ExpSum._trusted(
+            self._den, {_exp_add(q, key): c for q, c in self._num.items()}
+        )
 
     # -- views -------------------------------------------------------------
 
     def terms(self) -> list[tuple[Fraction, Fraction]]:
         """(exponent, coefficient) pairs sorted by exponent."""
-        return sorted((Fraction(n, d), c) for (n, d), c in self._terms.items())
+        den = self._den
+        return sorted((Fraction(n, d), Fraction(c, den)) for (n, d), c in self._num.items())
+
+    def term_count(self) -> int:
+        """Number of terms, i.e. of distinct exponents with a nonzero
+        coefficient."""
+        return len(self._num)
 
     def is_zero(self) -> bool:
-        return not self._terms
+        return not self._num
 
     def is_monomial(self) -> bool:
-        return len(self._terms) == 1
+        return len(self._num) == 1
 
     # -- ring structure ----------------------------------------------------
 
@@ -240,12 +275,17 @@ class ExpSum:
             return ExpSum.constant(other)
         return None
 
-    def __add__(self, other):
-        o = self._coerce(other)
-        if o is None:
-            return NotImplemented
-        out = dict(self._terms)
-        for q, c in o._terms.items():
+    def _combine(self, o: "ExpSum", sign: int) -> "ExpSum":
+        """self + sign * o over the lcm of the two denominators."""
+        da, db = self._den, o._den
+        if da == db:
+            g, fa, fb = da, 1, sign
+        else:
+            g = gcd(da, db)
+            fa, fb = db // g, da // g * sign
+        out = {q: c * fa for q, c in self._num.items()} if fa != 1 else dict(self._num)
+        for q, c in o._num.items():
+            c *= fb
             prev = out.get(q)
             if prev is None:
                 out[q] = c
@@ -255,46 +295,41 @@ class ExpSum:
                     out[q] = c
                 else:
                     del out[q]
-        return ExpSum._trusted(out)
+        # a prime of the lcm that divides only one denominator cannot
+        # divide every numerator, so only factors of g can cancel
+        return ExpSum._reduced(da * fa, out, g)
+
+    def __add__(self, other):
+        o = self._coerce(other)
+        if o is None:
+            return NotImplemented
+        return self._combine(o, 1)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return ExpSum._trusted({q: -c for q, c in self._terms.items()})
+        return ExpSum._trusted(self._den, {q: -c for q, c in self._num.items()})
 
     def __sub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        out = dict(self._terms)
-        for q, c in o._terms.items():
-            prev = out.get(q)
-            if prev is None:
-                out[q] = -c
-            else:
-                c = prev - c
-                if c:
-                    out[q] = c
-                else:
-                    del out[q]
-        return ExpSum._trusted(out)
+        return self._combine(o, -1)
 
     def __rsub__(self, other):
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return o - self
+        return o._combine(self, -1)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
-            if not other:
-                return ExpSum._trusted({})
-            return ExpSum._trusted({q: c * other for q, c in self._terms.items()})
+            return self._scaled(other.numerator, other.denominator)
         if not isinstance(other, ExpSum):
             return NotImplemented
-        out: dict[tuple[int, int], Fraction] = {}
-        for q1, c1 in self._terms.items():
-            for q2, c2 in other._terms.items():
+        out: dict[tuple[int, int], int] = {}
+        for q1, c1 in self._num.items():
+            for q2, c2 in other._num.items():
                 if not q1[0]:
                     q = q2
                 elif not q2[0]:
@@ -311,9 +346,17 @@ class ExpSum:
                         out[q] = c
                     else:
                         del out[q]
-        return ExpSum._trusted(out)
+        den = self._den * other._den
+        return ExpSum._reduced(den, out, den)
 
     __rmul__ = __mul__
+
+    def _scaled(self, n: int, d: int) -> "ExpSum":
+        """self * n / d for ints n and d > 0."""
+        if not n:
+            return ExpSum._trusted(1, {})
+        den = self._den * d
+        return ExpSum._reduced(den, {q: c * n for q, c in self._num.items()}, den)
 
     def __truediv__(self, other):
         """Division by a rational or by a single-term (monomial) sum.
@@ -323,17 +366,17 @@ class ExpSum:
         if isinstance(other, (int, Fraction)) and not isinstance(other, bool):
             if not other:
                 raise ZeroDivisionError("division by zero")
-            return ExpSum._trusted({q: c / other for q, c in self._terms.items()})
+            n, d = other.numerator, other.denominator
+            return self._scaled(-d, -n) if n < 0 else self._scaled(d, n)
         if not isinstance(other, ExpSum):
             return NotImplemented
         if other.is_zero():
             raise ZeroDivisionError("division by zero")
         if not other.is_monomial():
             raise ValueError("can only divide by a monomial c*e**q")
-        (((n0, d0), c0),) = other._terms.items()
-        return ExpSum._trusted(
-            {_exp_add(q, (-n0, d0)): c / c0 for q, c in self._terms.items()}
-        )
+        (((n0, d0), c0),) = other._num.items()
+        shifted = self._shifted((-n0, d0))
+        return shifted._scaled(-other._den, -c0) if c0 < 0 else shifted._scaled(other._den, c0)
 
     # -- comparisons ---------------------------------------------------------
 
@@ -341,51 +384,58 @@ class ExpSum:
         o = self._coerce(other)
         if o is None:
             return NotImplemented
-        return self._terms == o._terms
+        return self._den == o._den and self._num == o._num
 
     def __hash__(self):
         # Equal to the hash of the rational it equals, if it is one.
-        if not self._terms:
+        num = self._num
+        if not num:
             return hash(0)
-        if self._terms.keys() == {_ZERO_EXP}:
-            return hash(self._terms[_ZERO_EXP])
-        return hash(frozenset(self._terms.items()))
+        if num.keys() == {_ZERO_EXP}:
+            return hash(Fraction(num[_ZERO_EXP], self._den))
+        return hash((self._den, frozenset(num.items())))
 
     def __bool__(self):
-        return bool(self._terms)
+        return bool(self._num)
 
     def sign(self, max_refinements: int | None = None) -> int:
         """Sign of the represented real: -1, 0 or +1.
 
-        Zero is decided exactly (empty term map).  A sum whose coefficients
-        all share one sign is decided exactly as well, since every e**q is
+        Zero is decided exactly (no terms).  A sum whose coefficients all
+        share one sign is decided exactly as well, since every e**q is
         positive.  Mixed-sign sums are divided by the positive e**top of
         their largest exponent and then bracketed by rational intervals of
         doubling Taylor depth until the interval excludes zero.  Every
         bracketed exponent is then at most 0, so each bracket lies in
         [0, 1] at a fixed number of bits however large the exponents are.
+        The positive common denominator does not change the sign, so the
+        brackets weight the int numerators, and since each bracket end is
+        a multiple of 2**-bits the sums are formed in ints over 2**bits.
         """
-        if not self._terms:
+        num = self._num
+        if not num:
             return 0
-        coeffs = list(self._terms.values())
-        if all(c > 0 for c in coeffs):
+        if all(c > 0 for c in num.values()):
             return 1
-        if all(c < 0 for c in coeffs):
+        if all(c < 0 for c in num.values()):
             return -1
         budget = max_refinements if max_refinements is not None else _max_refinements
         # tn/td: the largest exponent (every denominator is positive)
-        keys = iter(self._terms)
+        keys = iter(num)
         tn, td = next(keys)
         for n, d in keys:
             if n * td > tn * d:
                 tn, td = n, d
-        shifted = [(_exp_add(q, (-tn, td)), c) for q, c in self._terms.items()]
+        shifted = [(_exp_add(q, (-tn, td)), c) for q, c in num.items()]
         depth = 8
         for step in range(budget):
             bits = 32 + depth
-            lo = hi = Fraction(0)
+            scale = 1 << bits
+            lo = hi = 0
             for q, c in shifted:
                 l, h = _exp_interval(q, depth, bits)
+                l = l.numerator * (scale // l.denominator)
+                h = h.numerator * (scale // h.denominator)
                 if c >= 0:
                     lo += c * l
                     hi += c * h
@@ -424,7 +474,7 @@ class ExpSum:
         return NotImplemented if c is NotImplemented else c >= 0
 
     def __repr__(self):
-        if not self._terms:
+        if not self._num:
             return "ExpSum(0)"
         bits = []
         for q, c in self.terms():

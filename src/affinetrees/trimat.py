@@ -11,13 +11,15 @@ nilpotent part (the n-th at latest).
 The series runs in integer arithmetic over one common denominator D,
 the lcm of the denominators of the rational coefficients of the strict
 part N: the powers of M = D * N are formed with int products and dict
-sums only, and each entry of the sum is divided out once at the end.
-Over the rationals M is an integer matrix.  Over ExpSum entries every
-exponent lies in (1/L)Z, with L the lcm of the exponents' denominators,
-so each entry of M is a sparse Laurent polynomial {x: c} in e**(1/L)
-with int keys and coefficients; a matrix whose exponents are all 0 (a
-rational matrix lifted by :meth:`TriMat.to_expsum`, say) runs as an
-integer matrix and is lifted back.  The inverse of a unitriangular
+sums only, and each entry of the sum is divided out once at the end,
+with one gcd.  Over the rationals M is an integer matrix.  Over ExpSum
+entries, which store int numerators over their own denominator, D is
+the lcm of the entries' denominators and every exponent lies in (1/L)Z,
+with L the lcm of the exponents' denominators, so each entry of M is a
+sparse Laurent polynomial {x: c} in e**(1/L) with int keys and
+coefficients, read off the entry's numerators; a matrix whose exponents
+are all 0 (a rational matrix lifted by :meth:`TriMat.to_expsum`, say)
+runs as an integer matrix and is lifted back.  The inverse of a unitriangular
 matrix is the series (I + N)**-1 = sum_k (-N)**k, formed the same way.
 D can be far larger than any single entry's denominator (pairwise
 coprime denominators multiply), and the integers then grow faster than
@@ -267,39 +269,55 @@ def _encode(rows, expsum: bool):
     denominator, for integer arithmetic.
 
     d is the common denominator D of the rational coefficients of the
-    entries, or None when D has more than MAX_COMMON_DENOMINATOR_BITS
-    bits; the rows are then returned as given.  Otherwise they hold
-    D * entry: ints when every exponent is 0 (el is None), and else, with
-    el the lcm of the exponents' denominators, Laurent polynomials {x: c}
-    with int keys and coefficients, standing for sum_x c * e**(x / el).
-    ``expsum`` says whether any entry may be an ExpSum; a Fraction among
-    ExpSum entries is a constant term."""
-    consts = rows
-    if expsum:
-        terms = [
-            {j: v._terms if type(v) is ExpSum else {_ZERO_EXP: v} for j, v in row.items()}
-            for row in rows
-        ]
-        keys = {q for row in terms for t in row.values() for q in t}
-        if not keys <= {_ZERO_EXP}:
-            d = _common_denominator(
-                c.denominator for row in terms for t in row.values() for c in t.values()
-            )
-            if d is None:
-                return rows, None, None
-            el = lcm(*(q for _, q in keys))
-            return [
-                {
-                    j: {p * (el // q): c.numerator * (d // c.denominator) for (p, q), c in t.items()}
-                    for j, t in row.items()
-                }
-                for row in terms
-            ], d, el
-        consts = [{j: t[_ZERO_EXP] for j, t in row.items()} for row in terms]
-    d = _common_denominator(v.denominator for row in consts for v in row.values())
+    entries, the lcm of the entries' own denominators, or None when D has
+    more than MAX_COMMON_DENOMINATOR_BITS bits; the rows are then
+    returned as given.  Otherwise they hold D * entry: ints when every
+    exponent is 0 (el is None), and else, with el the lcm of the
+    exponents' denominators, Laurent polynomials {x: c} with int keys and
+    coefficients, standing for sum_x c * e**(x / el).  ``expsum`` says
+    whether any entry may be an ExpSum; a Fraction among ExpSum entries
+    is a constant term.  An ExpSum entry already holds int numerators
+    over its own denominator, so each is only multiplied by D over it."""
+    if not expsum:
+        d = _common_denominator(v.denominator for row in rows for v in row.values())
+        if d is None:
+            return rows, None, None
+        return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in rows], d, None
+    parts = [
+        {
+            j: (v._den, v._num) if type(v) is ExpSum else (v.denominator, {_ZERO_EXP: v.numerator})
+            for j, v in row.items()
+        }
+        for row in rows
+    ]
+    d = _common_denominator(den for row in parts for den, _ in row.values())
     if d is None:
         return rows, None, None
-    return [{j: v.numerator * (d // v.denominator) for j, v in row.items()} for row in consts], d, None
+    keys = {q for row in parts for _, t in row.values() for q in t}
+    if keys <= {_ZERO_EXP}:
+        return [
+            {j: t[_ZERO_EXP] * (d // den) for j, (den, t) in row.items()} for row in parts
+        ], d, None
+    el = lcm(*(q for _, q in keys))
+    return [
+        {
+            j: {p * (el // q): c * (d // den) for (p, q), c in t.items()}
+            for j, (den, t) in row.items()
+        }
+        for row in parts
+    ], d, el
+
+
+def _decode(t: dict, el: int, den: int) -> ExpSum:
+    """The ExpSum sum_x t[x] / den * e**(x / el) of a Laurent polynomial
+    {x: int}: zero terms are dropped, each exponent is reduced, and the
+    numerators and den are reduced by one gcd."""
+    num = {}
+    for x, s in t.items():
+        if s:
+            g = gcd(x, el)
+            num[x // g, el // g] = s
+    return ExpSum._reduced(den, num, den)
 
 
 def _strict_part(mat: TriMat):
@@ -356,10 +374,11 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     polynomials {x: c} over the ints, so they take int products and dict
     sums only.  With L the lcm of the coefficients' denominators and the
     integer weights w_k = coeff(k) * L * d**(K - k), each entry is built
-    once from s = sum_k w_k * M**k[i][j]: as Fraction(s, L * d**K), lifted
-    to a constant ExpSum for an ExpSum matrix whose exponents are all 0,
-    or as the ExpSum with a term Fraction(c, L * d**K) * e**(x / el), its
-    exponent reduced, for each term c * e**(x / el) of s.
+    once from s = sum_k w_k * M**k[i][j] over the denominator L * d**K,
+    with one gcd: as Fraction(s, L * d**K); as a constant ExpSum with
+    numerator s for an ExpSum matrix whose exponents are all 0; or as the
+    ExpSum with numerator c at the reduced exponent x / el for each term
+    c * e**(x / el) of s (:func:`_decode`).
 
     The integers then have about K times as many bits as d, so the
     integer path is only faster while d is small.  Measured on a 2-core
@@ -415,12 +434,13 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
                 for m, p in prow.items():
                     orow[m] = orow[m] + p * w
         if d is not None:
-            out = [[Fraction(s, den) if s else zero for s in row] for row in out]
             if mat.expsum:
                 out = [
-                    [ExpSum._trusted({_ZERO_EXP: v}) if v else zero for v in row]
+                    [ExpSum._reduced(den, {_ZERO_EXP: s}, den) if s else zero for s in row]
                     for row in out
                 ]
+            else:
+                out = [[Fraction(s, den) if s else zero for s in row] for row in out]
     else:
         sums = [{} for _ in range(n)]
         for w, power in zip(weights, powers):
@@ -434,13 +454,7 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
         out = [[zero] * n for _ in range(n)]
         for orow, srow in zip(out, sums):
             for m, t in srow.items():
-                terms = {}
-                for x, s in t.items():
-                    if s:
-                        g = gcd(x, el)
-                        terms[x // g, el // g] = Fraction(s, den)
-                if terms:
-                    orow[m] = ExpSum._trusted(terms)
+                orow[m] = _decode(t, el, den)
     if diag:
         for i, row in enumerate(out):
             row[i] = one

@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .actions import MatrixAffineAut
-from .errors import EmptyLevels, StructureMismatch
+from .errors import EmptyLevels, StructureMismatch, TooManyLevels
 from .ordered import LexFamily, LexVec, Product, Scalars, merge_sorted
 from .trimat import TriMat
 
@@ -272,15 +272,26 @@ class WreathGroup:
         return LexVec._trusted(self.point_space, self.point_space.sample(rng))
 
 
+#: Most levels :func:`iterated_wreath` builds.  A sampled element or point
+#: grows about 1.5 times per level, so the cost of a sample does too; the
+#: README gives the time of ``wreath --samples 1000`` at this bound.
+MAX_WREATH_LEVELS = 6
+
+
 def iterated_wreath(levels):
     """Iterated wreath bundle over scalar kinds ('Z' or 'Q').
 
     One level gives the group translating itself; each further level
-    wraps the previous bundle in a :class:`WreathGroup`.
+    wraps the previous bundle in a :class:`WreathGroup`.  At most
+    :data:`MAX_WREATH_LEVELS` levels are accepted.
     """
     levels = list(levels)
     if not levels:
         raise EmptyLevels("need at least one level")
+    if len(levels) > MAX_WREATH_LEVELS:
+        raise TooManyLevels(
+            f"{len(levels)} levels, more than the {MAX_WREATH_LEVELS} supported"
+        )
     bundle = TranslationBundle(Scalars(levels[0]))
     for kind in levels[1:]:
         bundle = WreathGroup(bundle, Scalars(kind))

@@ -17,6 +17,7 @@ from affinetrees.jsonio import mat_from_json, mat_to_json
 from affinetrees.sampling import rand_unitriangular, trial_rng
 from affinetrees.triangular import TriangularElement
 from affinetrees.trimat import TriMat
+from affinetrees.wreath import MAX_WREATH_LEVELS
 
 
 def write_json(path, payload):
@@ -178,6 +179,25 @@ def test_extend_tstar_rejects_malformed_element(tmp_path, capsys, elem):
     assert code == 2 and out == ""
     assert err.startswith("error: malformed element JSON: ") and err.count("\n") == 1
     assert "'n'" in err
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_embed_rejects_a_matrix_n_that_is_not_an_integer(tmp_path, capsys, n):
+    src = write_json(tmp_path / "m.json", {**identity_json(2), "n": n})
+    code, out, err = run_cli(capsys, "embed", "--input", src)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed matrix JSON: ") and err.count("\n") == 1
+    assert "'n' must be a JSON integer" in err
+
+
+@pytest.mark.parametrize("n", [2.0, True, "2"])
+def test_extend_tstar_rejects_a_u_n_that_is_not_an_integer(tmp_path, capsys, n):
+    elem = {"n": 2, "u": {**identity_json(2), "n": n}, "diag_exponents": ["1", "0"]}
+    src = write_json(tmp_path / "g.json", elem)
+    code, out, err = run_cli(capsys, "extend-tstar", "--input", src)
+    assert code == 2 and out == ""
+    assert err.startswith("error: malformed element JSON: ") and err.count("\n") == 1
+    assert "'n' must be a JSON integer" in err
 
 
 def test_act_identity(tmp_path, capsys):
@@ -450,6 +470,22 @@ def test_rejects_samples_beyond_bound(capsys, argv):
 def test_wreath_rejects_bad_levels(capsys):
     code, _, err = run_cli(capsys, "wreath", "--levels", "Z,X", "--samples", "3")
     assert code == 2
+
+
+def test_wreath_accepts_the_level_bound(capsys):
+    levels = ",".join(["Z"] * MAX_WREATH_LEVELS)
+    code, out, _ = run_cli(capsys, "wreath", "--levels", levels, "--samples", "1")
+    assert code == 0
+    assert len(json.loads(out)["levels"]) == MAX_WREATH_LEVELS
+
+
+@pytest.mark.parametrize("count", [MAX_WREATH_LEVELS + 1, 2_000])
+def test_wreath_rejects_levels_beyond_the_bound(capsys, count):
+    levels = ",".join(["Z"] * count)
+    code, out, err = run_cli(capsys, "wreath", "--levels", levels, "--samples", "1")
+    assert code == 2 and out == ""
+    assert err.startswith("error: --levels: ") and err.count("\n") == 1
+    assert f"{count} levels" in err and "Traceback" not in err
 
 
 def test_output_file(tmp_path, capsys):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from affinetrees import harness
+from affinetrees import harness, jsonio
 from affinetrees.errors import ConfigInvalid
 from affinetrees.harness import (
     MAX_SAMPLES,
@@ -64,8 +64,8 @@ def test_each_suite_passes_small(suite):
 
 def test_verdict_json_deterministic():
     cfg = lambda: SuiteConfig(suite="lsa", n_low=2, n_high=3, samples=4, seed=123)
-    first = run_suite(cfg()).json_str()
-    second = run_suite(cfg()).json_str()
+    first = jsonio.dumps(run_suite(cfg()).to_json())
+    second = jsonio.dumps(run_suite(cfg()).to_json())
     assert first == second
 
 

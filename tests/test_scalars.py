@@ -1,12 +1,14 @@
 import math
 import time
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetrees import scalars
+from affinetrees.actions import MatrixAffineAut, _affine_int, _encode_affine
 from affinetrees.errors import PrecisionExhausted, ResultTooLarge
 from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
@@ -16,6 +18,8 @@ from affinetrees.scalars import (
     rat_to_str,
     scalar_sign,
 )
+from affinetrees.ordered import Product, Scalars
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, nilpotent_exp, unipotent_log
 
 # -- rationals -----------------------------------------------------------------
 
@@ -123,9 +127,9 @@ def test_difference_matches_sum_with_negation(a, b, overlap):
         # shared exponents, some of whose terms cancel
         b = b + a
     for got, want in ((a - b, a + (-b)), (b - a, b + (-a)), (1 - a, 1 + (-a))):
-        assert got._terms == want._terms
+        assert (got._den, got._num) == (want._den, want._num)
         assert repr(got) == repr(want)
-    assert not (a - a)._terms
+    assert ((a - a)._den, (a - a)._num) == (1, {})
 
 
 @given(expsums(), small_rats)
@@ -134,7 +138,7 @@ def test_shift_matches_product_with_unit_monomial(a, q):
     for value, exp in ((a, q), (a, Fraction(0)), (ExpSum.zero(), q)):
         got = value._shifted((exp.numerator, exp.denominator))
         want = value * ExpSum.exponential(exp)
-        assert got._terms == want._terms
+        assert (got._den, got._num) == (want._den, want._num)
         assert repr(got) == repr(want)
 
 
@@ -241,9 +245,10 @@ def test_exp_interval_cache_is_bounded():
     assert _exp_interval.cache_info().currsize <= info.maxsize
 
 
-# -- the int-pair exponent keys against a Fraction-keyed reference -----------------
-# The reference keeps the term map the way the public surface describes it:
-# Fraction exponents mapped to nonzero Fraction coefficients.
+# -- int numerators over one denominator against a Fraction model -----------------
+# The model keeps a sum the way the public surface describes it: Fraction
+# exponents mapped to nonzero Fraction coefficients.  Every operation's
+# result must match it term for term and be in canonical form.
 
 
 def ref_of(pairs) -> dict:
@@ -279,13 +284,23 @@ def ref_sign(a: dict) -> int:
     raise AssertionError("reference sign did not separate")
 
 
+def assert_canonical(value: ExpSum):
+    """Int numerators over one positive int denominator, sharing no
+    factor with it, none zero, keyed by reduced int exponent pairs; the
+    zero sum has denominator 1."""
+    den, num = value._den, value._num
+    assert type(den) is int and den > 0
+    assert math.gcd(den, *num.values()) == 1
+    for (n, d), c in num.items():
+        assert type(n) is int and type(d) is int and type(c) is int
+        assert d > 0 and math.gcd(n, d) == 1 and c
+
+
 def assert_matches(value: ExpSum, ref: dict):
     assert value.terms() == sorted(ref.items())
     for q, c in value.terms():
         assert type(q) is Fraction and type(c) is Fraction
-    for n, d in value._terms:
-        assert type(n) is int and type(d) is int
-        assert d > 0 and math.gcd(n, d) == 1
+    assert_canonical(value)
     assert value == ExpSum(ref.items())
     assert hash(value) == hash(ExpSum(ref.items()))
     if set(ref) <= {0}:
@@ -298,45 +313,79 @@ def assert_matches(value: ExpSum, ref: dict):
 oracle_exps = st.sampled_from(
     [Fraction(k, d) for d in (1, 2, 3, 6) for k in range(-7, 8)]
 ) | small_rats
-oracle_pairs = st.lists(st.tuples(oracle_exps, small_rats), max_size=4)
+# coefficients with denominators up to 12 make the lcm, the gcd after a
+# cancellation and the reduction of a product nontrivial; b cancels a's
+# terms half the time, so sums and differences drop whole terms
+wide_coeffs = st.fractions(min_value=-12, max_value=12, max_denominator=12)
+wide_pairs = st.lists(st.tuples(oracle_exps, wide_coeffs), max_size=5)
+plain_scalars = st.one_of(st.integers(-12, 12), wide_coeffs)
 
 
-@given(oracle_pairs, oracle_pairs, oracle_exps, small_rats)
-@settings(max_examples=150, deadline=None)
-def test_int_pair_keys_match_fraction_reference(pa, pb, q0, c0):
+def ref_neg(a: dict) -> dict:
+    return {q: -c for q, c in a.items()}
+
+
+def ref_scale(a: dict, r) -> dict:
+    return ref_of([(q, c * r) for q, c in a.items()])
+
+
+@given(wide_pairs, wide_pairs, plain_scalars, oracle_exps, st.booleans())
+@settings(max_examples=200, deadline=None)
+def test_int_pair_keys_match_fraction_reference(pa, pb, r, q0, overlap):
+    if overlap:
+        pb = pb + [(q, -c) for q, c in pa]
     a, b = ExpSum(pa), ExpSum(pb)
     ra, rb = ref_of(pa), ref_of(pb)
-    assert_matches(a, ra)
-    assert_matches(a + b, ref_add(ra, rb))
-    assert_matches(a - b, ref_add(ra, {q: -c for q, c in rb.items()}))
-    assert_matches(-a, {q: -c for q, c in ra.items()})
-    assert_matches(a * b, ref_mul(ra, rb))
-    assert_matches(b * a, ref_mul(ra, rb))
-    assert_matches(a * c0, ref_mul(ra, ref_of([(0, c0)])))
+    cases = [
+        (a, ra),
+        (a + b, ref_add(ra, rb)),
+        (b + a, ref_add(ra, rb)),
+        (a - b, ref_add(ra, ref_neg(rb))),
+        (b - a, ref_add(rb, ref_neg(ra))),
+        (a - a, {}),
+        (-a, ref_neg(ra)),
+        (r - a, ref_add(ref_of([(0, r)]), ref_neg(ra))),
+        (r + a, ref_add(ref_of([(0, r)]), ra)),
+        (a * b, ref_mul(ra, rb)),
+        (b * a, ref_mul(ra, rb)),
+        (a * r, ref_scale(ra, r)),
+        (r * a, ref_scale(ra, r)),
+        (a._shifted((q0.numerator, q0.denominator)), {q + q0: c for q, c in ra.items()}),
+    ]
+    if r:
+        monomial = ExpSum.exponential(q0, r)
+        cases += [
+            (a / r, ref_scale(ra, 1 / Fraction(r))),
+            (monomial, {q0: Fraction(r)}),
+            (a / monomial, {q - q0: c / r for q, c in ra.items()}),
+            (a * monomial / monomial, ra),
+        ]
+    for value, ref in cases:
+        assert_matches(value, ref)
     assert (a == b) == (ra == rb)
-    if c0:
-        assert_matches(a / c0, {q: c / c0 for q, c in ra.items()})
-        monomial = ExpSum.exponential(q0, c0)
-        assert_matches(monomial, {q0: c0})
-        assert_matches(a / monomial, {q - q0: c / c0 for q, c in ra.items()})
-        assert_matches(a * monomial / monomial, ra)
+    # equal values reached along different paths hash alike
+    round_trip = (a + b) - b
+    assert round_trip == a and hash(round_trip) == hash(a)
+    assert a.term_count() == len(ra)
     assert a.sign() == ref_sign(ra)
-    assert (a - b).sign() == ref_sign(ref_add(ra, {q: -c for q, c in rb.items()}))
+    assert (a - b).sign() == ref_sign(ref_add(ra, ref_neg(rb)))
 
 
 def test_reduced_and_cancelled_exponents_share_one_key():
     sixth, third, half = Fraction(1, 6), Fraction(1, 3), Fraction(1, 2)
     reduced = ExpSum.exponential(sixth) * ExpSum.exponential(third)
-    assert reduced._terms == {(1, 2): 1} and reduced == ExpSum.exponential(half)
+    assert (reduced._den, reduced._num) == (1, {(1, 2): 1})
+    assert reduced == ExpSum.exponential(half)
     cancelled = ExpSum.exponential(half, 2) * ExpSum.exponential(-half, 3)
-    assert cancelled._terms == {(0, 1): 6}
+    assert (cancelled._den, cancelled._num) == (1, {(0, 1): 6})
     assert cancelled == ExpSum.constant(6) == 6
     quotient = ExpSum.exponential(half, 3) / ExpSum.exponential(half)
-    assert quotient._terms == {(0, 1): 3}
+    assert (quotient._den, quotient._num) == (1, {(0, 1): 3})
     # e**(1/6) * e**(1/3) and e**(1/2) land on one key and add up
     total = reduced + ExpSum.exponential(half, -1)
-    assert total.is_zero() and total._terms == {}
-    assert ExpSum([("2/4", 1), (Fraction(1, 2), 1)])._terms == {(1, 2): 2}
+    assert total.is_zero() and (total._den, total._num) == (1, {})
+    halves = ExpSum([("2/4", 1), (Fraction(1, 2), 1)])
+    assert (halves._den, halves._num) == (1, {(1, 2): 2})
 
 
 @given(small_rats)
@@ -390,3 +439,104 @@ def test_sign_brackets_no_positive_exponent(monkeypatch):
     assert ExpSum([(q + Fraction(1, 10**6), 2), (q, -2)]).sign() == 1
     assert time.perf_counter() - start < 1.0
     assert brackets
+
+
+# -- the integer kernels against ring sums in the Fraction model -----------------
+# Each matrix entry is modelled as a dict {exponent: coefficient}; the
+# model series and affine maps sum those term by term.  PAST pushes a
+# coefficient's denominator past MAX_COMMON_DENOMINATOR_BITS, so the
+# same draws run both the integer kernels and the ring-summing paths.
+
+PAST = 2**MAX_COMMON_DENOMINATOR_BITS + 1
+
+
+def kernel_exps(constant: bool):
+    """Exponents; only 0 when ``constant``, which runs the kernels' int
+    paths for constant sums."""
+    if constant:
+        return st.just(Fraction(0))
+    return st.sampled_from([Fraction(0), Fraction(0), Fraction(1, 2), Fraction(-1), Fraction(1, 3)])
+
+
+def kernel_sums(past: bool, constant: bool):
+    coeffs = small_rats.filter(bool)
+    if past:
+        coeffs = coeffs.map(lambda c: c / PAST)
+    return st.lists(st.tuples(kernel_exps(constant), coeffs), min_size=1, max_size=2)
+
+
+def model_matmul(a, b):
+    n = len(a)
+    return [
+        [ref_of([qc for k in range(n) for qc in ref_mul(a[i][k], b[k][j]).items()]) for j in range(n)]
+        for i in range(n)
+    ]
+
+
+def model_series(strict, diag, coeff):
+    """diag * I + sum_{k >= 1} coeff(k) * strict**k, strict nilpotent."""
+    n = len(strict)
+    out = [[{Fraction(0): Fraction(1)} if diag and i == j else {} for j in range(n)] for i in range(n)]
+    power, k = strict, 1
+    while any(any(row) for row in power):
+        out = [
+            [ref_add(o, ref_scale(p, coeff(k))) for o, p in zip(orow, prow)]
+            for orow, prow in zip(out, power)
+        ]
+        power, k = model_matmul(power, strict), k + 1
+    return out
+
+
+def assert_matrix_matches(mat, model):
+    for row, mrow in zip(mat.rows, model):
+        for value, ref in zip(row, mrow):
+            assert isinstance(value, ExpSum)
+            assert_matches(value, ref)
+
+
+@given(st.data(), st.integers(1, 5), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_series_match_fraction_model_on_both_sides_of_the_cutoff(data, n, past, constant):
+    entry = st.one_of(st.just([]), kernel_sums(past, constant))
+    pairs = [[data.draw(entry) if j > i else [] for j in range(n)] for i in range(n)]
+    x = TriMat([[ExpSum(p) for p in row] for row in pairs])
+    strict = [[ref_of(p) for p in row] for row in pairs]
+    assert_matrix_matches(nilpotent_exp(x), model_series(strict, True, lambda k: Fraction(1, factorial(k))))
+    g = TriMat([[ExpSum.one() if i == j else v for j, v in enumerate(row)] for i, row in enumerate(x.rows)])
+    assert_matrix_matches(unipotent_log(g), model_series(strict, False, lambda k: Fraction((-1) ** (k + 1), k)))
+    assert_matrix_matches(g.inverse(), model_series(strict, True, lambda k: Fraction((-1) ** k)))
+
+
+@given(st.data(), st.integers(1, 5), st.booleans(), st.booleans(), st.booleans(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_affine_maps_match_fraction_model_on_both_sides_of_the_cutoff(
+    data, n, past_map, past_point, translate, constant
+):
+    positive = small_rats.filter(lambda c: c > 0).map(lambda c: c / PAST if past_map else c)
+    diag = st.tuples(kernel_exps(constant), positive).map(lambda qc: [qc])
+    entry = st.one_of(st.just([]), kernel_sums(past_map, constant))
+    rows = [
+        [data.draw(diag if i == j else entry) if j >= i else [] for j in range(n)]
+        for i in range(n)
+    ]
+    shift = [data.draw(entry) for _ in range(n)]
+    point = st.one_of(st.just([]), kernel_sums(past_point, constant))
+    coords = [data.draw(point) for _ in range(n)]
+    xs = [ExpSum(p) for p in coords]
+    space = Product(*[Scalars("R")] * n)
+    aut = MatrixAffineAut(TriMat([[ExpSum(p) for p in row] for row in rows]), tuple(map(ExpSum, shift)), space)
+    model = [
+        ref_of(
+            [qc for a, x in zip(row, coords) for qc in ref_mul(ref_of(a), ref_of(x)).items()]
+            + (list(ref_of(t).items()) if translate else [])
+        )
+        for row, t in zip(rows, shift)
+    ]
+    enc = _encode_affine(aut.dilation, aut.translation, True)
+    kernel = _affine_int(enc, xs, translate, True) if enc[1] is not None else None
+    # the integer kernel runs unless a common denominator is past the cutoff
+    assert (kernel is None) == (past_map or (past_point and any(xs)))
+    for got in (kernel, aut._apply(xs, translate)):
+        if got is not None:
+            for value, ref in zip(got, model):
+                assert_matches(value, ref)

@@ -405,16 +405,18 @@ def test_inverse_rejects_a_diagonal_entry_without_inverse(mat):
         mat.inverse()
 
 
-def count_fraction_products(monkeypatch):
+def count_ring_products(monkeypatch, ring):
+    """Count the products of entries of the ring class ``ring``.  The
+    integer paths form none: they multiply ints only."""
     products = []
     for name in ("__mul__", "__rmul__"):
-        real = getattr(Fraction, name)
+        real = getattr(ring, name)
 
         def counting(self, other, real=real):
             products.append(1)
             return real(self, other)
 
-        monkeypatch.setattr(Fraction, name, counting)
+        monkeypatch.setattr(ring, name, counting)
     return products
 
 
@@ -441,7 +443,7 @@ def test_common_denominator_past_the_cutoff_takes_the_fraction_path(
     )
     g = unit_diagonal(x, one)
     expected = reference_exp(x), reference_log(g), reference_inverse(g)
-    products = count_fraction_products(monkeypatch)
+    products = count_ring_products(monkeypatch, type(one))
     results = nilpotent_exp(x), unipotent_log(g), g.inverse()
     assert bool(products) is takes_fraction_path
     monkeypatch.undo()

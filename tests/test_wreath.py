@@ -5,13 +5,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetrees.actions import MatrixAffineAut, from_affine_matrix
-from affinetrees.errors import EmptyLevels, StructureMismatch
+from affinetrees.errors import EmptyLevels, StructureMismatch, TooManyLevels
 from affinetrees.harness import make_unitriangular_image_bundle
 from affinetrees.ordered import LexVec, Scalars, lex_distance
 from affinetrees.sampling import trial_rng
 from affinetrees.scalars import ExpSum
 from affinetrees.trimat import TriMat
 from affinetrees.wreath import (
+    MAX_WREATH_LEVELS,
     TranslationBundle,
     WreathElem,
     WreathGroup,
@@ -184,6 +185,17 @@ def test_iterated_rational_levels():
 def test_empty_levels_rejected():
     with pytest.raises(EmptyLevels):
         iterated_wreath([])
+
+
+def test_levels_beyond_the_bound_rejected():
+    bundle = iterated_wreath(["Q"] * MAX_WREATH_LEVELS)
+    depth = 0
+    while isinstance(bundle, WreathGroup):
+        bundle, depth = bundle.base, depth + 1
+    assert depth == MAX_WREATH_LEVELS - 1
+    for count in (MAX_WREATH_LEVELS + 1, 2_000):
+        with pytest.raises(TooManyLevels):
+            iterated_wreath(iter(["Z"] * count))
 
 
 def test_structure_mismatch():
