@@ -20,8 +20,10 @@ output entry is then built once, with one gcd, as a Fraction over
 D_A * D_x or an ExpSum with int numerators over it, in the ring of the
 point space: a rational dilation on a power of R still gives ExpSum
 values.  The encoding is stored on the automorphism outside its
-fields, so ``==``, ``hash`` and ``repr`` do not see it.  While either
-common denominator has more than
+fields, so ``==``, ``hash`` and ``repr`` do not see it.  Beside it sits
+one slot with its Laurent rows rescaled to the last exponent lcm L that
+a point brought, since the points of one orbit keep bringing the same
+L.  While either common denominator has more than
 :data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the entries
 are summed in their own ring instead (:func:`_affine`), which also
 serves the tests as the oracle of the integer path.
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -46,7 +48,7 @@ from .errors import (
 )
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
-from .scalars import _ZERO_EXP, ExpSum
+from .scalars import _ZERO_EXP, ExpSum, _fraction
 from .trimat import TriMat, _decode, _encode
 
 _FZERO = Fraction(0)
@@ -65,13 +67,15 @@ def _affine(rows, xs, offsets) -> list:
 
 def _encode_affine(dilation: TriMat, translation, expsum: bool):
     """:func:`~affinetrees.trimat._encode` of the rows of [dilation |
-    translation], the translation in column n."""
+    translation], the translation in column n, followed by an empty
+    one-item list: the slot where :func:`_affine_int` keeps the rows
+    rescaled to the last exponent lcm it met, as a pair (L, rows)."""
     rows = [{j: v for j, v in enumerate(row) if v} for row in dilation.rows]
     n = dilation.n
     for row, t in zip(rows, translation):
         if t:
             row[n] = t
-    return _encode(rows, expsum)
+    return (*_encode(rows, expsum), [None])
 
 
 def _rescaled(row: dict, f: int) -> dict:
@@ -95,7 +99,7 @@ def _affine_int(enc, xs, translate: bool, expsum: bool):
     an ExpSum whose exponents are reduced from the lcm L of both exponent
     denominators (:func:`~affinetrees.trimat._decode`).
     """
-    rows, da, ela = enc
+    rows, da, ela, last = enc
     n = len(xs)
     (xrow,), dx, elx = _encode([{j: x for j, x in enumerate(xs) if x}], expsum)
     if dx is None:
@@ -113,16 +117,24 @@ def _affine_int(enc, xs, translate: bool, expsum: bool):
                     s += a * b
             if expsum:
                 out.append(ExpSum._reduced(den, {_ZERO_EXP: s} if s else {}, den))
+            elif s:
+                g = gcd(s, den)
+                out.append(_fraction(s // g, den // g))
             else:
-                out.append(Fraction(s, den) if s else _FZERO)
+                out.append(_FZERO)
         return out
     el = lcm(ela or 1, elx or 1)
     xrow = _rescaled(xrow, el // elx if elx else 0)
     if translate:
         xrow[n] = {0: dx}
-    fa = el // ela if ela else 0
-    if fa != 1:
-        rows = [_rescaled(row, fa) for row in rows]
+    if el != ela:
+        # one assignment rebinds the pair, so a reader never sees rows
+        # rescaled to another L
+        at = last[0]
+        if at is None or at[0] != el:
+            fa = el // ela if ela else 0
+            at = last[0] = (el, [_rescaled(row, fa) for row in rows])
+        rows = at[1]
     out = []
     for row in rows:
         acc = {}

@@ -27,10 +27,11 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from fractions import Fraction
+from math import gcd
 from operator import itemgetter
 
 from .errors import IndexSpaceMismatch, ZeroComparand
-from .scalars import ExpSum
+from .scalars import ExpSum, _fraction
 
 
 _INDEX = itemgetter(0)
@@ -61,6 +62,35 @@ def merge_sorted(pairs: tuple, updates, combine, is_zero) -> tuple:
             v = combine(None, u)
             if not is_zero(v):
                 out.insert(pos, (idx, v))
+    return tuple(out)
+
+
+def shift_sorted(pairs, t) -> tuple:
+    """The ``(idx, v)`` pairs with every index moved to idx + t, in order.
+
+    Integer indices move by ``i + t``.  For a rational t = p/q each index
+    a/b becomes (a*q + p*b) / (b*q) in int arithmetic: already in lowest
+    terms when b or q is 1, and after one gcd otherwise.  The Fraction is
+    then built from its reduced parts (:func:`~affinetrees.scalars._fraction`)
+    without a second gcd.  A rational shift reads the slots of the
+    indices, which must be Fractions, as :class:`Scalars` ('Q') makes
+    them.  A uniform shift keeps the pairs sorted.
+    """
+    if not isinstance(t, Fraction):
+        return tuple((i + t, v) for i, v in pairs)
+    p, q = t.numerator, t.denominator
+    out = []
+    for i, v in pairs:
+        a, b = i._numerator, i._denominator
+        if b == 1:
+            i = _fraction(a * q + p, q)
+        elif q == 1:
+            i = _fraction(a + p * b, b)
+        else:
+            n, d = a * q + p * b, b * q
+            g = gcd(n, d)
+            i = _fraction(n // g, d // g)
+        out.append((i, v))
     return tuple(out)
 
 

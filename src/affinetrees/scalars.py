@@ -46,6 +46,22 @@ _max_refinements = DEFAULT_MAX_REFINEMENTS
 _HALF = Fraction(1, 2)
 
 
+def _fraction(n: int, d: int) -> Fraction:
+    """The Fraction n / d, for ints n and d that are already in lowest
+    terms with d > 0: gcd(n, d) == 1, and 0 only as 0 / 1.
+
+    Nothing is checked: an unreduced result would compare unequal to,
+    and hash apart from, the reduced Fraction of the same value.  The
+    slots are set directly, as CPython 3.12's own
+    ``Fraction._from_coprime_ints`` does, which skips ``Fraction.__new__``'s
+    type dispatch and its second gcd.
+    """
+    f = object.__new__(Fraction)
+    f._numerator = n
+    f._denominator = d
+    return f
+
+
 def set_default_max_refinements(n: int) -> None:
     """Override the global sign-test refinement bound (n >= 1)."""
     global _max_refinements

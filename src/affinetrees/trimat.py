@@ -45,7 +45,7 @@ from .errors import (
     NotUnitriangular,
     NotUpperTriangular,
 )
-from .scalars import _ZERO_EXP, ExpSum, scalar_sign
+from .scalars import _ZERO_EXP, ExpSum, _fraction, scalar_sign
 
 #: Largest common denominator, in bits, for which a series (and a
 #: unitriangular inverse) runs in integer arithmetic, over either ring;
@@ -375,7 +375,8 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     sums only.  With L the lcm of the coefficients' denominators and the
     integer weights w_k = coeff(k) * L * d**(K - k), each entry is built
     once from s = sum_k w_k * M**k[i][j] over the denominator L * d**K,
-    with one gcd: as Fraction(s, L * d**K); as a constant ExpSum with
+    with one gcd: as the Fraction s / (L * d**K) built from its reduced
+    parts (:func:`~affinetrees.scalars._fraction`); as a constant ExpSum with
     numerator s for an ExpSum matrix whose exponents are all 0; or as the
     ExpSum with numerator c at the reduced exponent x / el for each term
     c * e**(x / el) of s (:func:`_decode`).
@@ -440,7 +441,13 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
                     for row in out
                 ]
             else:
-                out = [[Fraction(s, den) if s else zero for s in row] for row in out]
+                for row in out:
+                    for m, s in enumerate(row):
+                        if s:
+                            g = gcd(s, den)
+                            row[m] = _fraction(s // g, den // g)
+                        else:
+                            row[m] = zero
     else:
         sums = [{} for _ in range(n)]
         for w, power in zip(weights, powers):

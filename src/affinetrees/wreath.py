@@ -24,7 +24,11 @@ element changes at most the fibers at its own support indices.  So
 ``act``, ``mul`` and ``dilate`` shift the sorted tuples in one pass and
 merge the few changed indices in by bisection
 (:func:`~affinetrees.ordered.merge_sorted`); no index is hashed and
-nothing is sorted again.
+nothing is sorted again.  Every shift, in ``act``, ``dilate``, ``mul``
+and ``inv``, goes through :func:`~affinetrees.ordered.shift_sorted`: a
+Z index moves by ``i + t``, and a Q index a/b by t = p/q becomes
+(a*q + p*b) / (b*q) in int arithmetic, reduced by one gcd unless b or q
+is 1, so no ``Fraction`` addition re-normalises it.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from dataclasses import dataclass
 
 from .actions import MatrixAffineAut
 from .errors import EmptyLevels, StructureMismatch, TooManyLevels
-from .ordered import LexFamily, LexVec, Product, Scalars, merge_sorted
+from .ordered import LexFamily, LexVec, Product, Scalars, merge_sorted, shift_sorted
 from .trimat import TriMat
 
 
@@ -187,9 +191,8 @@ class WreathGroup:
         self.check_element(a)
         self.check_element(b)
         base, t = self.base, b.shift
-        shifted = tuple((i + t, k) for i, k in a.support) if t else a.support
         support = merge_sorted(
-            shifted,
+            shift_sorted(a.support, t) if t else a.support,
             b.support,
             lambda k, h: h if k is None else base.mul(k, h),
             base.is_identity,
@@ -200,9 +203,8 @@ class WreathGroup:
         """(shift, (h_i))**-1 = (-shift, (h_{i+shift}**-1)); checked against
         the multiplication rule by the verification suites."""
         self.check_element(a)
-        return WreathElem(
-            -a.shift, tuple((i - a.shift, self.base.inv(h)) for i, h in a.support)
-        )
+        inv, t = self.base.inv, -a.shift
+        return WreathElem(t, shift_sorted(((i, inv(h)) for i, h in a.support), t))
 
     # -- the action ----------------------------------------------------------
     # Contract methods work on raw point-space values so that a wreath
@@ -221,7 +223,7 @@ class WreathGroup:
             fiber.is_zero,
         )
         if t:
-            moved = tuple((i - t, v) for i, v in moved)
+            moved = shift_sorted(moved, -t)
         return (c + t, moved)
 
     def dilate(self, g: WreathElem, value):
@@ -239,7 +241,7 @@ class WreathGroup:
             fiber.is_zero,
         )
         if t:
-            out = tuple((i - t, v) for i, v in out)
+            out = shift_sorted(out, -t)
         return (c, out)
 
     def act_vec(self, g: WreathElem, point: LexVec) -> LexVec:

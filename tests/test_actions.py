@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,7 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
-from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, _encode
 
 
 def translation_matrix(*column):
@@ -373,6 +374,50 @@ def test_integer_kernel_matches_ring_sums(kind, data):
     linear = MatrixAffineAut(inverted.dilation, (a.space.factors[0].zero(),) * a.dim, a.space)
     want = [-v for v in oracle(linear, a.translation, False)]
     assert_same_terms(inverted.translation, want)
+
+
+@pytest.mark.parametrize("kind", ["R", "R-rational-dilation"])
+@given(data=st.data())
+@settings(max_examples=25, deadline=None)
+def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
+    """Points whose exponent lcms differ, in an order that comes back to
+    earlier ones, all match the oracle, and the map's rows are rescaled
+    once per change of the lcm L they are needed at, not once per act."""
+    a, _, p = data.draw(kernel_cases(kind))
+    coords = KERNEL_KINDS[kind][4]
+    points = [p] + [
+        LexVec(a.space, tuple(data.draw(coords) for _ in range(a.dim))) for _ in range(2)
+    ]
+    order = [points[data.draw(st.integers(0, 2))] for _ in range(6)]
+    a.act(p)  # stores the encoding
+    rows, _, ela, _ = vars(a)["_enc"]
+    rescaled, rescales = actions._rescaled, []
+
+    def counted(row, f):
+        rescales.append(any(row is r for r in rows))
+        return rescaled(row, f)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(actions, "_rescaled", counted)
+        for q in order:
+            moved, stretched = a.act(q), a.dilate(q)
+            assert_same_terms(moved.value, tuple(reversed(oracle(a, q.value[::-1], True))))
+            assert_same_terms(stretched.value, tuple(reversed(oracle(a, q.value[::-1], False))))
+    def needed(q):
+        """The L the map's rows are rescaled to for q, or None."""
+        elx = _encode([{j: x for j, x in enumerate(q.value) if x}], True)[2]
+        if ela is None and elx is None:
+            return None
+        el = lcm(ela or 1, elx or 1)
+        return el if el != ela else None
+
+    # the one-slot memo replayed from the state p's act left it in
+    expected, last = 0, needed(p)
+    for q in order:
+        el = needed(q)
+        if el is not None and el != last:
+            expected, last = expected + len(rows), el
+    assert rescales.count(True) == expected
 
 
 def test_equality_hash_and_repr_ignore_the_stored_encoding():

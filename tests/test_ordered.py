@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -13,8 +14,9 @@ from affinetrees.ordered import (
     dominates,
     lex_compare,
     lex_distance,
+    shift_sorted,
 )
-from affinetrees.scalars import ExpSum
+from affinetrees.scalars import ExpSum, _fraction
 
 Q2 = Product(Scalars("Q"), Scalars("Q"))
 Z3 = Product(Scalars("Z"), Scalars("Z"), Scalars("Z"))
@@ -277,3 +279,47 @@ def test_family_merge_matches_dict_oracle(space, data):
     assert space.compare(b, a) == oracle.compare(b, a) == -space.compare(a, b)
     assert space.compare(a, a) == 0
     assert space.compare(a, ()) == oracle.compare(a, ())
+
+
+# -- index shifts in int arithmetic against Fraction arithmetic ---------------
+
+# denominators with common factors, so a sum's parts are often unreduced
+rationals = st.builds(Fraction, st.integers(-40, 40), st.sampled_from([1, 2, 3, 4, 6, 12]))
+
+
+def assert_same_scalar(got, want):
+    """Equal as values and as objects: an unreduced Fraction is != and
+    hashes apart from the reduced one without any error."""
+    assert type(got) is type(want)
+    assert got == want and hash(got) == hash(want) and repr(got) == repr(want)
+    assert (got.numerator, got.denominator) == (want.numerator, want.denominator)
+    assert got.denominator > 0 and gcd(got.numerator, got.denominator) == 1
+
+
+@pytest.mark.parametrize("kind", ["Z", "Q"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_shift_sorted_matches_scalar_addition(kind, data):
+    scalar = st.integers(-40, 40) if kind == "Z" else rationals
+    indices = sorted(set(data.draw(st.lists(scalar, max_size=8))))
+    pairs = tuple((i, object()) for i in indices)
+    t = data.draw(scalar)
+    for shift in (t, -t):
+        got = shift_sorted(pairs, shift)
+        assert type(got) is tuple
+        assert [v for _, v in got] == [v for _, v in pairs]
+        for (i, _), (j, _) in zip(pairs, got):
+            assert_same_scalar(j, i + shift)
+        assert [j for j, _ in got] == sorted(j for j, _ in got)
+    # any iterable of pairs is taken, not only a tuple
+    assert shift_sorted(iter(pairs), t) == shift_sorted(pairs, t)
+
+
+@given(st.integers(-10**30, 10**30), st.integers(1, 10**30))
+@settings(max_examples=200, deadline=None)
+def test_fraction_from_reduced_parts_matches_fraction(n, d):
+    want = Fraction(n, d)
+    got = _fraction(want.numerator, want.denominator)
+    assert_same_scalar(got, want)
+    assert got + Fraction(1, 3) == want + Fraction(1, 3)
+    assert got < want + 1 and not got < want

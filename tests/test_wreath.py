@@ -336,7 +336,9 @@ def oracle_group(group):
 def index_pool(index):
     if index.kind == "Z":
         return list(range(-2, 3))
-    return sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2)})
+    # denominators with a common factor, so shifting one index by another
+    # often leaves the parts unreduced and the gcd branch runs
+    return sorted({Fraction(p, q) for p in range(-2, 3) for q in (1, 2, 3, 6)})
 
 
 def killer(bundle, value):
