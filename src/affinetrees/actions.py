@@ -7,26 +7,29 @@ significant point coordinate, while :class:`~affinetrees.ordered.Product`
 spaces list the most significant component first.  The bridge therefore
 reverses coordinates when moving between matrices and points.
 
-A matrix automorphism applies its dilation in integer arithmetic.  The
-rows [dilation | translation] are written once, on first use, over the
-common denominator D_A of their rational coefficients, by the encoder
-the matrix series use (:func:`~affinetrees.trimat._encode`): as ints,
-or for exponential-sum entries as sparse Laurent polynomials {x: c} in
-e**(1/L).  Each point (or translation, for ``compose`` and ``invert``)
-is encoded the same way over its own D_x; the constant 1 that meets the
-translation column is D_x.  An exponential sum already stores int
-numerators over one denominator, so encoding only rescales them.  Every
-output entry is then built once, with one gcd, as a Fraction over
-D_A * D_x or an ExpSum with int numerators over it, in the ring of the
-point space: a rational dilation on a power of R still gives ExpSum
-values.  The encoding is stored on the automorphism outside its
-fields, so ``==``, ``hash`` and ``repr`` do not see it.  Beside it sits
-one slot with its Laurent rows rescaled to the last exponent lcm L that
-a point brought, since the points of one orbit keep bringing the same
-L.  While either common denominator has more than
-:data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the entries
-are summed in their own ring instead (:func:`_affine`), which also
-serves the tests as the oracle of the integer path.
+A matrix automorphism applies its dilation in integer arithmetic, on
+the kernel and decoder of the matrix series.  The columns of
+[dilation | translation] are written once, on first use, over the
+common denominator D_A of their rational coefficients, by
+:func:`~affinetrees.trimat._encode`: as ints, or for exponential-sum
+entries as sparse Laurent polynomials {x: c} in e**(1/L).  Each point
+(or translation, for ``compose`` and ``invert``) is encoded the same way
+as one row over its own D_x; the constant 1 that meets the translation
+column is D_x.  An exponential sum already stores int numerators over
+one denominator, so encoding only rescales them.  ``act``, ``dilate``,
+``compose`` and ``invert`` then each make one 1-row product
+(:func:`~affinetrees.trimat._product`) and one decode
+(:func:`~affinetrees.trimat._decoded`), which builds every output entry
+once, with one gcd, as a Fraction over D_A * D_x or an ExpSum with int
+numerators over it, in the ring of the point space: a rational dilation
+on a power of R still gives ExpSum values.  The encoding is stored on
+the automorphism outside its fields, so ``==``, ``hash`` and ``repr`` do
+not see it.  Beside it sits one slot with its Laurent columns rescaled
+to the last exponent lcm L that a point brought, since the points of one
+orbit keep bringing the same L.  While either common denominator has
+more than :data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits
+the entries are summed in their own ring instead (:func:`_affine`),
+which also serves the tests as the oracle of the integer path.
 
 Diagnostics distinguish *certified* verdicts (the exact matrix predicate)
 from *sampled* evidence, since sampling cannot prove universally
@@ -36,8 +39,7 @@ quantified claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from math import gcd, lcm
+from math import lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -48,10 +50,7 @@ from .errors import (
 )
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
-from .scalars import _ZERO_EXP, ExpSum, _fraction
-from .trimat import TriMat, _decode, _encode
-
-_FZERO = Fraction(0)
+from .trimat import TriMat, _decoded, _encode, _product, _sparse
 
 
 def _affine(rows, xs, offsets) -> list:
@@ -66,16 +65,11 @@ def _affine(rows, xs, offsets) -> list:
 
 
 def _encode_affine(dilation: TriMat, translation, expsum: bool):
-    """:func:`~affinetrees.trimat._encode` of the rows of [dilation |
-    translation], the translation in column n, followed by an empty
-    one-item list: the slot where :func:`_affine_int` keeps the rows
-    rescaled to the last exponent lcm it met, as a pair (L, rows)."""
-    rows = [{j: v for j, v in enumerate(row) if v} for row in dilation.rows]
-    n = dilation.n
-    for row, t in zip(rows, translation):
-        if t:
-            row[n] = t
-    return (*_encode(rows, expsum), [None])
+    """:func:`~affinetrees.trimat._encode` of the columns of [dilation |
+    translation], the translation column n, followed by an empty
+    one-item list: the slot where :func:`_affine_int` keeps the columns
+    rescaled to the last exponent lcm it met, as a pair (L, columns)."""
+    return (*_encode(_sparse([*zip(*dilation.rows), translation]), expsum), [None])
 
 
 def _rescaled(row: dict, f: int) -> dict:
@@ -89,65 +83,38 @@ def _rescaled(row: dict, f: int) -> dict:
 
 
 def _affine_int(enc, xs, translate: bool, expsum: bool):
-    """rows * xs (+ the translation column when ``translate``) from the
+    """dilation * xs (+ the translation when ``translate``) from the
     encoding ``enc`` of :func:`_encode_affine`, in integer arithmetic, or
     None when xs's common denominator is past the cutoff.
 
-    xs is encoded over its own denominator D_x, and the constant 1 that
-    meets the translation column as D_x, so each output entry is built
-    once over D_A * D_x with one gcd: a Fraction, a constant ExpSum, or
-    an ExpSum whose exponents are reduced from the lcm L of both exponent
-    denominators (:func:`~affinetrees.trimat._decode`).
+    xs is encoded as one row over its own denominator D_x, with D_x in
+    column n when it meets the translation, and multiplied by the
+    columns: one :func:`~affinetrees.trimat._product`, over Laurent
+    polynomials in e**(1/L) when either side has an exponent other than
+    0, L the lcm of both exponent denominators.  Each output entry is
+    then built once over D_A * D_x by
+    :func:`~affinetrees.trimat._decoded`.
     """
-    rows, da, ela, last = enc
+    cols, da, ela, last = enc
     n = len(xs)
-    (xrow,), dx, elx = _encode([{j: x for j, x in enumerate(xs) if x}], expsum)
+    (xrow,), dx, elx = _encode(_sparse([xs]), expsum)
     if dx is None:
         return None
-    den = da * dx
-    if ela is None and elx is None:
-        if translate:
-            xrow[n] = dx
-        out = []
-        for row in rows:
-            s = 0
-            for j, a in row.items():
-                b = xrow.get(j)
-                if b is not None:
-                    s += a * b
-            if expsum:
-                out.append(ExpSum._reduced(den, {_ZERO_EXP: s} if s else {}, den))
-            elif s:
-                g = gcd(s, den)
-                out.append(_fraction(s // g, den // g))
-            else:
-                out.append(_FZERO)
-        return out
-    el = lcm(ela or 1, elx or 1)
-    xrow = _rescaled(xrow, el // elx if elx else 0)
+    el = None
+    if ela is not None or elx is not None:
+        el = lcm(ela or 1, elx or 1)
+        xrow = _rescaled(xrow, el // elx if elx else 0)
+        if el != ela:
+            # one assignment rebinds the pair, so a reader never sees
+            # columns rescaled to another L
+            at = last[0]
+            if at is None or at[0] != el:
+                fa = el // ela if ela else 0
+                at = last[0] = (el, [_rescaled(col, fa) for col in cols])
+            cols = at[1]
     if translate:
-        xrow[n] = {0: dx}
-    if el != ela:
-        # one assignment rebinds the pair, so a reader never sees rows
-        # rescaled to another L
-        at = last[0]
-        if at is None or at[0] != el:
-            fa = el // ela if ela else 0
-            at = last[0] = (el, [_rescaled(row, fa) for row in rows])
-        rows = at[1]
-    out = []
-    for row in rows:
-        acc = {}
-        for j, a in row.items():
-            b = xrow.get(j)
-            if b is None:
-                continue
-            for x1, c1 in a.items():
-                for x2, c2 in b.items():
-                    x = x1 + x2
-                    acc[x] = acc[x] + c1 * c2 if x in acc else c1 * c2
-        out.append(_decode(acc, el, den))
-    return out
+        xrow[n] = dx if el is None else {0: dx}
+    return _decoded(_product([xrow], cols, el)[0], n, da * dx, el, expsum)
 
 
 @dataclass(frozen=True)

@@ -366,11 +366,14 @@ class LexFamily(Space):
         return (idx,) + self.fiber.leading(v)
 
     def sample(self, rng):
+        """A normal form drawn directly: the index and fiber samples are
+        normal forms already, so only the zero fibers are dropped."""
         size = rng.randint(0, 3)
         out = {}
         for _ in range(size):
             out[self.index.sample(rng)] = self.fiber.sample(rng)
-        return self.coerce(out)
+        nonzero = [(i, v) for i, v in out.items() if not self.fiber.is_zero(v)]
+        return tuple(sorted(nonzero, key=lambda kv: kv[0]))
 
 
 class LexVec:

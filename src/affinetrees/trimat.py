@@ -8,27 +8,30 @@ and logarithm are the finite sums valid for strictly-upper /
 unitriangular matrices: both stop at the first zero power of the
 nilpotent part (the n-th at latest).
 
-The series runs in integer arithmetic over one common denominator D,
-the lcm of the denominators of the rational coefficients of the strict
-part N: the powers of M = D * N are formed with int products and dict
-sums only, and each entry of the sum is divided out once at the end,
-with one gcd.  Over the rationals M is an integer matrix.  Over ExpSum
-entries, which store int numerators over their own denominator, D is
-the lcm of the entries' denominators and every exponent lies in (1/L)Z,
-with L the lcm of the exponents' denominators, so each entry of M is a
-sparse Laurent polynomial {x: c} in e**(1/L) with int keys and
-coefficients, read off the entry's numerators; a matrix whose exponents
-are all 0 (a rational matrix lifted by :meth:`TriMat.to_expsum`, say)
-runs as an integer matrix and is lifted back.  The inverse of a unitriangular
-matrix is the series (I + N)**-1 = sum_k (-N)**k, formed the same way.
-D can be far larger than any single entry's denominator (pairwise
-coprime denominators multiply), and the integers then grow faster than
-the Fraction arithmetic they replace.  So the integer path runs only
-while D has at most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise
-the series sums entries in their own ring and the inverse
-back-substitutes, as for a diagonal other than 1.  The same encoder,
-:func:`_encode`, writes the rows of an affine automorphism for
-:mod:`~affinetrees.actions`.
+All products run on one kernel, :func:`_product`, over sparse rows
+{j: nonzero entry}, and every output row is written out by one decoder,
+:func:`_decoded`.  A matrix product runs it in ring mode, summing the
+entries in their own ring.  The series run it in integer arithmetic over
+one common denominator D, the lcm of the denominators of the rational
+coefficients of the strict part N: the powers of M = D * N are formed
+with int products and dict sums only, and each entry of the sum is
+divided out once at the end, with one gcd.  Over the rationals M is an
+integer matrix.  Over ExpSum entries, which store int numerators over
+their own denominator, D is the lcm of the entries' denominators and
+every exponent lies in (1/L)Z, with L the lcm of the exponents'
+denominators, so each entry of M is a sparse Laurent polynomial {x: c}
+in e**(1/L) with int keys and coefficients, read off the entry's
+numerators; a matrix whose exponents are all 0 (a rational matrix lifted
+by :meth:`TriMat.to_expsum`, say) runs as an integer matrix and is
+lifted back.  The inverse of a unitriangular matrix is the series
+(I + N)**-1 = sum_k (-N)**k, formed the same way.  D can be far larger
+than any single entry's denominator (pairwise coprime denominators
+multiply), and the integers then grow faster than the Fraction
+arithmetic they replace.  So the integer path runs only while D has at
+most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the series runs
+the same kernel in ring mode and the inverse back-substitutes, as for a
+diagonal other than 1.  The same encoder, kernel and decoder apply the
+affine automorphisms of :mod:`~affinetrees.actions`.
 """
 
 from __future__ import annotations
@@ -53,6 +56,8 @@ from .scalars import _ZERO_EXP, ExpSum, _fraction, scalar_sign
 MAX_COMMON_DENOMINATOR_BITS = 512
 
 _RING_TYPES = frozenset((Fraction, ExpSum))
+
+_FZERO = Fraction(0)
 
 
 def _coerce_entry(v):
@@ -146,24 +151,13 @@ class TriMat:
             return NotImplemented
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
-        n = self.n
-        zero = self.ring_zero() + other.ring_zero()
-        brows = other.rows
-        out = []
-        for i in range(n):
-            arow = self.rows[i]
-            orow = [zero] * n
-            for k in range(n):
-                a = arow[k]
-                if not a:
-                    continue
-                brow = brows[k]
-                for j in range(n):
-                    b = brow[j]
-                    if b:
-                        orow[j] = orow[j] + a * b
-            out.append(orow)
-        return TriMat(out)
+        expsum = self.expsum or other.expsum
+        return TriMat(
+            [
+                _decoded(row, self.n, None, None, expsum)
+                for row in _product(_sparse(self.rows), _sparse(other.rows), None)
+            ]
+        )
 
     def __eq__(self, other):
         if not isinstance(other, TriMat):
@@ -308,18 +302,6 @@ def _encode(rows, expsum: bool):
     ], d, el
 
 
-def _decode(t: dict, el: int, den: int) -> ExpSum:
-    """The ExpSum sum_x t[x] / den * e**(x / el) of a Laurent polynomial
-    {x: int}: zero terms are dropped, each exponent is reduced, and the
-    numerators and den are reduced by one gcd."""
-    num = {}
-    for x, s in t.items():
-        if s:
-            g = gcd(x, el)
-            num[x // g, el // g] = s
-    return ExpSum._reduced(den, num, den)
-
-
 def _strict_part(mat: TriMat):
     """:func:`_encode` of the strict upper part of mat."""
     n = mat.n
@@ -327,39 +309,68 @@ def _strict_part(mat: TriMat):
     return _encode(rows, mat.expsum)
 
 
-def _sparse_step(power, strict):
-    """power * strict over sparse rows, zero entries dropped."""
+def _sparse(rows) -> list:
+    """Sparse rows {j: entry} of the nonzero entries of rows."""
+    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+
+
+def _product(a, b, el) -> list:
+    """a * b over sparse rows, zero entries dropped.
+
+    With el None the entries are ints, or, in ring mode, Fractions and
+    ExpSums summed in their own ring; otherwise they are Laurent
+    polynomials {x: c} with int keys and coefficients, whose zero terms
+    are dropped too."""
     out = []
-    for prow in power:
+    for arow in a:
         acc = {}
-        for m, p in prow.items():
-            for j, b in strict[m].items():
-                acc[j] = acc[j] + p * b if j in acc else p * b
+        if el is None:
+            for m, p in arow.items():
+                for j, v in b[m].items():
+                    acc[j] = acc[j] + p * v if j in acc else p * v
+        else:
+            for m, p in arow.items():
+                for j, v in b[m].items():
+                    t = acc.get(j)
+                    if t is None:
+                        t = acc[j] = {}
+                    for x1, c1 in p.items():
+                        for x2, c2 in v.items():
+                            x = x1 + x2
+                            t[x] = t[x] + c1 * c2 if x in t else c1 * c2
+            acc = {j: {x: c for x, c in t.items() if c} for j, t in acc.items()}
         out.append({j: v for j, v in acc.items() if v})
     return out
 
 
-def _laurent_step(power, strict):
-    """power * strict over sparse rows of Laurent polynomials {x: c},
-    zero terms and zero entries dropped."""
-    out = []
-    for prow in power:
-        acc = {}
-        for m, p in prow.items():
-            for j, b in strict[m].items():
-                t = acc.get(j)
-                if t is None:
-                    t = acc[j] = {}
-                for x1, c1 in p.items():
-                    for x2, c2 in b.items():
-                        x = x1 + x2
-                        t[x] = t[x] + c1 * c2 if x in t else c1 * c2
-        row = {}
-        for j, t in acc.items():
-            t = {x: c for x, c in t.items() if c}
-            if t:
-                row[j] = t
-        out.append(row)
+def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
+    """The n entries of a sparse row of :func:`_product`, absent ones the
+    ring zero: an ExpSum ring when ``expsum``, else the Fractions.
+
+    With den None (ring mode) the entries are kept, a Fraction lifted to
+    a constant ExpSum in an ExpSum ring.  Otherwise each entry is built
+    once, with one gcd, from its numerator over den: an int s as the
+    Fraction s / den, or as a constant ExpSum; a Laurent polynomial
+    {x: c} (el not None) as the ExpSum sum_x c / den * e**(x / el), each
+    exponent reduced."""
+    out = [ExpSum.zero() if expsum else _FZERO] * n
+    if den is None:
+        for j, v in row.items():
+            out[j] = ExpSum.constant(v) if expsum and type(v) is Fraction else v
+    elif el is not None:
+        for j, t in row.items():
+            num = {}
+            for x, c in t.items():
+                g = gcd(x, el)
+                num[x // g, el // g] = c
+            out[j] = ExpSum._reduced(den, num, den)
+    elif expsum:
+        for j, s in row.items():
+            out[j] = ExpSum._reduced(den, {_ZERO_EXP: s}, den)
+    else:
+        for j, s in row.items():
+            g = gcd(s, den)
+            out[j] = _fraction(s // g, den // g)
     return out
 
 
@@ -367,19 +378,22 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     """diag * I + sum_k coeff(k) * B**k, B the strict upper part of mat.
 
     ``strict, d, el`` is :func:`_strict_part` of mat.  The powers are
-    formed row by row over sparse rows, up to the last nonzero power K.
-    With d None they are powers of B in its own ring, and each entry sums
-    coeff(k) * B**k[i][j] from the ring zero of mat.  Otherwise they are
-    powers of M = d * B, whose entries are ints or (el not None) Laurent
+    formed by :func:`_product` up to the last nonzero power K, and row i
+    of the sum is one more product: of the weight row {k: w_k} with the
+    rows i of the powers, decoded by :func:`_decoded`.  With d None the
+    powers are those of B in its own ring, the weights are coeff(k), and
+    entries left out are the ring zero of mat.  Otherwise they are powers
+    of M = d * B, whose entries are ints or (el not None) Laurent
     polynomials {x: c} over the ints, so they take int products and dict
-    sums only.  With L the lcm of the coefficients' denominators and the
-    integer weights w_k = coeff(k) * L * d**(K - k), each entry is built
-    once from s = sum_k w_k * M**k[i][j] over the denominator L * d**K,
-    with one gcd: as the Fraction s / (L * d**K) built from its reduced
-    parts (:func:`~affinetrees.scalars._fraction`); as a constant ExpSum with
+    sums only.  With L the lcm of the coefficients' denominators, the
+    weights are the integers w_k = coeff(k) * L * d**(K - k) (constant
+    polynomials when el is not None), and each entry is built once from
+    s = sum_k w_k * M**k[i][j] over the denominator L * d**K, with one
+    gcd: as the Fraction s / (L * d**K) built from its reduced parts
+    (:func:`~affinetrees.scalars._fraction`); as a constant ExpSum with
     numerator s for an ExpSum matrix whose exponents are all 0; or as the
     ExpSum with numerator c at the reduced exponent x / el for each term
-    c * e**(x / el) of s (:func:`_decode`).
+    c * e**(x / el) of s.
 
     The integers then have about K times as many bits as d, so the
     integer path is only faster while d is small.  Measured on a 2-core
@@ -409,60 +423,30 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     (1/el)Z and the packed ints are mostly zero bits.
     """
     n = mat.n
-    step = _sparse_step if el is None else _laurent_step
     powers, power = [], strict
     while any(power):
         powers.append(power)
-        power = step(power, strict)
+        power = _product(power, strict, el)
     coeffs = [coeff(k) for k in range(1, len(powers) + 1)]
-    one = mat.ring_one()
-    zero = one - one
     if d is None:
-        start, weights = zero, coeffs
+        den, weights = None, coeffs
     else:
         last = len(coeffs)
         lcd = lcm(*(c.denominator for c in coeffs))
         den = lcd * d**last
-        start = 0
         weights = [
             c.numerator * (lcd // c.denominator) * d ** (last - k)
             for k, c in enumerate(coeffs, 1)
         ]
-    if el is None:
-        out = [[start] * n for _ in range(n)]
-        for w, power in zip(weights, powers):
-            for orow, prow in zip(out, power):
-                for m, p in prow.items():
-                    orow[m] = orow[m] + p * w
-        if d is not None:
-            if mat.expsum:
-                out = [
-                    [ExpSum._reduced(den, {_ZERO_EXP: s}, den) if s else zero for s in row]
-                    for row in out
-                ]
-            else:
-                for row in out:
-                    for m, s in enumerate(row):
-                        if s:
-                            g = gcd(s, den)
-                            row[m] = _fraction(s // g, den // g)
-                        else:
-                            row[m] = zero
-    else:
-        sums = [{} for _ in range(n)]
-        for w, power in zip(weights, powers):
-            for srow, prow in zip(sums, power):
-                for m, p in prow.items():
-                    t = srow.get(m)
-                    if t is None:
-                        t = srow[m] = {}
-                    for x, c in p.items():
-                        t[x] = t[x] + c * w if x in t else c * w
-        out = [[zero] * n for _ in range(n)]
-        for orow, srow in zip(out, sums):
-            for m, t in srow.items():
-                orow[m] = _decode(t, el, den)
+        if el is not None:
+            weights = [{0: w} for w in weights]
+    wrow = [dict(enumerate(weights))]
+    out = [
+        _decoded(_product(wrow, [power[i] for power in powers], el)[0], n, den, el, mat.expsum)
+        for i in range(n)
+    ]
     if diag:
+        one = mat.ring_one()
         for i, row in enumerate(out):
             row[i] = one
     return TriMat(out)

@@ -381,8 +381,9 @@ def test_integer_kernel_matches_ring_sums(kind, data):
 @settings(max_examples=25, deadline=None)
 def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     """Points whose exponent lcms differ, in an order that comes back to
-    earlier ones, all match the oracle, and the map's rows are rescaled
-    once per change of the lcm L they are needed at, not once per act."""
+    earlier ones, all match the oracle, and the map's encoded columns are
+    rescaled once per change of the lcm L they are needed at, not once
+    per act."""
     a, _, p = data.draw(kernel_cases(kind))
     coords = KERNEL_KINDS[kind][4]
     points = [p] + [
@@ -390,11 +391,13 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     ]
     order = [points[data.draw(st.integers(0, 2))] for _ in range(6)]
     a.act(p)  # stores the encoding
-    rows, _, ela, _ = vars(a)["_enc"]
+    cols, _, ela, slot = vars(a)["_enc"]
+    # one column per dilation column, then the translation column
+    assert len(cols) == a.dim + 1
     rescaled, rescales = actions._rescaled, []
 
     def counted(row, f):
-        rescales.append(any(row is r for r in rows))
+        rescales.append(any(row is c for c in cols))
         return rescaled(row, f)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -404,7 +407,7 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
             assert_same_terms(moved.value, tuple(reversed(oracle(a, q.value[::-1], True))))
             assert_same_terms(stretched.value, tuple(reversed(oracle(a, q.value[::-1], False))))
     def needed(q):
-        """The L the map's rows are rescaled to for q, or None."""
+        """The L the map's columns are rescaled to for q, or None."""
         elx = _encode([{j: x for j, x in enumerate(q.value) if x}], True)[2]
         if ela is None and elx is None:
             return None
@@ -416,8 +419,13 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     for q in order:
         el = needed(q)
         if el is not None and el != last:
-            expected, last = expected + len(rows), el
+            expected, last = expected + len(cols), el
     assert rescales.count(True) == expected
+    # the slot holds the columns at the last L, each rescaled from its own
+    if last is not None:
+        at, kept = slot[0]
+        assert at == last
+        assert kept == [rescaled(c, last // ela if ela else 0) for c in cols]
 
 
 def test_equality_hash_and_repr_ignore_the_stored_encoding():

@@ -16,6 +16,7 @@ from affinetrees.ordered import (
     lex_distance,
     shift_sorted,
 )
+from affinetrees.sampling import trial_rng
 from affinetrees.scalars import ExpSum, _fraction
 
 Q2 = Product(Scalars("Q"), Scalars("Q"))
@@ -261,6 +262,16 @@ FAMILIES = [
 ]
 
 
+#: seeded towers of three family levels
+TOWERS = [
+    LexFamily(Scalars("Q"), LexFamily(Scalars("Q"), LexFamily(Scalars("Q"), Scalars("Q")))),
+    LexFamily(
+        Scalars("Z"),
+        Product(Scalars("R"), LexFamily(Scalars("Q"), LexFamily(Scalars("Z"), Scalars("Z")))),
+    ),
+]
+
+
 @pytest.mark.parametrize("space", FAMILIES, ids=repr)
 @given(data=st.data())
 @settings(max_examples=60, deadline=None)
@@ -279,6 +290,42 @@ def test_family_merge_matches_dict_oracle(space, data):
     assert space.compare(b, a) == oracle.compare(b, a) == -space.compare(a, b)
     assert space.compare(a, a) == 0
     assert space.compare(a, ()) == oracle.compare(a, ())
+
+
+def coerced_draw(space, rng):
+    """A sample drawn with the same RNG calls as ``space.sample`` makes,
+    each family level passing its draws through ``coerce``."""
+    if isinstance(space, Scalars):
+        return space.sample(rng)
+    if isinstance(space, Product):
+        return tuple(coerced_draw(f, rng) for f in space.factors)
+    out = {}
+    for _ in range(rng.randint(0, 3)):
+        out[coerced_draw(space.index, rng)] = coerced_draw(space.fiber, rng)
+    return space.coerce(out)
+
+
+@pytest.mark.parametrize("tower", TOWERS, ids=repr)
+def test_family_sample_is_a_normal_form_without_coercion(tower):
+    for seed in range(40):
+        want = coerced_draw(tower, trial_rng(seed, "sample"))
+        rng, replay = trial_rng(seed, "sample"), trial_rng(seed, "sample")
+        coerced = []
+        with pytest.MonkeyPatch.context() as mp:
+            for cls in (Scalars, Product, LexFamily):
+                real = cls.coerce
+
+                def counting(self, value, real=real):
+                    coerced.append(self)
+                    return real(self, value)
+
+                mp.setattr(cls, "coerce", counting)
+            got = tower.sample(rng)
+        assert not coerced
+        assert got == want and repr(got) == repr(want)
+        assert repr(tower.coerce(got)) == repr(got)
+        coerced_draw(tower, replay)
+        assert rng.random() == replay.random()  # the same draws were made
 
 
 # -- index shifts in int arithmetic against Fraction arithmetic ---------------

@@ -19,7 +19,13 @@ from affinetrees.scalars import (
     scalar_sign,
 )
 from affinetrees.ordered import Product, Scalars
-from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, nilpotent_exp, unipotent_log
+from affinetrees.trimat import (
+    MAX_COMMON_DENOMINATOR_BITS,
+    TriMat,
+    _decoded,
+    nilpotent_exp,
+    unipotent_log,
+)
 
 # -- rationals -----------------------------------------------------------------
 
@@ -533,7 +539,19 @@ def test_affine_maps_match_fraction_model_on_both_sides_of_the_cutoff(
         for row, t in zip(rows, shift)
     ]
     enc = _encode_affine(aut.dilation, aut.translation, True)
-    kernel = _affine_int(enc, xs, translate, True) if enc[1] is not None else None
+    cols, da, ela, slot = enc
+    assert slot == [None]
+    if da is not None:
+        # column j holds the nonzero entries of column j of [dilation |
+        # translation], and decodes back to them
+        columns = [*zip(*aut.dilation.rows), aut.translation]
+        assert len(cols) == n + 1
+        for col, column in zip(cols, columns):
+            assert set(col) == {i for i, v in enumerate(column) if v}
+            assert all(v for v in col.values())
+            for value, want in zip(_decoded(col, n, da, ela, True), column):
+                assert (value._den, value._num) == (want._den, want._num)
+    kernel = _affine_int(enc, xs, translate, True) if da is not None else None
     # the integer kernel runs unless a common denominator is past the cutoff
     assert (kernel is None) == (past_map or (past_point and any(xs)))
     for got in (kernel, aut._apply(xs, translate)):

@@ -237,9 +237,11 @@ def sums_of(exps, coefficients):
 
 
 exp_sums = sums_of(exponents, rationals)
-#: ring -> (zero, one, nonzero-entry strategy); "mixed" keeps Fraction zeros.
-#: The ExpSum rings with coprime or past-cutoff coefficients put their
-#: series on either side of the cutoff, as for the rationals.
+#: ring -> (zero, one, nonzero-entry strategy); the "mixed" rings keep
+#: Fraction zeros.  The ExpSum rings with coprime or past-cutoff
+#: coefficients put their series on either side of the cutoff, as for the
+#: rationals, and "mixed-past-cutoff" runs the ring-summing series on
+#: matrices whose entries are Fractions and ExpSums.
 RINGS = {
     "Q": (Fraction(0), Fraction(1), rationals),
     "Q-coprime": (Fraction(0), Fraction(1), coprime_rationals),
@@ -248,6 +250,11 @@ RINGS = {
     "R-coprime": (ExpSum(), ExpSum.one(), sums_of(wide_exponents, coprime_rationals)),
     "R-past-cutoff": (ExpSum(), ExpSum.one(), sums_of(exponents, past_cutoff_rationals)),
     "mixed": (Fraction(0), Fraction(1), st.one_of(rationals, exp_sums)),
+    "mixed-past-cutoff": (
+        Fraction(0),
+        Fraction(1),
+        st.one_of(past_cutoff_rationals, sums_of(exponents, past_cutoff_rationals)),
+    ),
 }
 
 
@@ -274,6 +281,39 @@ def test_log_matches_reference_series(drawn):
     x, one = drawn
     g = unit_diagonal(x, one)
     assert_same(unipotent_log(g), reference_log(g))
+
+
+# -- products against the dense triple loop -----------------------------------
+
+
+def reference_product(a, b):
+    """Every entry sums a[i][k] * b[k][j] over all k, from the ring zero
+    of the pair: an ExpSum zero when either matrix has an ExpSum entry."""
+    n, zero = a.n, a.ring_zero() + b.ring_zero()
+    return TriMat(
+        [
+            [sum((a.rows[i][k] * b.rows[k][j] for k in range(n)), zero) for j in range(n)]
+            for i in range(n)
+        ]
+    )
+
+
+@st.composite
+def square_matrices(draw, ring, n):
+    zero, _, entries = RINGS[ring]
+    entry = st.one_of(st.just(zero), entries)
+    return TriMat([[draw(entry) for _ in range(n)] for _ in range(n)])
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=30, deadline=None)
+def test_product_matches_dense_triple_loop(ring, data):
+    n = data.draw(st.integers(1, 6))
+    a = data.draw(square_matrices(ring, n))
+    b = data.draw(square_matrices(data.draw(st.sampled_from([ring, "Q", "R"])), n))
+    assert_same(a * b, reference_product(a, b))
+    assert_same(b * a, reference_product(b, a))
 
 
 def early_vanishing_cases():
@@ -344,6 +384,9 @@ DIAGONALS = {
     "R-coprime": monomials_of(wide_exponents, coprime_rationals),
     "R-past-cutoff": monomials_of(exponents, past_cutoff_rationals),
     "mixed": st.one_of(nonzero_rationals, monomials),
+    "mixed-past-cutoff": st.one_of(
+        past_cutoff_rationals.filter(bool), monomials_of(exponents, past_cutoff_rationals)
+    ),
 }
 
 
