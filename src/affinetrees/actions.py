@@ -156,11 +156,7 @@ class MatrixAffineAut:
         return self.dilation.n
 
     def is_identity(self) -> bool:
-        return not any(self.translation) and all(
-            v == 1 if i == j else not v
-            for i, row in enumerate(self.dilation.rows)
-            for j, v in enumerate(row)
-        )
+        return not any(self.translation) and self.dilation.is_identity()
 
     def _apply(self, xs, translate: bool) -> list:
         """dilation * xs (+ translation), xs and the result in matrix
@@ -227,8 +223,6 @@ def from_affine_matrix(mat: TriMat) -> MatrixAffineAut:
         raise NotAffineForm("corner entry must be 1")
     if not mat.has_positive_diagonal():
         raise NotAffineForm("diagonal must be positive for an order-preserving map")
-    if any(mat.rows[N - 1][j] for j in range(N - 1)):
-        raise NotAffineForm("bottom row must vanish off the corner")
     dilation = TriMat([[mat.rows[i][j] for j in range(N - 1)] for i in range(N - 1)])
     translation = tuple(mat.rows[i][N - 1] for i in range(N - 1))
     ring = Scalars("R" if mat.expsum else "Q")

@@ -196,10 +196,10 @@ def affine_algebra_rep(x: TriMat) -> TriMat:
     """(m+1) x (m+1) strict upper matrix: left-multiplication block with
     the coordinate vector adjoined as the final column.
 
-    Linear over the entries and bracket-preserving.
+    Linear over the entries and bracket-preserving.  A matrix that is not
+    strict upper raises :class:`NotStrictUpper` from
+    :func:`left_mult_matrix_closed`.
     """
-    if not x.is_strict_upper():
-        raise NotStrictUpper("affine algebra representation needs strict upper input")
     lam = left_mult_matrix_closed(x)
     vec = coord_vector(x)
     m = lam.n
@@ -264,11 +264,7 @@ def is_essentially_hyperbolic(mat: TriMat) -> bool:
     N = mat.n
     if not mat.is_upper_triangular() or mat.rows[N - 1][N - 1] != 1:
         raise NotAffineForm("expected upper triangular with corner entry 1")
-    if all(
-        v == 1 if i == j else not v
-        for i, row in enumerate(mat.rows)
-        for j, v in enumerate(row)
-    ):
+    if mat.is_identity():
         raise IdentityInput("essential hyperbolicity is undefined for the identity")
     for i in range(N - 1):
         triggered = mat.rows[i][i] != 1 or any(
@@ -306,13 +302,17 @@ def certify_admissible(x: TriMat) -> AdmissibleReport:
     verify that every block of the left-multiplication matrix strictly
     below the i0-th block superdiagonal vanishes, and that the embedded
     exponential passes :func:`is_essentially_hyperbolic`.  The matrix is
-    :func:`left_mult_matrix_closed`; the ``verify`` embedding suite checks
-    it against the bilinear :func:`left_mult_matrix`."""
+    :func:`left_mult_matrix_closed`, read as the linear block of
+    :func:`affine_algebra_rep`; the ``verify`` embedding suite checks it
+    against the bilinear :func:`left_mult_matrix`.  The embedded image of
+    exp(x) is exp(affine_algebra_rep(x)), since log(exp(x)) = x.  A size
+    outside 2 <= n <= 8 is rejected before that representation is built."""
     if not x.is_strict_upper():
         raise NotStrictUpper("certification needs a strict upper matrix")
     i0 = lowest_superdiag(x)  # raises ZeroInput on the zero matrix
     n = x.n
-    lam = left_mult_matrix_closed(x)
+    check_supported_dimension(n)
+    rep = affine_algebra_rep(x)
     blocks_checked = 0
     clean = True
     for a in range(1, n):  # block row, sizes 1..n-1
@@ -323,10 +323,10 @@ def certify_admissible(x: TriMat) -> AdmissibleReport:
             row0 = a * (a - 1) // 2
             col0 = b * (b - 1) // 2
             if any(
-                lam.rows[row0 + r][col0 + c] for r in range(a) for c in range(b)
+                rep.rows[row0 + r][col0 + c] for r in range(a) for c in range(b)
             ):
                 clean = False
-    hyperbolic = is_essentially_hyperbolic(embed_unitriangular(nilpotent_exp(x)))
+    hyperbolic = is_essentially_hyperbolic(nilpotent_exp(rep))
     return AdmissibleReport(i0, blocks_checked, clean, hyperbolic)
 
 

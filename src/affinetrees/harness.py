@@ -455,8 +455,7 @@ def _suite_embedding(cfg: SuiteConfig) -> list:
 
         def injective(rng, n=n):
             g = rand_nontrivial_unitriangular(rng, n)
-            m = coord_count(n)
-            if embed_unitriangular(g) == TriMat.identity(m + 1):
+            if embed_unitriangular(g).is_identity():
                 return {"g": repr(g)}
 
         checks.append(
@@ -678,9 +677,8 @@ def _suite_integerize(cfg: SuiteConfig) -> list:
         def preserved(rng, n=n):
             gens = make_gens(rng, n)
             conj, conjugated = integerize(gens)
-            eye = TriMat.identity(n)
             for before, after in zip(gens, conjugated):
-                if before == eye:
+                if before.is_identity():
                     continue
                 if is_essentially_hyperbolic(before) != is_essentially_hyperbolic(after):
                     return {"before": repr(before), "after": repr(after)}

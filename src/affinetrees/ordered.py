@@ -12,7 +12,12 @@ Three space shapes cover everything the constructions need:
   well-ordered, so these sit inside the full lexicographic product.
 
 A :class:`LexVec` pairs a value with its space and provides exact
-comparison, addition and the metric d(a, b) = |a - b|.
+comparison, addition and the metric d(a, b) = |a - b|.  Every value has
+one normal form (an exact real is an :class:`~affinetrees.scalars.ExpSum`
+in lowest terms, and distinct powers of e are linearly independent over
+the rationals), so two points are equal exactly when their spaces and
+normal forms are: equality compares them structurally, never runs a
+sign test, and agrees with ``hash``.
 
 Values are validated and normalised where they enter, by
 ``LexVec(space, value)`` and :meth:`Space.coerce`; :meth:`Space.sample`
@@ -420,9 +425,7 @@ class LexVec:
     def __eq__(self, other):
         if not isinstance(other, LexVec):
             return NotImplemented
-        return self.space == other.space and self.space.compare(
-            self.value, other.value
-        ) == 0
+        return self.space == other.space and self.value == other.value
 
     def __hash__(self):
         return hash((self.space, self.value))

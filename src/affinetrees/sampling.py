@@ -60,7 +60,7 @@ def rand_unitriangular_int(rng: random.Random, n: int, bound: int = 3) -> TriMat
 def rand_nontrivial_unitriangular(rng: random.Random, n: int, **kw) -> TriMat:
     while True:
         g = rand_unitriangular(rng, n, **kw)
-        if not g.is_strict_upper() and g != TriMat.identity(n):
+        if not g.is_strict_upper() and not g.is_identity():
             return g
 
 

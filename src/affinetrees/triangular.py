@@ -93,15 +93,6 @@ def conj_coord_matrix_affine(exponents) -> TriMat:
     return TriMat.diagonal(_coord_multipliers(exponents) + [ExpSum.one()])
 
 
-def _is_identity_matrix(mat: TriMat) -> bool:
-    """Whether ``mat`` is the identity, tested entry by entry in place."""
-    return all(
-        v == 1 if i == j else not v
-        for i, row in enumerate(mat.rows)
-        for j, v in enumerate(row)
-    )
-
-
 @dataclass(frozen=True)
 class TriangularElement:
     """Element u * d: unitriangular u over ExpSum entries and a positive
@@ -150,7 +141,7 @@ class TriangularElement:
         return cls(n, TriMat.identity(n, ExpSum.one()), exps)
 
     def is_identity(self) -> bool:
-        return not any(self.exponents) and _is_identity_matrix(self.u)
+        return not any(self.exponents) and self.u.is_identity()
 
     def matrix(self) -> TriMat:
         """The represented upper triangular matrix u * d."""
@@ -359,8 +350,8 @@ def verify_conjugation_identities(n: int, samples: int, seed: int) -> dict:
         image1 = _image(rep, g1.exponents)
         ok = embed_triangular(g1 * g2) == image1 * embed_triangular(g2)
         if ok and not g1.is_identity():
-            ok = not _is_identity_matrix(image1)
-        if ok and any(exps) and not _is_identity_matrix(u):
+            ok = not image1.is_identity()
+        if ok and any(exps) and not u.is_identity():
             # unipotent and diagonal images only share the identity
             ok = unipotent_image != demb
         record("embedding_isomorphism", t, ok, g1=g1)

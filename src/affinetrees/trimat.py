@@ -3,7 +3,12 @@
 Entries are either Fractions or :class:`~affinetrees.scalars.ExpSum`
 values (ints are coerced to Fractions at construction); each matrix
 records at construction whether any entry is an ExpSum, which fixes its
-ring.  Matrices are immutable; all arithmetic is exact.  The exponential
+ring.  Matrices are immutable; all arithmetic is exact.  Two matrices
+are equal when their row tuples are, and hash as them.  The shape
+predicates -- :meth:`~TriMat.is_upper_triangular`,
+:meth:`~TriMat.is_strict_upper`, :meth:`~TriMat.is_unitriangular`,
+:meth:`~TriMat.is_identity` and :meth:`~TriMat.has_positive_diagonal`
+-- are tested on demand, not stored.  The exponential
 and logarithm are the finite sums valid for strictly-upper /
 unitriangular matrices: both stop at the first zero power of the
 nilpotent part (the n-th at latest).
@@ -162,9 +167,7 @@ class TriMat:
     def __eq__(self, other):
         if not isinstance(other, TriMat):
             return NotImplemented
-        return self.n == other.n and all(
-            a == b for ra, rb in zip(self.rows, other.rows) for a, b in zip(ra, rb)
-        )
+        return self.rows == other.rows
 
     def __hash__(self):
         return hash(self.rows)
@@ -178,18 +181,20 @@ class TriMat:
     # -- shape predicates (checked on demand, not stored) --------------------
 
     def is_upper_triangular(self) -> bool:
-        return all(
-            not self.rows[i][j] for i in range(self.n) for j in range(i)
-        )
+        return not any(any(row[:i]) for i, row in enumerate(self.rows))
 
     def is_strict_upper(self) -> bool:
-        return all(
-            not self.rows[i][j] for i in range(self.n) for j in range(i + 1)
-        )
+        return not any(any(row[: i + 1]) for i, row in enumerate(self.rows))
 
     def is_unitriangular(self) -> bool:
         return self.is_upper_triangular() and all(
             self.rows[i][i] == 1 for i in range(self.n)
+        )
+
+    def is_identity(self) -> bool:
+        return all(
+            row[i] == 1 and not any(row[:i]) and not any(row[i + 1 :])
+            for i, row in enumerate(self.rows)
         )
 
     def has_positive_diagonal(self) -> bool:
@@ -328,6 +333,7 @@ def _product(a, b, el) -> list:
             for m, p in arow.items():
                 for j, v in b[m].items():
                     acc[j] = acc[j] + p * v if j in acc else p * v
+            out.append({j: v for j, v in acc.items() if v})
         else:
             for m, p in arow.items():
                 for j, v in b[m].items():
@@ -338,8 +344,9 @@ def _product(a, b, el) -> list:
                         for x2, c2 in v.items():
                             x = x1 + x2
                             t[x] = t[x] + c1 * c2 if x in t else c1 * c2
-            acc = {j: {x: c for x, c in t.items() if c} for j, t in acc.items()}
-        out.append({j: v for j, v in acc.items() if v})
+            out.append(
+                {j: f for j, t in acc.items() if (f := {x: c for x, c in t.items() if c})}
+            )
     return out
 
 

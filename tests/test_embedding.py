@@ -513,6 +513,32 @@ def test_certify_matches_report_from_bilinear_matrix(n, monkeypatch):
     assert all(report.ok for report in reports)
 
 
+@pytest.mark.parametrize("n", range(2, 10))
+def test_certify_verdict_matches_the_embedded_exponential(n, monkeypatch):
+    """The verdict is read off exp(affine_algebra_rep(x)), which is the
+    embedded image of exp(x): the embedding takes log(exp(x)) = x.  An
+    unsupported size is rejected before any matrix is built from x."""
+    rng = trial_rng(37, "certify-round-trip", n)
+    if n == 9:
+        monkeypatch.setattr(embedding, "left_mult_matrix_closed", None)
+    for i0 in range(1, n):
+        x = rand_strict_upper(rng, n)
+        x = TriMat(
+            [[v if j - i >= i0 else Fraction(0) for j, v in enumerate(row)]
+             for i, row in enumerate(x.rows)]
+        )
+        if not any(v for row in x.rows for v in row):
+            continue
+        for y in (x, x.to_expsum()):
+            if n == 9:
+                with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
+                    certify_admissible(y)
+                continue
+            image = embed_unitriangular(nilpotent_exp(y))
+            assert_same(nilpotent_exp(affine_algebra_rep(y)), image)
+            assert certify_admissible(y).hyperbolic is is_essentially_hyperbolic(image)
+
+
 # -- clearing denominators -----------------------------------------------------------
 
 

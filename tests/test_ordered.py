@@ -17,7 +17,12 @@ from affinetrees.ordered import (
     shift_sorted,
 )
 from affinetrees.sampling import trial_rng
-from affinetrees.scalars import ExpSum, _fraction
+from affinetrees.scalars import (
+    ExpSum,
+    _fraction,
+    get_default_max_refinements,
+    set_default_max_refinements,
+)
 
 Q2 = Product(Scalars("Q"), Scalars("Q"))
 Z3 = Product(Scalars("Z"), Scalars("Z"), Scalars("Z"))
@@ -326,6 +331,64 @@ def test_family_sample_is_a_normal_form_without_coercion(tower):
         assert repr(tower.coerce(got)) == repr(got)
         coerced_draw(tower, replay)
         assert rng.random() == replay.random()  # the same draws were made
+
+
+# -- point equality: structural, and the same as the order's ----------------
+
+EQUALITY_SPACES = [
+    Scalars("Z"),
+    Scalars("Q"),
+    Scalars("R"),
+    Product(Scalars("Z"), Scalars("Q"), Scalars("R")),
+    *FAMILIES,
+    *TOWERS,
+]
+
+
+@pytest.mark.parametrize("space", EQUALITY_SPACES, ids=repr)
+@given(data=st.data())
+@settings(max_examples=60, deadline=None)
+def test_point_equality_matches_lex_compare(space, data):
+    a = LexVec(space, data.draw(space_values(space)))
+    d = LexVec(space, data.draw(st.one_of(st.just(space.zero()), space_values(space))))
+    for b in (a + d, a - d, (a + d) - d, LexVec(space, data.draw(space_values(space)))):
+        same = lex_compare(a, b) == 0
+        assert (a == b) is same and (b == a) is same
+        assert (a != b) is not same
+        if same:
+            assert hash(a) == hash(b)
+
+
+def test_point_equality_runs_no_sign_test(monkeypatch):
+    """e and a 53-digit rational just below it need more than one sign
+    refinement to tell apart; equality tells them apart structurally."""
+    e = ExpSum.exponential(1)
+    near = ExpSum.constant(
+        Fraction(27182818284590452353602874713526624977572470936999595, 10**52)
+    )
+    r = Scalars("R")
+    pairs = [
+        (LexVec(r, e), LexVec(r, near)),
+        (LexVec(Product(r, r), (e, 0)), LexVec(Product(r, r), (near, 0))),
+        (
+            LexVec(LexFamily(Scalars("Z"), r), {1: e}),
+            LexVec(LexFamily(Scalars("Z"), r), {1: near}),
+        ),
+    ]
+
+    def no_sign(self, max_refinements=None):
+        raise AssertionError("point equality ran a sign test")
+
+    bound = get_default_max_refinements()
+    set_default_max_refinements(1)
+    try:
+        monkeypatch.setattr(ExpSum, "sign", no_sign)
+        for a, b in pairs:
+            assert a != b and not a == b
+            assert len({a, b}) == 2
+            assert a == LexVec(a.space, a.value) and b == LexVec(b.space, b.value)
+    finally:
+        set_default_max_refinements(bound)
 
 
 # -- index shifts in int arithmetic against Fraction arithmetic ---------------

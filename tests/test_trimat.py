@@ -316,6 +316,78 @@ def test_product_matches_dense_triple_loop(ring, data):
     assert_same(b * a, reference_product(b, a))
 
 
+# -- equality, hash and shape predicates against entrywise oracles -------------
+
+
+def entrywise_equal(a, b):
+    return a.n == b.n and all(
+        x == y for ra, rb in zip(a.rows, b.rows) for x, y in zip(ra, rb)
+    )
+
+
+def entrywise_identity(a):
+    return all(
+        v == 1 if i == j else not v for i, row in enumerate(a.rows) for j, v in enumerate(row)
+    )
+
+
+def rebuilt(v, other_ring):
+    """An entry equal to v but built anew; with ``other_ring`` a Fraction
+    becomes a constant ExpSum and a constant ExpSum a Fraction."""
+    if isinstance(v, Fraction):
+        return ExpSum.constant(v) if other_ring else Fraction(v.numerator, v.denominator)
+    terms = v.terms()
+    if other_ring and all(q == 0 for q, _ in terms):
+        return sum((c for _, c in terms), Fraction(0))
+    return ExpSum(terms)
+
+
+@st.composite
+def near_identities(draw, ring):
+    """An n x n identity over mixed Fraction and ExpSum units and zeros,
+    with up to three entries redrawn from the ring."""
+    _, _, entries = RINGS[ring]
+    n = draw(st.integers(1, 5))
+    ones, zeros = [Fraction(1), ExpSum.one()], [Fraction(0), ExpSum()]
+    rows = [
+        [draw(st.sampled_from(ones if i == j else zeros)) for j in range(n)]
+        for i in range(n)
+    ]
+    for _ in range(draw(st.integers(0, 3))):
+        i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+        rows[i][j] = draw(st.one_of(st.sampled_from(ones + zeros), entries))
+    return TriMat(rows)
+
+
+@pytest.mark.parametrize("ring", sorted(RINGS))
+@given(data=st.data())
+@settings(max_examples=40, deadline=None)
+def test_equality_hash_and_predicates_match_entrywise_oracles(ring, data):
+    a = data.draw(near_identities(ring))
+    copy = TriMat(
+        [[rebuilt(v, data.draw(st.booleans())) for v in row] for row in a.rows]
+    )
+    others = [copy, data.draw(near_identities(ring)), TriMat.identity(a.n + 1)]
+    if a.n > 1:
+        others.append(TriMat([row[:-1] for row in a.rows[:-1]]))
+    for b in others:
+        assert (a == b) is entrywise_equal(a, b)
+        assert (a != b) is not entrywise_equal(a, b)
+        if a == b:
+            assert hash(a) == hash(b)
+    assert copy == a and hash(copy) == hash(a)
+    for m in (a, copy):
+        assert m.is_identity() is entrywise_identity(m)
+        assert m.is_upper_triangular() is all(
+            not m.rows[i][j] for i in range(m.n) for j in range(i)
+        )
+        assert m.is_strict_upper() is all(
+            not m.rows[i][j] for i in range(m.n) for j in range(i + 1)
+        )
+    assert TriMat.identity(a.n).is_identity()
+    assert TriMat.identity(a.n, ExpSum.one()).is_identity()
+
+
 def early_vanishing_cases():
     """Zero matrices, single superdiagonals, and affine algebra images,
     whose powers vanish well before their dimension."""
