@@ -8,16 +8,16 @@ spaces list the most significant component first.  The bridge therefore
 reverses coordinates when moving between matrices and points.
 
 A matrix automorphism applies its dilation in integer arithmetic, on
-the kernel and decoder of the matrix series.  The columns of
-[dilation | translation] are written once, on first use, over the
-common denominator D_A of their rational coefficients, by
+the kernel and decoder of the matrix series.  The dilation is upper
+triangular with a positive diagonal, which the constructor checks.  The
+columns of [dilation | translation] are written once, on first use,
+over the common denominator D_A of their rational coefficients, by
 :func:`~affinetrees.trimat._encode`: as ints, or for exponential-sum
 entries as sparse Laurent polynomials {x: c} in e**(1/L).  Each point
-(or translation, for ``compose`` and ``invert``) is encoded the same way
-as one row over its own D_x; the constant 1 that meets the translation
-column is D_x.  An exponential sum already stores int numerators over
-one denominator, so encoding only rescales them.  ``act``, ``dilate``,
-``compose`` and ``invert`` then each make one 1-row product
+is encoded the same way as one row over its own D_x; the constant 1
+that meets the translation column is D_x.  An exponential sum already
+stores int numerators over one denominator, so encoding only rescales
+them.  ``act`` and ``dilate`` then each make one 1-row product
 (:func:`~affinetrees.trimat._product`) and one decode
 (:func:`~affinetrees.trimat._decoded`), which builds every output entry
 once, with one gcd, as a Fraction over D_A * D_x or an ExpSum with int
@@ -31,6 +31,20 @@ more than :data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits
 the entries are summed in their own ring instead (:func:`_affine`),
 which also serves the tests as the oracle of the integer path.
 
+Over the rationals ``compose`` and ``invert`` work on the encodings
+themselves.  With the corner D added, the encoded columns are D * M**T
+for the augmented matrix M = [[A, t], [0, 1]].  A composite is one int
+product of two such transposes, and the inverse of a unit-diagonal map
+is the int series sum_k (-S / D)**k, S the strict part of D * M**T
+(:func:`~affinetrees.trimat._series_sums`).  Either result is divided by
+the common gcd of its numerators and their denominator, which is
+exactly the encoding :func:`_encode_affine` would build, and is stored
+on the result while its denominator is within the cutoff, so its next
+act or composition does not encode it again.  Its fields are decoded
+once (:func:`_from_columns`).  Exponential-sum maps, maps past the
+cutoff and the inverse of a diagonal other than 1 use the ring-mode
+matrix product and inverse.
+
 Diagnostics distinguish *certified* verdicts (the exact matrix predicate)
 from *sampled* evidence, since sampling cannot prove universally
 quantified claims.
@@ -39,7 +53,7 @@ quantified claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import lcm
+from math import gcd, lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -50,7 +64,15 @@ from .errors import (
 )
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
-from .trimat import TriMat, _decoded, _encode, _product, _sparse
+from .trimat import (
+    MAX_COMMON_DENOMINATOR_BITS,
+    TriMat,
+    _decoded,
+    _encode,
+    _product,
+    _series_sums,
+    _sparse,
+)
 
 
 def _affine(rows, xs, offsets) -> list:
@@ -68,8 +90,30 @@ def _encode_affine(dilation: TriMat, translation, expsum: bool):
     """:func:`~affinetrees.trimat._encode` of the columns of [dilation |
     translation], the translation column n, followed by an empty
     one-item list: the slot where :func:`_affine_int` keeps the columns
-    rescaled to the last exponent lcm it met, as a pair (L, columns)."""
-    return (*_encode(_sparse([*zip(*dilation.rows), translation]), expsum), [None])
+    rescaled to the last exponent lcm it met, as a pair (L, columns).
+    The dilation is upper triangular, so column j is read down to row j."""
+    rows = dilation.rows
+    cols = [{i: v for i in range(j + 1) if (v := rows[i][j])} for j in range(dilation.n)]
+    cols.append({i: v for i, v in enumerate(translation) if v})
+    return (*_encode(cols, expsum), [None])
+
+
+def _from_columns(cols, den: int, space: Product) -> "MatrixAffineAut":
+    """The rational map whose [dilation | translation] has the int
+    columns ``cols`` over ``den``, the translation column last.  Columns
+    and den are first divided by their common gcd, which leaves exactly
+    :func:`_encode_affine`'s form; it is stored as the map's encoding
+    while den is within the cutoff."""
+    g = gcd(den, *(v for col in cols for v in col.values()))
+    if g > 1:
+        den //= g
+        cols = [{i: v // g for i, v in col.items()} for col in cols]
+    n = len(cols) - 1
+    *dilation, translation = (_decoded(col, n, den, None, False) for col in cols)
+    aut = MatrixAffineAut._trusted(TriMat(zip(*dilation)), tuple(translation), space)
+    if den.bit_length() <= MAX_COMMON_DENOMINATOR_BITS:
+        object.__setattr__(aut, "_enc", (cols, den, None, [None]))
+    return aut
 
 
 def _rescaled(row: dict, f: int) -> dict:
@@ -128,6 +172,10 @@ class MatrixAffineAut:
     space: Product
 
     def __post_init__(self):
+        if not self.dilation.is_upper_triangular():
+            raise NotAffineForm("dilation must be upper triangular")
+        if not self.dilation.has_positive_diagonal():
+            raise NotAffineForm("diagonal must be positive for an order-preserving map")
         if len(self.translation) != self.dilation.n:
             raise DimensionMismatch("translation length must match the dilation")
         if len(self.space.factors) != self.dilation.n:
@@ -158,18 +206,22 @@ class MatrixAffineAut:
     def is_identity(self) -> bool:
         return not any(self.translation) and self.dilation.is_identity()
 
+    def _encoding(self):
+        """:func:`_encode_affine` of the map, stored on first use."""
+        enc = self.__dict__.get("_enc")
+        if enc is None:
+            enc = _encode_affine(self.dilation, self.translation, self.space.factors[0].kind == "R")
+            # not a field: ==, hash and repr do not see it
+            object.__setattr__(self, "_enc", enc)
+        return enc
+
     def _apply(self, xs, translate: bool) -> list:
         """dilation * xs (+ translation), xs and the result in matrix
         coordinate order: by :func:`_affine_int` over the encoding stored
         on first use, or by :func:`_affine` past the cutoff."""
-        expsum = self.space.factors[0].kind == "R"
-        enc = self.__dict__.get("_enc")
-        if enc is None:
-            enc = _encode_affine(self.dilation, self.translation, expsum)
-            # not a field: ==, hash and repr do not see it
-            object.__setattr__(self, "_enc", enc)
+        enc = self._encoding()
         if enc[1] is not None:
-            out = _affine_int(enc, xs, translate, expsum)
+            out = _affine_int(enc, xs, translate, self.space.factors[0].kind == "R")
             if out is not None:
                 return out
         offsets = self.translation
@@ -191,15 +243,42 @@ class MatrixAffineAut:
         return LexVec._trusted(self.space, self._mat_apply(delta.value, False))
 
     def compose(self, other: "MatrixAffineAut") -> "MatrixAffineAut":
-        """self after other: x -> self(other(x))."""
+        """self after other: x -> self(other(x)).
+
+        Over Q, with both encodings within the cutoff, the encoded
+        columns D * M**T of the augmented matrices M = [[A, t], [0, 1]]
+        multiply as (M_s * M_o)**T = M_o**T * M_s**T: one int product,
+        the corner D_o of M_o**T added to its translation row."""
         if not isinstance(other, MatrixAffineAut) or other.space != self.space:
             raise IndexSpaceMismatch("can only compose over one space")
+        if self.space.factors[0].kind == "Q":
+            cs, ds, _, _ = self._encoding()
+            co, do, _, _ = other._encoding()
+            if ds is not None and do is not None:
+                n = self.dim
+                first = [*co[:n], {**co[n], n: do}]
+                return _from_columns(_product(first, cs, None), ds * do, self.space)
         dil = self.dilation * other.dilation
         # translations are stored in matrix row order, so no reversal here
         moved = self._apply(other.translation, True)
         return MatrixAffineAut._trusted(dil, tuple(moved), self.space)
 
     def invert(self) -> "MatrixAffineAut":
+        """The inverse map.  Over Q, for a unit diagonal and an encoding
+        D * M**T within the cutoff, M**T = I + S / D with S strictly
+        triangular, so (M**T)**-1 = sum_k (-S / D)**k: the series' int
+        sums (:func:`~affinetrees.trimat._series_sums`), with D**K on the
+        diagonal, are the inverse's columns over D**K."""
+        if self.space.factors[0].kind == "Q":
+            cols, d, _, _ = self._encoding()
+            n = self.dim
+            if d is not None and all(cols[j].get(j) == d for j in range(n)):
+                strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
+                sums, den = _series_sums(strict, d, None, lambda k: (-1) ** k)
+                sums = list(sums)
+                for j in range(n):
+                    sums[j][j] = den
+                return _from_columns(sums, den, self.space)
         dil = self.dilation.inverse()
         zeros = (self.space.factors[0].zero(),) * self.dim
         linear = MatrixAffineAut._trusted(dil, zeros, self.space)
@@ -223,10 +302,11 @@ def from_affine_matrix(mat: TriMat) -> MatrixAffineAut:
         raise NotAffineForm("corner entry must be 1")
     if not mat.has_positive_diagonal():
         raise NotAffineForm("diagonal must be positive for an order-preserving map")
-    dilation = TriMat([[mat.rows[i][j] for j in range(N - 1)] for i in range(N - 1)])
-    translation = tuple(mat.rows[i][N - 1] for i in range(N - 1))
+    dilation = TriMat([row[: N - 1] for row in mat.rows[: N - 1]])
     ring = Scalars("R" if mat.expsum else "Q")
-    return MatrixAffineAut(dilation, translation, Product(*[ring] * (N - 1)))
+    translation = tuple(ring.coerce(row[N - 1]) for row in mat.rows[: N - 1])
+    # the checks above are the constructor's, for the dilation block too
+    return MatrixAffineAut._trusted(dilation, translation, Product(*[ring] * (N - 1)))
 
 
 class ProductAut:

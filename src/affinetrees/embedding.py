@@ -260,18 +260,20 @@ def is_essentially_hyperbolic(mat: TriMat) -> bool:
     strictly below i (and above the corner).  Under the convention that
     larger row index means more significant coordinate, this says the
     translation part dominates everything the linear part can move.
+    The rows are read once, from the bottom, carrying whether a final
+    column entry below the current row is nonzero.
     """
     N = mat.n
     if not mat.is_upper_triangular() or mat.rows[N - 1][N - 1] != 1:
         raise NotAffineForm("expected upper triangular with corner entry 1")
     if mat.is_identity():
         raise IdentityInput("essential hyperbolicity is undefined for the identity")
-    for i in range(N - 1):
-        triggered = mat.rows[i][i] != 1 or any(
-            mat.rows[i][j] for j in range(i + 1, N - 1)
-        )
-        if triggered and not any(mat.rows[k][N - 1] for k in range(i + 1, N - 1)):
+    below = False
+    for i in range(N - 2, -1, -1):
+        row = mat.rows[i]
+        if not below and (row[i] != 1 or any(row[i + 1 : N - 1])):
             return False
+        below = below or bool(row[N - 1])
     return True
 
 

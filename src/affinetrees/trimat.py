@@ -36,7 +36,8 @@ arithmetic they replace.  So the integer path runs only while D has at
 most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the series runs
 the same kernel in ring mode and the inverse back-substitutes, as for a
 diagonal other than 1.  The same encoder, kernel and decoder apply the
-affine automorphisms of :mod:`~affinetrees.actions`.
+affine automorphisms of :mod:`~affinetrees.actions`, and the series'
+integer sums (:func:`_series_sums`) invert them.
 """
 
 from __future__ import annotations
@@ -381,15 +382,46 @@ def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
     return out
 
 
+def _series_sums(strict, d, el, coeff):
+    """(sums, den): the sparse rows of sum_k coeff(k) * B**k for k >= 1,
+    B the nilpotent matrix whose :func:`_encode` is ``strict, d, el``,
+    as :func:`_series` forms them: the integer numerators over den, or
+    with d None the entries themselves and den None.  Row i is one
+    :func:`_product` of the weight row {k: w_k} with the rows i of the
+    powers.  The rows are yielded one at a time, so a caller that
+    decodes each as it comes holds one row of numerators, not all."""
+    powers, power = [], strict
+    while any(power):
+        powers.append(power)
+        power = _product(power, strict, el)
+    coeffs = [coeff(k) for k in range(1, len(powers) + 1)]
+    if d is None:
+        den, weights = None, coeffs
+    else:
+        last = len(coeffs)
+        lcd = lcm(*(c.denominator for c in coeffs))
+        den = lcd * d**last
+        weights = [
+            c.numerator * (lcd // c.denominator) * d ** (last - k)
+            for k, c in enumerate(coeffs, 1)
+        ]
+        if el is not None:
+            weights = [{0: w} for w in weights]
+    wrow = [dict(enumerate(weights))]
+    sums = (_product(wrow, [power[i] for power in powers], el)[0] for i in range(len(strict)))
+    return sums, den
+
+
 def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     """diag * I + sum_k coeff(k) * B**k, B the strict upper part of mat.
 
-    ``strict, d, el`` is :func:`_strict_part` of mat.  The powers are
-    formed by :func:`_product` up to the last nonzero power K, and row i
-    of the sum is one more product: of the weight row {k: w_k} with the
-    rows i of the powers, decoded by :func:`_decoded`.  With d None the
-    powers are those of B in its own ring, the weights are coeff(k), and
-    entries left out are the ring zero of mat.  Otherwise they are powers
+    ``strict, d, el`` is :func:`_strict_part` of mat.
+    :func:`_series_sums` forms the powers by :func:`_product` up to the
+    last nonzero power K, and row i of the sum by one more product: of
+    the weight row {k: w_k} with the rows i of the powers, decoded by
+    :func:`_decoded`.  With d None the powers are those of B in its own
+    ring, the weights are coeff(k), and entries left out are the ring
+    zero of mat.  Otherwise they are powers
     of M = d * B, whose entries are ints or (el not None) Laurent
     polynomials {x: c} over the ints, so they take int products and dict
     sums only.  With L the lcm of the coefficients' denominators, the
@@ -430,28 +462,8 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     (1/el)Z and the packed ints are mostly zero bits.
     """
     n = mat.n
-    powers, power = [], strict
-    while any(power):
-        powers.append(power)
-        power = _product(power, strict, el)
-    coeffs = [coeff(k) for k in range(1, len(powers) + 1)]
-    if d is None:
-        den, weights = None, coeffs
-    else:
-        last = len(coeffs)
-        lcd = lcm(*(c.denominator for c in coeffs))
-        den = lcd * d**last
-        weights = [
-            c.numerator * (lcd // c.denominator) * d ** (last - k)
-            for k, c in enumerate(coeffs, 1)
-        ]
-        if el is not None:
-            weights = [{0: w} for w in weights]
-    wrow = [dict(enumerate(weights))]
-    out = [
-        _decoded(_product(wrow, [power[i] for power in powers], el)[0], n, den, el, mat.expsum)
-        for i in range(n)
-    ]
+    sums, den = _series_sums(strict, d, el, coeff)
+    out = [_decoded(row, n, den, el, mat.expsum) for row in sums]
     if diag:
         one = mat.ring_one()
         for i, row in enumerate(out):

@@ -11,9 +11,12 @@ applies the component dilations fiberwise (with the same index shift),
 so convex subgroups are shifted rather than stabilised.
 
 H is consumed through a small contract -- identity, multiplication,
-inversion, action and dilation on fiber values -- so translation groups,
-affine matrix groups and other wreath products all plug in, enabling
-iterated constructions.  ``act``, ``dilate``, ``mul`` and ``inv`` take
+inversion, action and dilation on fiber values, and ``act_zero(h)``, the
+image of the zero fiber -- so translation groups, affine matrix groups
+and other wreath products all plug in, enabling iterated constructions.
+An absent fiber is zero, so ``act`` sends it straight to ``act_zero``:
+h itself for a translation, the translation column for a matrix map,
+with no arithmetic.  ``act``, ``dilate``, ``mul`` and ``inv`` take
 and return normalised values and elements without checking them; the
 validating constructors are :meth:`WreathGroup.element` (through each
 base's ``check_element``), ``MatrixAffineAut``, ``from_affine_matrix``
@@ -69,6 +72,9 @@ class TranslationBundle:
     def act(self, h, value):
         return self.point_space.add(value, h)
 
+    def act_zero(self, h):
+        return h
+
     def dilate(self, h, value):
         return value
 
@@ -110,6 +116,9 @@ class MatrixBundle:
 
     def act(self, h, value):
         return h._mat_apply(value, True)
+
+    def act_zero(self, h):
+        return h.translation[::-1]
 
     def dilate(self, h, value):
         return h._mat_apply(value, False)
@@ -215,16 +224,20 @@ class WreathGroup:
         """(shift, (h_i)) . (c, (v_i)) = (c + shift, (h_{i+shift} v_{i+shift})_i)."""
         self.check_element(g)
         c, fam = value
-        base, fiber, t = self.base, self.fiber_space, g.shift
+        base, t = self.base, g.shift
+        act, act_zero = base.act, base.act_zero
         moved = merge_sorted(
             fam,
             g.support,
-            lambda v, h: base.act(h, fiber.zero() if v is None else v),
-            fiber.is_zero,
+            lambda v, h: act_zero(h) if v is None else act(h, v),
+            self.fiber_space.is_zero,
         )
         if t:
             moved = shift_sorted(moved, -t)
         return (c + t, moved)
+
+    def act_zero(self, g: WreathElem):
+        return self.act(g, self.point_space.zero())
 
     def dilate(self, g: WreathElem, value):
         """First coordinate fixed; fiber at i becomes the h_{i+shift}

@@ -10,6 +10,7 @@ from affinetrees.actions import (
     MatrixAffineAut,
     ProductAut,
     _affine,
+    _encode_affine,
     check_affine_law,
     check_free_and_rigid,
     from_affine_matrix,
@@ -49,6 +50,17 @@ def test_affine_form_validation():
         from_affine_matrix(TriMat([[1, 0], [0, 2]]))  # corner not 1
     with pytest.raises(NotAffineForm):
         from_affine_matrix(TriMat([[-1, 0], [0, 1]]))  # negative diagonal
+
+
+@pytest.mark.parametrize(
+    "rows",
+    [[[0, 1], [1, 0]], [[-1, 0], [0, 1]], [[1, 1], [0, 0]], [[1, 0], [1, 1]]],
+    ids=["swap", "negative-diagonal", "zero-diagonal", "lower-entry"],
+)
+def test_constructor_accepts_only_order_preserving_dilations(rows):
+    space = Product(Scalars("Q"), Scalars("Q"))
+    with pytest.raises(NotAffineForm):
+        MatrixAffineAut(TriMat(rows), (0, 1), space)
 
 
 def test_translation_action():
@@ -303,6 +315,7 @@ KERNEL_KINDS = {
     "R": ("R", monomials_of(positive), sums, sums, sums),
     "R-rational-dilation": ("R", positive, rationals, st.one_of(rationals, sums), sums),
     "R-constant": ("R", st.builds(ExpSum.constant, positive), constants, constants, constants),
+    "Q-unit": ("Q", st.just(Fraction(1)), rationals, rationals, rationals),
     "Q-past-cutoff": ("Q", past_rationals, rationals, rationals, rationals),
     "R-past-cutoff": ("R", monomials_of(past_rationals), sums, sums, sums),
     "R-point-past-cutoff": ("R", monomials_of(positive), sums, sums, sums_of(past_rationals)),
@@ -346,6 +359,41 @@ def oracle(aut, xs, translate):
     return _affine(aut.dilation.rows, xs, offsets)
 
 
+def dense_product(a: TriMat, b: TriMat) -> list:
+    """a * b by the triple loop, in the ring of the product."""
+    expsum = a.expsum or b.expsum
+    zero = ExpSum.zero() if expsum else Fraction(0)
+    out = []
+    for i in range(a.n):
+        row = []
+        for j in range(a.n):
+            v = zero
+            for k in range(a.n):
+                if a.rows[i][k] and b.rows[k][j]:
+                    v = v + a.rows[i][k] * b.rows[k][j]
+            row.append(ExpSum.constant(v) if expsum and type(v) is Fraction else v)
+        out.append(row)
+    return out
+
+
+def back_substituted(mat: TriMat) -> list:
+    """The inverse of an upper triangular matrix, solved from the bottom
+    row up: row i is (e_i - sum_{k > i} a_ik * row k) / a_ii."""
+    n, rows = mat.n, mat.rows
+    one = mat.ring_one()
+    zero = one - one
+    out = [None] * n
+    for i in range(n - 1, -1, -1):
+        row = []
+        for j in range(n):
+            v = one if i == j else zero
+            for k in range(i + 1, n):
+                v = v - rows[i][k] * out[k][j]
+            row.append(v / rows[i][i])
+        out[i] = row
+    return out
+
+
 @pytest.mark.parametrize("kind", sorted(KERNEL_KINDS))
 @given(data=st.data())
 @settings(max_examples=25, deadline=None)
@@ -374,6 +422,20 @@ def test_integer_kernel_matches_ring_sums(kind, data):
     linear = MatrixAffineAut(inverted.dilation, (a.space.factors[0].zero(),) * a.dim, a.space)
     want = [-v for v in oracle(linear, a.translation, False)]
     assert_same_terms(inverted.translation, want)
+    for got, want in zip(composed.dilation.rows, dense_product(a.dilation, b.dilation)):
+        assert_same_terms(got, want)
+    for got, want in zip(inverted.dilation.rows, back_substituted(a.dilation)):
+        assert_same_terms(got, want)
+    # a rational result within the cutoff keeps the encoding of its
+    # integer product or series, in _encode_affine's reduced form
+    stored = [vars(aut).get("_enc") for aut in (composed, inverted)]
+    if kind in ("Q", "Q-unit"):
+        assert stored[0] is not None
+    if kind == "Q-unit":
+        assert stored[1] is not None
+    for aut, enc in zip((composed, inverted), stored):
+        if enc is not None:
+            assert enc == _encode_affine(aut.dilation, aut.translation, False)
 
 
 @pytest.mark.parametrize("kind", ["R", "R-rational-dilation"])

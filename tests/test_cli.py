@@ -774,19 +774,28 @@ def golden_rational_8():
 
 
 #: SHA-256 of the stdout of each command, recorded before the
-#: left-symmetric product was rewritten as one pass over the entries.
-#: Refactors keep these bytes; a digest changes only with the output.
+#: left-symmetric product was rewritten as one pass over the entries
+#: (the two wreath commands: before wreath fibers were composed and
+#: inverted on their integer encoding).  Refactors keep these bytes; a
+#: digest changes only with the output.
 GOLDEN_DIGESTS = {
     "verify": "23946b7848ab287a8fa421ed05f3ea07603a3bbd767cb8f416586807b80ea877",
     "embed-integerize": "d1029ab9c5f3d27b18001184fe6ef60ac6849abb5a9a7f906fe4fd35d23e6295",
+    "wreath-ZQZ": "d05735835b5a1008915050c9456a9f7b1f7536d30937a9bd23a7230aca4df5cf",
+    "wreath-QQQ": "3dc2494f326c63be0eb26ee5a6c21a268efafaf8d401cba79685f4a3e729fbf9",
+}
+
+GOLDEN_ARGV = {
+    "verify": ["verify", "--suite", "all", "--n", "2..4", "--samples", "2", "--seed", "0"],
+    "wreath-ZQZ": ["wreath", "--levels", "Z,Q,Z", "--samples", "20", "--seed", "3"],
+    "wreath-QQQ": ["wreath", "--levels", "Q,Q,Q", "--samples", "50", "--seed", "0"],
 }
 
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_match_pinned_digests(tmp_path, capsys, command):
-    if command == "verify":
-        argv = ["verify", "--suite", "all", "--n", "2..4", "--samples", "2", "--seed", "0"]
-    else:
+    argv = GOLDEN_ARGV.get(command)
+    if argv is None:
         src = write_json(tmp_path / "in.json", mat_to_json(golden_rational_8()))
         argv = ["embed", "--input", src, "--integerize"]
     code, out, _ = run_cli(capsys, *argv)

@@ -442,6 +442,41 @@ def test_near_identity_gets_a_verdict(value, monkeypatch):
     assert len(built) == n * (n - 1) // 2 + 1
 
 
+def lowest_entry_verdict(mat):
+    """Hyperbolic exactly when every row with a diagonal entry other than
+    1 or a nonzero entry short of the final column lies above the lowest
+    nonzero entry of the final column."""
+    N, rows = mat.n, mat.rows
+    low = max((k for k in range(N - 1) if rows[k][N - 1]), default=-1)
+    return all(
+        i < low for i in range(N - 1) if rows[i][i] != 1 or any(rows[i][i + 1 : N - 1])
+    )
+
+
+def test_verdict_matches_lowest_entry_form():
+    verdicts = set()
+    for t in range(200):
+        rng = trial_rng(31, "lowest-entry", t)
+        image = embed_unitriangular(rand_unitriangular(rng, rng.randint(2, 4)))
+        rows = [list(row) for row in image.rows]
+        N = len(rows)
+        # drop translation entries and linear noise at random, and
+        # sometimes stretch a diagonal entry
+        for i in range(N - 1):
+            for j in range(i + 1, N):
+                if rng.random() < 0.5:
+                    rows[i][j] = Fraction(0)
+            if rng.random() < 0.1:
+                rows[i][i] = Fraction(2)
+        mat = TriMat(rows)
+        if mat.is_identity():
+            continue
+        verdict = is_essentially_hyperbolic(mat)
+        assert verdict == lowest_entry_verdict(mat)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}
+
+
 def test_affine_form_required():
     with pytest.raises(NotAffineForm):
         is_essentially_hyperbolic(TriMat([[1, 0], [1, 1]]))

@@ -416,3 +416,15 @@ def test_merge_matches_dict_oracle(kind, data):
     for i, h in a.support:
         if i in fam and group.fiber_space.is_zero(group.base.act(h, fam[i])):
             assert i - a.shift not in moved
+
+
+@pytest.mark.parametrize("kind", ORACLE_GROUPS)
+def test_image_of_the_zero_point_matches_the_action(kind):
+    # ZZZ's base is a wreath group, QQ's a translation bundle and U3's a
+    # matrix bundle
+    group = ORACLE_GROUPS[kind]
+    for bundle in (group.base, group):
+        zero = bundle.point_space.zero()
+        for t in range(20):
+            h = bundle.sample_element(trial_rng(32, "act-zero", kind, t))
+            assert_same(bundle.act_zero(h), bundle.act(h, zero))
