@@ -41,9 +41,9 @@ the common gcd of its numerators and their denominator, which is
 exactly the encoding :func:`_encode_affine` would build, and is stored
 on the result while its denominator is within the cutoff, so its next
 act or composition does not encode it again.  Its fields are decoded
-once (:func:`_from_columns`).  Exponential-sum maps, maps past the
-cutoff and the inverse of a diagonal other than 1 use the ring-mode
-matrix product and inverse.
+once (:func:`_from_columns`).  Exponential-sum maps and maps past the
+cutoff use the ring-mode matrix product, and they and the inverse of a
+diagonal other than 1 use :meth:`~affinetrees.trimat.TriMat.inverse`.
 
 Diagnostics distinguish *certified* verdicts (the exact matrix predicate)
 from *sampled* evidence, since sampling cannot prove universally

@@ -306,17 +306,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     # the environment's refinement budget holds for this call only
-    previous = scalars.get_default_max_refinements()
+    env_bound = os.environ.get("AFFINE_MAX_REFINEMENTS")
     try:
-        env_bound = os.environ.get("AFFINE_MAX_REFINEMENTS")
-        if env_bound:
-            try:
-                scalars.set_default_max_refinements(int(env_bound))
-            except ValueError:
-                print(
-                    f"invalid AFFINE_MAX_REFINEMENTS={env_bound!r}", file=sys.stderr
-                )
-                return EXIT_BAD_INPUT
+        budget = scalars.refinement_budget(int(env_bound) if env_bound else None)
+    except ValueError:
+        print(f"invalid AFFINE_MAX_REFINEMENTS={env_bound!r}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    with budget:
         parser = build_parser()
         args = parser.parse_args(argv)
         try:
@@ -330,8 +326,6 @@ def main(argv=None) -> int:
         except AffineTreesError as exc:
             print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
             return EXIT_PRECONDITION
-    finally:
-        scalars.set_default_max_refinements(previous)
 
 
 if __name__ == "__main__":

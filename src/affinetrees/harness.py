@@ -987,14 +987,9 @@ SUITES = (*_SUITE_BODIES, "all")
 
 def run_suite(cfg: SuiteConfig) -> Verdict:
     cfg.validate()
-    previous = scalars.get_default_max_refinements()
-    if cfg.max_refinements is not None:
-        scalars.set_default_max_refinements(cfg.max_refinements)
-    try:
+    with scalars.refinement_budget(cfg.max_refinements):
         names = list(_SUITE_BODIES) if cfg.suite == "all" else [cfg.suite]
         checks = []
         for name in names:
             checks.extend(_SUITE_BODIES[name](cfg))
-    finally:
-        scalars.set_default_max_refinements(previous)
     return Verdict(cfg.suite, asdict(cfg), checks)

@@ -258,7 +258,7 @@ def lexvec_from_json(obj) -> LexVec:
 
 # -- wreath elements -------------------------------------------------------------
 # The fiber group is abstract, so callers supply the codec for its
-# elements; codecs for the shipped bundles live below.
+# elements.
 
 
 def wreath_elem_to_json(group, elem, h_to_json) -> dict:
@@ -279,21 +279,3 @@ def wreath_elem_from_json(group, obj, h_from_json):
     ]
     return group.element(shift, pairs)
 
-
-def translation_h_codec(bundle):
-    """Codec for translation-bundle elements (values of the acting group)."""
-    space = bundle.point_space
-    return (
-        lambda h: _value_to_json(space, h),
-        lambda obj: _value_from_json(space, obj),
-    )
-
-
-def matrix_h_codec(bundle):
-    """Codec for matrix-bundle elements via their affine matrices."""
-    from .actions import from_affine_matrix
-
-    return (
-        lambda h: mat_to_json(h.to_affine_matrix()),
-        lambda obj: from_affine_matrix(mat_from_json(obj)),
-    )

@@ -74,6 +74,26 @@ def get_default_max_refinements() -> int:
     return _max_refinements
 
 
+class refinement_budget:
+    """Context manager that sets the sign-test refinement bound to n for
+    its block, and restores the bound it found on leaving, however the
+    block ends; n None leaves the bound as it is.  An n below 1 raises
+    ValueError here, before any block runs."""
+
+    def __init__(self, n: int | None):
+        if n is not None and n < 1:
+            raise ValueError("refinement bound must be at least 1")
+        self._n = n
+
+    def __enter__(self):
+        self._previous = _max_refinements
+        if self._n is not None:
+            set_default_max_refinements(self._n)
+
+    def __exit__(self, *exc_info):
+        set_default_max_refinements(self._previous)
+
+
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")
 
 

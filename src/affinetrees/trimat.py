@@ -28,16 +28,18 @@ denominators, so each entry of M is a sparse Laurent polynomial {x: c}
 in e**(1/L) with int keys and coefficients, read off the entry's
 numerators; a matrix whose exponents are all 0 (a rational matrix lifted
 by :meth:`TriMat.to_expsum`, say) runs as an integer matrix and is
-lifted back.  The inverse of a unitriangular matrix is the series
-(I + N)**-1 = sum_k (-N)**k, formed the same way.  D can be far larger
-than any single entry's denominator (pairwise coprime denominators
-multiply), and the integers then grow faster than the Fraction
-arithmetic they replace.  So the integer path runs only while D has at
-most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the series runs
-the same kernel in ring mode and the inverse back-substitutes, as for a
-diagonal other than 1.  The same encoder, kernel and decoder apply the
-affine automorphisms of :mod:`~affinetrees.actions`, and the series'
-integer sums (:func:`_series_sums`) invert them.
+lifted back.  Every inverse is a series too: an upper-triangular A is
+T(I + N) with T its diagonal, so A**-1 = (sum_k (-N)**k) * T**-1; each
+diagonal entry other than 1 is divided once, and the series in N is
+formed the same way.  D can be far larger than any single entry's
+denominator (pairwise coprime denominators multiply), and the integers
+then grow faster than the Fraction arithmetic they replace.  So the
+integer path runs only while D has at most
+:data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise every series, an
+inverse's included, runs the same kernel in ring mode.  The same
+encoder, kernel and decoder apply the affine automorphisms of
+:mod:`~affinetrees.actions`, and the series' integer sums
+(:func:`_series_sums`) invert them.
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ from .errors import (
 )
 from .scalars import _ZERO_EXP, ExpSum, _fraction, scalar_sign
 
-#: Largest common denominator, in bits, for which a series (and a
-#: unitriangular inverse) runs in integer arithmetic, over either ring;
-#: set below the measured crossover given in :func:`_series`.
+#: Largest common denominator, in bits, for which a series (exp, log or
+#: an inverse) runs in integer arithmetic, over either ring; set below
+#: the measured crossover given in :func:`_series`.
 MAX_COMMON_DENOMINATOR_BITS = 512
 
 _RING_TYPES = frozenset((Fraction, ExpSum))
@@ -204,15 +206,16 @@ class TriMat:
     # -- inversion -----------------------------------------------------------
 
     def inverse(self) -> "TriMat":
-        """Inverse of an upper-triangular matrix.
+        """Inverse of an upper-triangular matrix, by one series.
 
-        A unitriangular matrix, over either ring, whose strict part has a
-        common coefficient denominator of at most
-        :data:`MAX_COMMON_DENOMINATOR_BITS` bits is inverted as the series
-        sum_k (-N)**k in integer arithmetic (see :func:`_series`).  Any
-        other matrix is inverted row by row from the bottom: row i is
-        (e_i - sum_k a_ik * row k) / a_ii over the rows k > i already
-        inverted, skipping zeros; a unit diagonal entry divides nothing.
+        Written as A = T(I + N), with T its diagonal, A**-1 is
+        (sum_k (-N)**k) * T**-1.  Each diagonal entry d_i other than 1 is
+        divided into the ring unit once; row i of the strict part, scaled
+        by 1 / d_i, is row i of N; the series runs by :func:`_series`, in
+        integer arithmetic while the common denominator of N has at most
+        :data:`MAX_COMMON_DENOMINATOR_BITS` bits and in ring mode past
+        it; and column j of the sum is scaled by 1 / d_j.  A unit
+        diagonal divides and scales nothing.
 
         Diagonal entries must be invertible in the entry ring: nonzero,
         and for ExpSum entries monomials.  Otherwise :class:`NotInvertible`
@@ -221,35 +224,21 @@ class TriMat:
         if not self.is_upper_triangular():
             raise NotUpperTriangular("inverse implemented for upper triangular only")
         n, rows = self.n, self.rows
-        for i in range(n):
-            d = rows[i][i]
+        diagonal = [rows[i][i] for i in range(n)]
+        for d in diagonal:
             if not (d.is_monomial() if isinstance(d, ExpSum) else d):
                 raise NotInvertible(f"diagonal entry {d!r} has no inverse in the entry ring")
-        if all(rows[i][i] == 1 for i in range(n)):
-            strict, d, el = _strict_part(self)
-            if d is not None:
-                return _series(self, True, lambda k: (-1) ** k, strict, d, el)
+        if all(d == 1 for d in diagonal):
+            return _series(self, True, lambda k: (-1) ** k, *_strict_part(self))
         one = self.ring_one()
-        zero = one - one
-        out = [None] * n
-        nonzero = [None] * n  # nonzero[k]: the (j, value) pairs of row k != 0
-        for i in range(n - 1, -1, -1):
-            row = rows[i]
-            acc = {}
-            for k in range(i + 1, n):
-                a = row[k]
-                if a:
-                    for j, b in nonzero[k]:
-                        acc[j] = acc[j] + a * b if j in acc else a * b
-            d = row[i]
-            unit = d == 1
-            orow = [zero] * n
-            orow[i] = one if unit else one / d
-            for j, v in acc.items():
-                orow[j] = -v if unit else -v / d
-            out[i] = orow
-            nonzero[i] = [(j, v) for j, v in enumerate(orow) if v]
-        return TriMat(out)
+        inv = [one if d == 1 else one / d for d in diagonal]
+        strict = [
+            {j: r[j] * inv[i] for j in range(i + 1, n) if r[j]} for i, r in enumerate(rows)
+        ]
+        unit = _series(self, True, lambda k: (-1) ** k, *_encode(strict, self.expsum))
+        return TriMat(
+            [[v * inv[j] if v else v for j, v in enumerate(row)] for row in unit.rows]
+        )
 
 
 def _common_denominator(denominators):

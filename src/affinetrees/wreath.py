@@ -17,10 +17,12 @@ and other wreath products all plug in, enabling iterated constructions.
 An absent fiber is zero, so ``act`` sends it straight to ``act_zero``:
 h itself for a translation, the translation column for a matrix map,
 with no arithmetic.  ``act``, ``dilate``, ``mul`` and ``inv`` take
-and return normalised values and elements without checking them; the
-validating constructors are :meth:`WreathGroup.element` (through each
-base's ``check_element``), ``MatrixAffineAut``, ``from_affine_matrix``
-and ``LexVec(space, value)``.
+and return normalised values and elements, and check only that each
+element is a :class:`WreathElem` (``WreathGroup.check_element`` raises
+:class:`~affinetrees.errors.StructureMismatch` otherwise), not its
+shift, support or fibers; the validating constructors are
+:meth:`WreathGroup.element` (through each base's ``check_element``),
+``MatrixAffineAut``, ``from_affine_matrix`` and ``LexVec(space, value)``.
 
 A uniform index shift preserves the order of a support or family, and an
 element changes at most the fibers at its own support indices.  So

@@ -219,6 +219,22 @@ def test_precision_guard_trips_on_tiny_budget():
     assert value.sign() != 0
 
 
+def test_refinement_budget_is_restored_however_its_block_ends():
+    bound = scalars.get_default_max_refinements()
+    with scalars.refinement_budget(None):
+        assert scalars.get_default_max_refinements() == bound
+    with pytest.raises(PrecisionExhausted):
+        with scalars.refinement_budget(1):
+            assert scalars.get_default_max_refinements() == 1
+            close = Fraction("2.7182818284590452353602874713526624977572470936999595")
+            (ExpSum.exponential(1) - ExpSum.constant(close)).sign()
+    assert scalars.get_default_max_refinements() == bound
+    for bad in (0, -3):
+        with pytest.raises(ValueError):
+            scalars.refinement_budget(bad)
+    assert scalars.get_default_max_refinements() == bound
+
+
 def test_comparisons_route_through_sign():
     assert ExpSum.exponential(1) > 2
     assert ExpSum.exponential(1) < 3

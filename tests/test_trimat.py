@@ -12,8 +12,14 @@ from affinetrees.errors import (
     NotStrictUpper,
     NotUnitriangular,
 )
-from affinetrees.sampling import rand_strict_upper, rand_unitriangular, trial_rng
+from affinetrees.sampling import (
+    rand_exponents,
+    rand_strict_upper,
+    rand_unitriangular,
+    trial_rng,
+)
 from affinetrees.scalars import ExpSum
+from affinetrees.triangular import conj_coord_matrix_affine, embed_diagonal_part
 from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
@@ -493,13 +499,31 @@ def inverse_cases():
         g = rand_unitriangular(rng, n)
         yield g
         yield g.to_expsum()
-        yield TriMat(
-            [[rng.randint(1, 5) * v if i == j else v for j, v in enumerate(row)]
-             for i, row in enumerate(g.rows)]
-        )
+        yield scaled_diagonal(g, lambda i: rng.randint(1, 5))
     image = embed_unitriangular(rand_unitriangular(rng, 8))
     yield image
     yield embed_unitriangular(rand_unitriangular(rng, 5).to_expsum())
+    # the 29 x 29 image with a rational diagonal: its series runs in ints
+    yield scaled_diagonal(image, lambda i: Fraction(rng.randint(1, 9), rng.randint(1, 9)))
+    # the 16 x 16 diagonal pad of the conjugation identities at n = 6, and
+    # the 22 x 22 image of a positive diagonal, which has a strict part
+    exps = rand_exponents(rng, 6)
+    yield conj_coord_matrix_affine(exps)
+    yield embed_diagonal_part(exps)
+    # a rational diagonal whose strict part is past the cutoff
+    past = TriMat(
+        [[v / PAST if j > i else v for j, v in enumerate(row)]
+         for i, row in enumerate(rand_unitriangular(rng, 10).rows)]
+    )
+    yield scaled_diagonal(past, lambda i: Fraction(i + 2, 3))
+
+
+def scaled_diagonal(mat, factor):
+    """mat with diagonal entry i multiplied by factor(i)."""
+    return TriMat(
+        [[v * factor(i) if i == j else v for j, v in enumerate(row)]
+         for i, row in enumerate(mat.rows)]
+    )
 
 
 @pytest.mark.parametrize("mat", list(inverse_cases()))
@@ -580,6 +604,23 @@ def test_unitriangular_inverse_divides_nothing(monkeypatch):
     assert not divisions
     TriMat.diagonal([ExpSum.exponential(1)]).inverse()
     assert len(divisions) == 1
+
+
+def test_inverse_divides_once_per_diagonal_entry_other_than_one(monkeypatch):
+    one, e = ExpSum.one(), ExpSum.exponential
+    mat = TriMat([[e(1), one, e(2)], [ExpSum(), one, e(-1)], [ExpSum(), ExpSum(), e(3, 2)]])
+    divisions = []
+    div = ExpSum.__truediv__
+
+    def counting(self, other):
+        divisions.append(other)
+        return div(self, other)
+
+    monkeypatch.setattr(ExpSum, "__truediv__", counting)
+    inv = mat.inverse()
+    assert divisions == [e(1), e(3, 2)]
+    monkeypatch.undo()
+    assert_same(inv, reference_inverse(mat))
 
 
 # -- structural guard: matrices built per call ---------------------------------
