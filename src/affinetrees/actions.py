@@ -22,14 +22,16 @@ them.  ``act`` and ``dilate`` then each make one 1-row product
 (:func:`~affinetrees.trimat._decoded`), which builds every output entry
 once, with one gcd, as a Fraction over D_A * D_x or an ExpSum with int
 numerators over it, in the ring of the point space: a rational dilation
-on a power of R still gives ExpSum values.  The encoding is stored on
-the automorphism outside its fields, so ``==``, ``hash`` and ``repr`` do
-not see it.  Beside it sits one slot with its Laurent columns rescaled
-to the last exponent lcm L that a point brought, since the points of one
-orbit keep bringing the same L.  While either common denominator has
-more than :data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits
-the entries are summed in their own ring instead (:func:`_affine`),
-which also serves the tests as the oracle of the integer path.
+on a power of R still gives ExpSum values.  The encoding (columns, D_A,
+L) is stored on the automorphism outside its fields, so ``==``, ``hash``
+and ``repr`` do not see it.  A point whose exponent lcm does not divide
+L has the columns rescaled once to the lcm of both, stored in place of
+the old encoding, so L only grows and the points of one orbit, which
+keep bringing the same exponents, rescale nothing after the first.
+While either common denominator has more than
+:data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the same
+product runs in ring mode, on the unencoded columns and point, as a
+matrix product does.
 
 Over the rationals ``compose`` and ``invert`` work on the encodings
 themselves.  With the corner D added, the encoded columns are D * M**T
@@ -75,27 +77,21 @@ from .trimat import (
 )
 
 
-def _affine(rows, xs, offsets) -> list:
-    """rows * xs + offsets, in matrix coordinate order, skipping zero terms."""
-    out = []
-    for row, acc in zip(rows, offsets):
-        for a, x in zip(row, xs):
-            if a and x:
-                acc = acc + a * x
-        out.append(acc)
-    return out
-
-
-def _encode_affine(dilation: TriMat, translation, expsum: bool):
-    """:func:`~affinetrees.trimat._encode` of the columns of [dilation |
-    translation], the translation column n, followed by an empty
-    one-item list: the slot where :func:`_affine_int` keeps the columns
-    rescaled to the last exponent lcm it met, as a pair (L, columns).
-    The dilation is upper triangular, so column j is read down to row j."""
+def _columns(dilation: TriMat, translation) -> list:
+    """Sparse columns {i: nonzero entry} of [dilation | translation], the
+    translation column n.  The dilation is upper triangular, so column j
+    is read down to row j."""
     rows = dilation.rows
     cols = [{i: v for i in range(j + 1) if (v := rows[i][j])} for j in range(dilation.n)]
     cols.append({i: v for i, v in enumerate(translation) if v})
-    return (*_encode(cols, expsum), [None])
+    return cols
+
+
+def _encode_affine(dilation: TriMat, translation, expsum: bool):
+    """(cols, D, L): :func:`~affinetrees.trimat._encode` of
+    :func:`_columns`, which past the cutoff are returned as they are,
+    with D None."""
+    return _encode(_columns(dilation, translation), expsum)
 
 
 def _from_columns(cols, den: int, space: Product) -> "MatrixAffineAut":
@@ -112,7 +108,7 @@ def _from_columns(cols, den: int, space: Product) -> "MatrixAffineAut":
     *dilation, translation = (_decoded(col, n, den, None, False) for col in cols)
     aut = MatrixAffineAut._trusted(TriMat(zip(*dilation)), tuple(translation), space)
     if den.bit_length() <= MAX_COMMON_DENOMINATOR_BITS:
-        object.__setattr__(aut, "_enc", (cols, den, None, [None]))
+        object.__setattr__(aut, "_enc", (cols, den, None))
     return aut
 
 
@@ -126,41 +122,6 @@ def _rescaled(row: dict, f: int) -> dict:
     return {j: {x * f: c for x, c in t.items()} for j, t in row.items()}
 
 
-def _affine_int(enc, xs, translate: bool, expsum: bool):
-    """dilation * xs (+ the translation when ``translate``) from the
-    encoding ``enc`` of :func:`_encode_affine`, in integer arithmetic, or
-    None when xs's common denominator is past the cutoff.
-
-    xs is encoded as one row over its own denominator D_x, with D_x in
-    column n when it meets the translation, and multiplied by the
-    columns: one :func:`~affinetrees.trimat._product`, over Laurent
-    polynomials in e**(1/L) when either side has an exponent other than
-    0, L the lcm of both exponent denominators.  Each output entry is
-    then built once over D_A * D_x by
-    :func:`~affinetrees.trimat._decoded`.
-    """
-    cols, da, ela, last = enc
-    n = len(xs)
-    (xrow,), dx, elx = _encode(_sparse([xs]), expsum)
-    if dx is None:
-        return None
-    el = None
-    if ela is not None or elx is not None:
-        el = lcm(ela or 1, elx or 1)
-        xrow = _rescaled(xrow, el // elx if elx else 0)
-        if el != ela:
-            # one assignment rebinds the pair, so a reader never sees
-            # columns rescaled to another L
-            at = last[0]
-            if at is None or at[0] != el:
-                fa = el // ela if ela else 0
-                at = last[0] = (el, [_rescaled(col, fa) for col in cols])
-            cols = at[1]
-    if translate:
-        xrow[n] = dx if el is None else {0: dx}
-    return _decoded(_product([xrow], cols, el)[0], n, da * dx, el, expsum)
-
-
 @dataclass(frozen=True)
 class MatrixAffineAut:
     """Dilation matrix plus translation, in matrix coordinate order, on
@@ -172,6 +133,8 @@ class MatrixAffineAut:
     space: Product
 
     def __post_init__(self):
+        if not isinstance(self.space, Product):
+            raise IndexSpaceMismatch("an affine matrix acts on a power of Q or R")
         if not self.dilation.is_upper_triangular():
             raise NotAffineForm("dilation must be upper triangular")
         if not self.dilation.has_positive_diagonal():
@@ -207,7 +170,8 @@ class MatrixAffineAut:
         return not any(self.translation) and self.dilation.is_identity()
 
     def _encoding(self):
-        """:func:`_encode_affine` of the map, stored on first use."""
+        """:func:`_encode_affine` of the map, stored on first use and
+        rebound by :meth:`_apply` when its L grows."""
         enc = self.__dict__.get("_enc")
         if enc is None:
             enc = _encode_affine(self.dilation, self.translation, self.space.factors[0].kind == "R")
@@ -217,17 +181,43 @@ class MatrixAffineAut:
 
     def _apply(self, xs, translate: bool) -> list:
         """dilation * xs (+ translation), xs and the result in matrix
-        coordinate order: by :func:`_affine_int` over the encoding stored
-        on first use, or by :func:`_affine` past the cutoff."""
-        enc = self._encoding()
-        if enc[1] is not None:
-            out = _affine_int(enc, xs, translate, self.space.factors[0].kind == "R")
-            if out is not None:
-                return out
-        offsets = self.translation
-        if not translate:
-            offsets = (self.space.factors[0].zero(),) * self.dim
-        return _affine(self.dilation.rows, xs, offsets)
+        coordinate order: one 1-row :func:`~affinetrees.trimat._product`
+        of xs with the map's columns, decoded by
+        :func:`~affinetrees.trimat._decoded`.
+
+        Within the cutoff xs is encoded as one row over its own
+        denominator D_x, with D_x in column n when it meets the
+        translation, and the product runs in integer arithmetic: over
+        Laurent polynomials in e**(1/L) when either side has an exponent
+        other than 0, L the lcm of both exponent denominators.  When L is
+        not the map's (xs's lcm does not divide it), the map's columns are
+        rescaled to L and stored with it in one assignment, so a reader
+        never sees columns at another L.  Each
+        output entry is then built once over D_A * D_x.  Past the cutoff
+        xs, with the ring unit in column n, multiplies the unencoded
+        columns in ring mode."""
+        expsum = self.space.factors[0].kind == "R"
+        n = self.dim
+        cols, da, ela = self._encoding()
+        xrow, dx = _sparse([xs])[0], None
+        if da is not None:
+            (xrow,), dx, elx = _encode([xrow], expsum)
+        if dx is None:
+            if da is not None:
+                cols = _columns(self.dilation, self.translation)
+            den = el = None
+            unit = self.dilation.ring_one()
+        else:
+            den, el, unit = da * dx, None, dx
+            if ela is not None or elx is not None:
+                el = lcm(ela or 1, elx or 1)
+                xrow, unit = _rescaled(xrow, el // elx if elx else 0), {0: dx}
+                if el != ela:
+                    cols = [_rescaled(col, el // ela if ela else 0) for col in cols]
+                    object.__setattr__(self, "_enc", (cols, da, el))
+        if translate:
+            xrow[n] = unit
+        return _decoded(_product([xrow], cols, el)[0], n, den, el, expsum)
 
     def _mat_apply(self, values, translate: bool):
         return tuple(reversed(self._apply(values[::-1], translate)))
@@ -252,8 +242,8 @@ class MatrixAffineAut:
         if not isinstance(other, MatrixAffineAut) or other.space != self.space:
             raise IndexSpaceMismatch("can only compose over one space")
         if self.space.factors[0].kind == "Q":
-            cs, ds, _, _ = self._encoding()
-            co, do, _, _ = other._encoding()
+            cs, ds, _ = self._encoding()
+            co, do, _ = other._encoding()
             if ds is not None and do is not None:
                 n = self.dim
                 first = [*co[:n], {**co[n], n: do}]
@@ -270,7 +260,7 @@ class MatrixAffineAut:
         sums (:func:`~affinetrees.trimat._series_sums`), with D**K on the
         diagonal, are the inverse's columns over D**K."""
         if self.space.factors[0].kind == "Q":
-            cols, d, _, _ = self._encoding()
+            cols, d, _ = self._encoding()
             n = self.dim
             if d is not None and all(cols[j].get(j) == d for j in range(n)):
                 strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
@@ -292,21 +282,21 @@ class MatrixAffineAut:
 
 
 def from_affine_matrix(mat: TriMat) -> MatrixAffineAut:
-    """Split an affine matrix into dilation block and translation column."""
+    """Split an affine matrix into dilation block and translation column.
+    Only what the constructor cannot see is checked here: the size and
+    the last row (0, ..., 0, 1)."""
     N = mat.n
     if N < 2:
         raise NotAffineForm("affine form needs dimension at least 2")
-    if not mat.is_upper_triangular():
+    *head, last = mat.rows
+    if any(last[:-1]):
         raise NotAffineForm("matrix must be upper triangular")
-    if mat.rows[N - 1][N - 1] != 1:
+    if last[-1] != 1:
         raise NotAffineForm("corner entry must be 1")
-    if not mat.has_positive_diagonal():
-        raise NotAffineForm("diagonal must be positive for an order-preserving map")
-    dilation = TriMat([row[: N - 1] for row in mat.rows[: N - 1]])
     ring = Scalars("R" if mat.expsum else "Q")
-    translation = tuple(ring.coerce(row[N - 1]) for row in mat.rows[: N - 1])
-    # the checks above are the constructor's, for the dilation block too
-    return MatrixAffineAut._trusted(dilation, translation, Product(*[ring] * (N - 1)))
+    return MatrixAffineAut(
+        TriMat([row[:-1] for row in head]), tuple(row[-1] for row in head), Product(*[ring] * (N - 1))
+    )
 
 
 class ProductAut:

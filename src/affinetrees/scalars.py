@@ -434,7 +434,7 @@ class ExpSum:
     def __bool__(self):
         return bool(self._num)
 
-    def sign(self, max_refinements: int | None = None) -> int:
+    def sign(self) -> int:
         """Sign of the represented real: -1, 0 or +1.
 
         Zero is decided exactly (no terms).  A sum whose coefficients all
@@ -447,6 +447,10 @@ class ExpSum:
         The positive common denominator does not change the sign, so the
         brackets weight the int numerators, and since each bracket end is
         a multiple of 2**-bits the sums are formed in ints over 2**bits.
+        The depth doubles at most as often as the module's refinement
+        bound allows (:class:`refinement_budget` sets it for a block);
+        a sum still not separated from 0 then raises
+        :class:`~affinetrees.errors.PrecisionExhausted`.
         """
         num = self._num
         if not num:
@@ -455,7 +459,6 @@ class ExpSum:
             return 1
         if all(c < 0 for c in num.values()):
             return -1
-        budget = max_refinements if max_refinements is not None else _max_refinements
         # tn/td: the largest exponent (every denominator is positive)
         keys = iter(num)
         tn, td = next(keys)
@@ -464,7 +467,7 @@ class ExpSum:
                 tn, td = n, d
         shifted = [(_exp_add(q, (-tn, td)), c) for q, c in num.items()]
         depth = 8
-        for step in range(budget):
+        for step in range(_max_refinements):
             bits = 32 + depth
             scale = 1 << bits
             lo = hi = 0
@@ -484,7 +487,7 @@ class ExpSum:
                 return -1
             depth *= 2
         raise PrecisionExhausted(
-            f"sign of {self!r} not separated from 0 after {budget} refinements"
+            f"sign of {self!r} not separated from 0 after {_max_refinements} refinements"
         )
 
     def _cmp(self, other):
@@ -521,10 +524,10 @@ class ExpSum:
         return "ExpSum(" + " + ".join(bits) + ")"
 
 
-def scalar_sign(value, max_refinements: int | None = None) -> int:
+def scalar_sign(value) -> int:
     """Sign of a Fraction or ExpSum scalar."""
     if isinstance(value, ExpSum):
-        return value.sign(max_refinements)
+        return value.sign()
     if isinstance(value, (int, Fraction)) and not isinstance(value, bool):
         return (value > 0) - (value < 0)
     raise TypeError(f"not a scalar: {value!r}")

@@ -9,7 +9,6 @@ from affinetrees import actions
 from affinetrees.actions import (
     MatrixAffineAut,
     ProductAut,
-    _affine,
     _encode_affine,
     check_affine_law,
     check_free_and_rigid,
@@ -17,7 +16,7 @@ from affinetrees.actions import (
 )
 from affinetrees.embedding import embed_unitriangular
 from affinetrees.errors import IdentityInput, IndexSpaceMismatch, NotAffineForm
-from affinetrees.ordered import LexVec, Product, Scalars, lex_compare, lex_distance
+from affinetrees.ordered import LexFamily, LexVec, Product, Scalars, lex_compare, lex_distance
 from affinetrees.sampling import (
     rand_fraction,
     rand_nontrivial_unitriangular,
@@ -250,6 +249,14 @@ def test_point_ring_checked_at_construction():
         )
 
 
+@pytest.mark.parametrize(
+    "space", [Scalars("Q"), LexFamily(Scalars("Z"), Scalars("Q"))], ids=["scalars", "family"]
+)
+def test_constructor_rejects_a_space_that_is_not_a_product(space):
+    with pytest.raises(IndexSpaceMismatch, match="a power of Q or R"):
+        MatrixAffineAut(TriMat.identity(1), (0,), space)
+
+
 def validated(aut):
     return MatrixAffineAut(aut.dilation, aut.translation, aut.space)
 
@@ -355,8 +362,16 @@ def assert_same_terms(got, want):
 
 
 def oracle(aut, xs, translate):
+    """dilation * xs (+ translation), in matrix coordinate order, summed
+    term by term in the ring of the entries, zero terms skipped."""
+    out = []
     offsets = aut.translation if translate else (aut.space.factors[0].zero(),) * aut.dim
-    return _affine(aut.dilation.rows, xs, offsets)
+    for row, acc in zip(aut.dilation.rows, offsets):
+        for a, x in zip(row, xs):
+            if a and x:
+                acc = acc + a * x
+        out.append(acc)
+    return out
 
 
 def dense_product(a: TriMat, b: TriMat) -> list:
@@ -399,14 +414,16 @@ def back_substituted(mat: TriMat) -> list:
 @settings(max_examples=25, deadline=None)
 def test_integer_kernel_matches_ring_sums(kind, data):
     a, b, p = data.draw(kernel_cases(kind))
-    calls = []
+    calls, decoded = [], actions._decoded
 
-    def counted(*args):
-        calls.append(args)
-        return _affine(*args)
+    def counted(row, n, den, el, expsum):
+        # a ring-mode decode (den None) ends each past-cutoff fallback
+        if den is None:
+            calls.append(row)
+        return decoded(row, n, den, el, expsum)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(actions, "_affine", counted)
+        mp.setattr(actions, "_decoded", counted)
         moved, stretched = a.act(p), a.dilate(p)
         # a past-cutoff point takes the fallback unless it is zero
         expect_fallback = kind.endswith("past-cutoff") and (
@@ -444,22 +461,22 @@ def test_integer_kernel_matches_ring_sums(kind, data):
 def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     """Points whose exponent lcms differ, in an order that comes back to
     earlier ones, all match the oracle, and the map's encoded columns are
-    rescaled once per change of the lcm L they are needed at, not once
-    per act."""
+    rescaled once per growth of the lcm L they are stored at, not once
+    per act: L only grows, to the lcm of itself and a point's."""
     a, _, p = data.draw(kernel_cases(kind))
     coords = KERNEL_KINDS[kind][4]
     points = [p] + [
         LexVec(a.space, tuple(data.draw(coords) for _ in range(a.dim))) for _ in range(2)
     ]
     order = [points[data.draw(st.integers(0, 2))] for _ in range(6)]
-    a.act(p)  # stores the encoding
-    cols, _, ela, slot = vars(a)["_enc"]
+    a.act(p)  # stores the encoding, at an L that p's exponents divide
+    cols, da, ela = vars(a)["_enc"]
     # one column per dilation column, then the translation column
     assert len(cols) == a.dim + 1
     rescaled, rescales = actions._rescaled, []
 
     def counted(row, f):
-        rescales.append(any(row is c for c in cols))
+        rescales.append(any(row is c for c in vars(a)["_enc"][0]))
         return rescaled(row, f)
 
     with pytest.MonkeyPatch.context() as mp:
@@ -468,26 +485,18 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
             moved, stretched = a.act(q), a.dilate(q)
             assert_same_terms(moved.value, tuple(reversed(oracle(a, q.value[::-1], True))))
             assert_same_terms(stretched.value, tuple(reversed(oracle(a, q.value[::-1], False))))
-    def needed(q):
-        """The L the map's columns are rescaled to for q, or None."""
-        elx = _encode([{j: x for j, x in enumerate(q.value) if x}], True)[2]
-        if ela is None and elx is None:
-            return None
-        el = lcm(ela or 1, elx or 1)
-        return el if el != ela else None
 
-    # the one-slot memo replayed from the state p's act left it in
-    expected, last = 0, needed(p)
+    # the stored L replayed from the one p's act left: it grows only when
+    # a point's exponent lcm does not divide it
+    expected, last = 0, ela
     for q in order:
-        el = needed(q)
-        if el is not None and el != last:
-            expected, last = expected + len(cols), el
+        elx = _encode([{j: x for j, x in enumerate(q.value) if x}], True)[2]
+        if elx is not None and (last is None or last % elx):
+            expected, last = expected + len(cols), lcm(last or 1, elx)
     assert rescales.count(True) == expected
-    # the slot holds the columns at the last L, each rescaled from its own
-    if last is not None:
-        at, kept = slot[0]
-        assert at == last
-        assert kept == [rescaled(c, last // ela if ela else 0) for c in cols]
+    # the stored columns are those at the last L, each rescaled from its own
+    kept = [rescaled(c, last // ela if ela else 0) for c in cols] if last != ela else cols
+    assert vars(a)["_enc"] == (kept, da, last)
 
 
 def test_equality_hash_and_repr_ignore_the_stored_encoding():

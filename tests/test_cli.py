@@ -867,3 +867,42 @@ def test_tstar_output_bytes_match_pinned_digests(tmp_path, capsys, command):
         code, out, _ = run_cli(capsys, "act", "--rep", rep, "--point", point, "--power", power)
         assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TSTAR_DIGESTS[command]
+
+
+#: An exact-real rep whose exponents have lcm L = 30 and a point whose
+#: exponents have lcm 28, which does not divide 30: each act rescales
+#: the map's stored columns to a larger L.
+GROWING_L_REP = {
+    "entries": [
+        [
+            [{"coeff": "1", "exp": "1/2"}],
+            [{"coeff": "2", "exp": "1/3"}],
+            [{"coeff": "1", "exp": "0"}, {"coeff": "-1", "exp": "1/5"}],
+        ],
+        ["0", "1", [{"coeff": "3/7", "exp": "-1/2"}]],
+        ["0", "0", "1"],
+    ]
+}
+GROWING_L_POINT = [
+    [{"coeff": "1", "exp": "1/4"}],
+    [{"coeff": "-2", "exp": "0"}, {"coeff": "1", "exp": "2/7"}],
+]
+
+#: Length and SHA-256 of the stdout of act --power on GROWING_L_REP and
+#: GROWING_L_POINT, recorded while a second copy of the columns at the
+#: last L was kept beside the map's encoding.
+GROWING_L_DIGESTS = {
+    "3": (921, "66ac7cc254958904b72d019234895ffc10487c4828772f2a99032454911c5f5d"),
+    "-3": (938, "8d4b61abe512451c6e9abd46273a9118f41354ba1bd00958aacc2aa43c66f923"),
+}
+
+
+@pytest.mark.parametrize("power", sorted(GROWING_L_DIGESTS))
+def test_act_bytes_when_the_point_grows_the_exponent_lcm(tmp_path, capsys, power):
+    rep = write_json(tmp_path / "rep.json", GROWING_L_REP)
+    point = write_json(tmp_path / "p.json", GROWING_L_POINT)
+    code, out, _ = run_cli(capsys, "act", "--rep", rep, "--point", point, "--power", power)
+    assert code == 0
+    size, digest = GROWING_L_DIGESTS[power]
+    assert len(out.encode()) == size
+    assert hashlib.sha256(out.encode()).hexdigest() == digest

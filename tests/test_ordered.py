@@ -376,7 +376,7 @@ def test_point_equality_runs_no_sign_test(monkeypatch):
         ),
     ]
 
-    def no_sign(self, max_refinements=None):
+    def no_sign(self):
         raise AssertionError("point equality ran a sign test")
 
     bound = get_default_max_refinements()

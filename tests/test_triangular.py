@@ -198,6 +198,19 @@ def test_conjugation_identities_trivial_sample():
     assert all(v["failures"] == 0 for v in report.values())
 
 
+@pytest.mark.parametrize("n", range(2, 7))
+def test_diagonal_images_at_negated_exponents_are_the_inverses(n):
+    # verify_conjugation_identities builds the inverses of the pad and of
+    # the diagonal part's image this way instead of inverting them
+    for t in range(3):
+        exps = rand_exponents(trial_rng(17, "negated", n, t), n)
+        neg = [-q for q in exps]
+        for build in (conj_coord_matrix_affine, embed_diagonal_part):
+            inverse = build(exps).inverse()
+            assert build(neg) == inverse
+            assert repr(build(neg)) == repr(inverse)
+
+
 def test_identities_hold_at_trivial_element():
     # all-ones diagonal and identity unipotent part: conjugation is a
     # no-op at every stage
