@@ -23,8 +23,9 @@ from . import jsonio, scalars
 from .actions import from_affine_matrix
 from .embedding import (
     AffineRep,
-    _clearing_scales,
+    _embed_with_clearing_scales,
     _scaled_conjugate,
+    check_embeddable,
     integerize,
     is_essentially_hyperbolic,
 )
@@ -88,19 +89,21 @@ def cmd_embed(args) -> int:
     mat = _parse_matrix(_load_json(args.input))
     if args.n is not None and args.n != mat.n:
         raise CliInputError(f"--n {args.n} does not match input dimension {mat.n}")
-    rep = AffineRep.of(mat)
+    if not args.integerize:
+        _emit(jsonio.affine_rep_to_json(AffineRep.of(mat)), args.output)
+        return 0
+    check_embeddable(mat)
+    _require_rational([mat])
+    # a rational unitriangular image and its inverse form an inverse-closed
+    # set, so integerize's own checks would only repeat the inversion; the
+    # clearing scales of the pair come with the image, and only the image's
+    # conjugate is written
+    rep, scale = _embed_with_clearing_scales(mat)
     payload = jsonio.affine_rep_to_json(rep)
-    if args.integerize:
-        _require_rational([mat])
-        # a rational unitriangular image and its inverse form an
-        # inverse-closed set, so integerize's own checks would only repeat
-        # the inversion; only the image's conjugate is written
-        image = rep.matrix
-        scale = _clearing_scales([image, image.inverse()])
-        payload["integerized"] = {
-            "P": jsonio.mat_to_json(TriMat.diagonal(scale)),
-            "conjugated": jsonio.mat_to_json(_scaled_conjugate(image, scale)),
-        }
+    payload["integerized"] = {
+        "P": jsonio.mat_to_json(TriMat.diagonal(scale)),
+        "conjugated": jsonio.mat_to_json(_scaled_conjugate(rep.matrix, scale)),
+    }
     _emit(payload, args.output)
     return 0
 

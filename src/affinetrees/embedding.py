@@ -40,7 +40,8 @@ from .errors import (
     NotUnitriangular,
     ZeroInput,
 )
-from .trimat import TriMat, nilpotent_exp, unipotent_log
+from .scalars import _fraction
+from .trimat import TriMat, nilpotent_exp, nilpotent_exp_with_row_lcms, unipotent_log
 
 
 def coord_count(n: int) -> int:
@@ -217,13 +218,19 @@ def check_supported_dimension(n: int) -> None:
         )
 
 
+def check_embeddable(g: TriMat) -> None:
+    """Reject a size outside 2 <= n <= 8, then a matrix that is not
+    unitriangular, before any work."""
+    check_supported_dimension(g.n)
+    if not g.is_unitriangular():
+        raise NotUnitriangular("embedding defined on unitriangular matrices")
+
+
 def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
     unitriangular (m+1) x (m+1) matrices: exponential of the affine
     algebra representation of the logarithm."""
-    check_supported_dimension(g.n)
-    if not g.is_unitriangular():
-        raise NotUnitriangular("embedding defined on unitriangular matrices")
+    check_embeddable(g)
     return nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
 
 
@@ -372,19 +379,38 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
 
 def _clearing_scales(gens: list[TriMat]) -> list[int]:
     """The diagonal s_1, ..., s_n of the conjugator of :func:`integerize`,
-    for generators already known to satisfy its preconditions.  Being
-    unitriangular, they can have denominators only above the diagonal."""
+    for generators already known to satisfy its preconditions: the
+    suffix products (:func:`_suffix_products`) of the row lcms d_i of
+    the denominators in row i of every generator.  Being unitriangular,
+    the generators can have denominators only above the diagonal.
+    :func:`_embed_with_clearing_scales` reads the same d_i for an image
+    and its inverse off one series, without building the inverse."""
     n = gens[0].n
-    row_lcm = [
-        lcm(*(g.rows[i][j].denominator for g in gens for j in range(i + 1, n)), 1)
-        for i in range(n)
-    ]
-    scale = [1] * n
-    acc = 1
-    for i in range(n - 1, -1, -1):
-        acc *= row_lcm[i]
-        scale[i] = acc
+    return _suffix_products(
+        [
+            lcm(*(g.rows[i][j].denominator for g in gens for j in range(i + 1, n)), 1)
+            for i in range(n)
+        ]
+    )
+
+
+def _suffix_products(row_lcms: list[int]) -> list[int]:
+    """s_i = d_i * d_{i+1} * ... * d_n for the row lcms d_i."""
+    scale = list(row_lcms)
+    for i in range(len(scale) - 2, -1, -1):
+        scale[i] *= scale[i + 1]
     return scale
+
+
+def _embed_with_clearing_scales(g: TriMat) -> tuple[AffineRep, list[int]]:
+    """(AffineRep.of(g), _clearing_scales([image, image**-1])) for a
+    rational g that :func:`check_embeddable` accepts, which is not
+    checked again here.  The image and the row lcms of its denominators
+    and its inverse's come from one set of powers
+    (:func:`~affinetrees.trimat.nilpotent_exp_with_row_lcms`): the
+    inverse is never built."""
+    image, row_lcms = nilpotent_exp_with_row_lcms(affine_algebra_rep(unipotent_log(g)))
+    return AffineRep(g.n, coord_count(g.n), image), _suffix_products(row_lcms)
 
 
 def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:
@@ -395,5 +421,5 @@ def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:
     for i, row in enumerate(rows):
         for j in range(i + 1, len(row)):
             if v := row[j]:
-                row[j] = Fraction(v.numerator * (scale[i] // scale[j]) // v.denominator)
+                row[j] = _fraction(v.numerator * (scale[i] // scale[j]) // v.denominator, 1)
     return TriMat(rows)

@@ -102,25 +102,29 @@ def rat_from_str(text) -> Fraction:
 
     Strings must match ``[+-]?[0-9]+(/[0-9]+)?`` once surrounding
     whitespace is stripped; decimals, exponents and digit separators are
-    rejected with :class:`ValueError`."""
-    if isinstance(text, bool):
-        raise ValueError(f"not a rational: {text!r}")
-    if isinstance(text, int):
-        return Fraction(text)
-    if isinstance(text, Fraction):
-        return text
-    if isinstance(text, str):
-        match = _RATIONAL.fullmatch(text.strip())
-        if match is None:
+    rejected with :class:`ValueError`.  A str is tested for first, as the
+    common case, and its value is built with one gcd."""
+    if type(text) is not str:
+        if isinstance(text, bool):
             raise ValueError(f"not a rational: {text!r}")
-        num, den = match.groups()
-        if den is None:
-            return Fraction(int(num))
-        den = int(den)
-        if not den:
-            raise ValueError(f"zero denominator: {text!r}")
-        return Fraction(int(num), den)
-    raise ValueError(f"not a rational: {text!r}")
+        if isinstance(text, int):
+            return Fraction(text)
+        if isinstance(text, Fraction):
+            return text
+        if not isinstance(text, str):
+            raise ValueError(f"not a rational: {text!r}")
+    match = _RATIONAL.fullmatch(text.strip())
+    if match is None:
+        raise ValueError(f"not a rational: {text!r}")
+    num, den = match.groups()
+    if den is None:
+        return _fraction(int(num), 1)
+    den = int(den)
+    if not den:
+        raise ValueError(f"zero denominator: {text!r}")
+    num = int(num)
+    g = gcd(num, den)
+    return _fraction(num // g, den // g)
 
 
 def rat_to_str(q: Fraction) -> str:

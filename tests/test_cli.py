@@ -549,20 +549,31 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
 # -- structural guards on the request path ----------------------------------------
 
 
-def test_embed_integerize_inverts_the_image_once(tmp_path, capsys, monkeypatch):
+def test_embed_integerize_runs_one_series_for_the_image_and_its_inverse(
+    tmp_path, capsys, monkeypatch
+):
+    # the clearing scales need the inverse's denominators, which come from
+    # the powers of the image's series: no inversion, and for the 29 x 29
+    # algebra matrix one power loop (the 8 x 8 one is the logarithm's)
     g = rand_unitriangular(trial_rng(40, "invert-once"), 8)
     src = write_json(tmp_path / "in.json", mat_to_json(g))
-    sizes = []
-    inverse = TriMat.inverse
+    inverses, series = [], []
+    inverse, series_sums = TriMat.inverse, trimat._series_sums
 
-    def counting(self):
-        sizes.append(self.n)
+    def counting_inverse(self):
+        inverses.append(self.n)
         return inverse(self)
 
-    monkeypatch.setattr(TriMat, "inverse", counting)
+    def counting_series(strict, *args):
+        series.append(len(strict))
+        return series_sums(strict, *args)
+
+    monkeypatch.setattr(TriMat, "inverse", counting_inverse)
+    monkeypatch.setattr(trimat, "_series_sums", counting_series)
     code, _, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
     assert code == 0
-    assert sizes == [29]
+    assert inverses == []
+    assert series == [8, 29]
 
 
 def run_alone(*argv):
@@ -781,6 +792,7 @@ def golden_rational_8():
 GOLDEN_DIGESTS = {
     "verify": "23946b7848ab287a8fa421ed05f3ea07603a3bbd767cb8f416586807b80ea877",
     "embed-integerize": "d1029ab9c5f3d27b18001184fe6ef60ac6849abb5a9a7f906fe4fd35d23e6295",
+    "embed-integerize-past-cutoff": "2d4c808461e1052d9b22206c6695dff0feaa734f336925098bea96ea8488c13f",
     "wreath-ZQZ": "d05735835b5a1008915050c9456a9f7b1f7536d30937a9bd23a7230aca4df5cf",
     "wreath-QQQ": "3dc2494f326c63be0eb26ee5a6c21a268efafaf8d401cba79685f4a3e729fbf9",
 }
@@ -792,15 +804,45 @@ GOLDEN_ARGV = {
 }
 
 
+#: The input of each ``embed --integerize`` digest: within the cutoff, and
+#: with seven coprime 60-digit denominators, past it.
+GOLDEN_EMBED_INPUTS = {
+    "embed-integerize": golden_rational_8,
+    "embed-integerize-past-cutoff": lambda: coprime_60_digit_matrix(False),
+}
+
+
 @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_match_pinned_digests(tmp_path, capsys, command):
     argv = GOLDEN_ARGV.get(command)
     if argv is None:
-        src = write_json(tmp_path / "in.json", mat_to_json(golden_rational_8()))
+        src = write_json(tmp_path / "in.json", mat_to_json(GOLDEN_EMBED_INPUTS[command]()))
         argv = ["embed", "--input", src, "--integerize"]
     code, out, _ = run_cli(capsys, *argv)
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS[command]
+
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
+
+
+def test_embed_integerize_matches_the_recorded_bytes(capsys):
+    # mixed denominators in a 4 x 4 input; CI compares the installed
+    # console script's output with the same file
+    src = os.path.join(DATA, "embed-integerize-4.in.json")
+    code, out, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
+    assert code == 0
+    with open(os.path.join(DATA, "embed-integerize-4.out.json"), encoding="utf-8") as handle:
+        assert out == handle.read()
+
+
+def test_embed_integerize_past_the_cutoff_too_large_to_print(tmp_path, capsys):
+    # 28 coprime 60-digit denominators: the scales have more digits than
+    # Python writes as text
+    src = write_json(tmp_path / "in.json", mat_to_json(coprime_60_digit_matrix(True)))
+    code, out, err = run_cli(capsys, "embed", "--input", src, "--integerize")
+    assert code == 3 and out == ""
+    assert err.startswith("error: ResultTooLarge: ") and "Traceback" not in err
 
 
 def golden_tstar_4():

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetrees import embedding
+from affinetrees import embedding, trimat
 from affinetrees.embedding import (
     AffineRep,
     _clearing_scales,
+    _embed_with_clearing_scales,
     _scaled_conjugate,
     affine_algebra_rep,
     certify_admissible,
@@ -43,7 +44,12 @@ from affinetrees.sampling import (
 )
 from affinetrees.scalars import ExpSum
 from affinetrees.triangular import conjugate_by_diagonal
-from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, nilpotent_exp
+from affinetrees.trimat import (
+    MAX_COMMON_DENOMINATOR_BITS,
+    TriMat,
+    nilpotent_exp,
+    unipotent_log,
+)
 
 
 def elementary(n, i, j, value=1):
@@ -684,3 +690,19 @@ def test_scaled_conjugate_matches_dense_product(n):
         got = _scaled_conjugate(image, scale)
         assert got == dense and repr(got) == repr(dense)
         assert all(type(v) is Fraction for row in got.rows for v in row)
+
+
+@pytest.mark.parametrize("bits", [None, 0, 24])
+@pytest.mark.parametrize("n", range(2, 9))
+def test_embed_with_clearing_scales_matches_the_image_and_its_inverse(monkeypatch, n, bits):
+    # bits 0 sends every series past the cutoff, 24 sends some
+    if bits is not None:
+        monkeypatch.setattr(trimat, "MAX_COMMON_DENOMINATOR_BITS", bits)
+    for t in range(3):
+        g = rand_unitriangular(trial_rng(12, "clearing-scales", n, t), n, den=12)
+        rep, scale = _embed_with_clearing_scales(g)
+        a = affine_algebra_rep(unipotent_log(g))
+        image = nilpotent_exp(a)
+        assert rep == AffineRep.of(g)
+        assert rep.matrix == image and repr(rep.matrix) == repr(image)
+        assert scale == _clearing_scales([image, image.inverse()])

@@ -74,6 +74,18 @@ def test_rat_from_str_rejects_other_forms(text):
         rat_from_str(text)
 
 
+def test_rat_from_str_builds_the_fraction_that_fraction_builds():
+    # the value is built from its reduced parts, so it must be the same
+    # object in every observable way: type, value, repr and hash
+    for text in ["-0", "+6/4", " 3/9 ", "0/5", "007", "-12/18"]:
+        got, want = rat_from_str(text), Fraction(text)
+        assert type(got) is type(want)
+        assert got == want and repr(got) == repr(want) and hash(got) == hash(want)
+    for bad in ["1/0", "1.5", "", True]:
+        with pytest.raises(ValueError):
+            rat_from_str(bad)
+
+
 # -- exponential sums ------------------------------------------------------------
 
 
