@@ -265,7 +265,7 @@ class MatrixAffineAut:
             if d is not None and all(cols[j].get(j) == d for j in range(n)):
                 strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
                 sums, den = _series_sums(strict, d, None, lambda k: (-1) ** k)
-                sums = [row for (row,) in sums]
+                sums = list(sums)
                 for j in range(n):
                     sums[j][j] = den
                 return _from_columns(sums, den, self.space)

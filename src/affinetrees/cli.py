@@ -23,10 +23,10 @@ from . import jsonio, scalars
 from .actions import from_affine_matrix
 from .embedding import (
     AffineRep,
+    _checked_clearing_scales,
     _embed_with_clearing_scales,
     _scaled_conjugate,
     check_embeddable,
-    integerize,
     is_essentially_hyperbolic,
 )
 from .errors import AffineTreesError, ConfigInvalid, ResultTooLarge, TooManyLevels
@@ -99,9 +99,12 @@ def cmd_embed(args) -> int:
     # clearing scales of the pair come with the image, and only the image's
     # conjugate is written
     rep, scale = _embed_with_clearing_scales(mat)
+    # the first scale is the largest: one too long to write ends the
+    # request before the conjugate is built or any JSON encoded
+    scalars.check_writable(scale[0])
     payload = jsonio.affine_rep_to_json(rep)
     payload["integerized"] = {
-        "P": jsonio.mat_to_json(TriMat.diagonal(scale)),
+        "P": jsonio.diagonal_to_json(scale),
         "conjugated": jsonio.mat_to_json(_scaled_conjugate(rep.matrix, scale)),
     }
     _emit(payload, args.output)
@@ -121,11 +124,12 @@ def cmd_integerize(args) -> int:
         raise CliInputError("expected a nonempty JSON array of matrices")
     gens = [_parse_matrix(m) for m in obj]
     _require_rational(gens)
-    conj, conjugated = integerize(gens)
+    scale = _checked_clearing_scales(gens)
+    scalars.check_writable(scale[0])
     _emit(
         {
-            "P": jsonio.mat_to_json(conj),
-            "conjugated": [jsonio.mat_to_json(g) for g in conjugated],
+            "P": jsonio.diagonal_to_json(scale),
+            "conjugated": [jsonio.mat_to_json(_scaled_conjugate(g, scale)) for g in gens],
         },
         args.output,
     )

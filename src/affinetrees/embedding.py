@@ -11,7 +11,11 @@ shortest -- is strictly block-upper triangular.  Adjoining the
 coordinate vector as a final column produces a Lie algebra map into the
 affine algebra of dimension m = n(n-1)/2, and conjugating by the matrix
 exponential/logarithm turns it into an injective group homomorphism from
-the unitriangular group of size n to the one of size m+1.
+the unitriangular group of size n to the one of size m+1.  That
+exponential has a closed form in g and g**-1 (:func:`_assembled` derives
+it), so :func:`embed_unitriangular` never forms the logarithm or the
+(m+1) x (m+1) series; :func:`affine_algebra_rep` and the series stay as
+the definition it is tested against.
 
 Images of nontrivial elements are essentially hyperbolic for the natural
 affine action: in the displacement of any point, the contribution of the
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import (
     DimensionMismatch,
@@ -40,8 +44,8 @@ from .errors import (
     NotUnitriangular,
     ZeroInput,
 )
-from .scalars import _fraction
-from .trimat import TriMat, nilpotent_exp, nilpotent_exp_with_row_lcms, unipotent_log
+from .scalars import ExpSum, _fraction
+from .trimat import _FZERO, TriMat, _decoded, nilpotent_exp
 
 
 def coord_count(n: int) -> int:
@@ -228,10 +232,111 @@ def check_embeddable(g: TriMat) -> None:
 
 def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
-    unitriangular (m+1) x (m+1) matrices: exponential of the affine
-    algebra representation of the logarithm."""
+    unitriangular (m+1) x (m+1) matrices: the exponential of the affine
+    algebra representation of the logarithm, assembled in closed form
+    from g and its inverse (:func:`_assembled`).  Over the rationals the
+    entries are formed in integers; an ExpSum matrix is assembled in its
+    own ring."""
     check_embeddable(g)
-    return nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
+    h = g.inverse()
+    if not g.expsum:
+        return _rational_image(_image_numerators(g, h))
+    n, m, zero = g.n, coord_count(g.n), ExpSum.zero()
+    weights = {span: [Fraction(j, span) for j in range(span + 1)] for span in range(1, n)}
+    rows = [
+        _decoded(row, m + 1, None, None, True)
+        for _, _, row in _assembled(g.rows, list(zip(*h.rows)), weights, zero)
+    ]
+    rows.append([zero] * m + [ExpSum.one()])
+    return TriMat(rows)
+
+
+def _assembled(g_rows, h_cols, weights, zero):
+    """Rows of the image exp(affine_algebra_rep(log g)) above the corner,
+    in closed form from the rows of g and the columns of h = g**-1.
+
+    Write D for the grading derivation, which scales entry (a, b) by
+    b - a.  The left-symmetric product is x.y = D**-1 [x, D y], the
+    product built from an invertible derivation, so left multiplication
+    by x = log g is D**-1 ad_x D, and its exponential D**-1 Ad_g D.  With
+    H = diag(0, -1, ..., -(n-1)), ad_H = D, the translation column
+    sum_k lambda(x)**k x / (k+1)! is D**-1 (H - g H g**-1).  Indexing the
+    coordinates by entries (a, b), a < b, in :func:`coord_vector` order:
+
+    * M[(a,b)][(c,d)] = g[a][c] h[d][b] (d - c) / (b - a) for
+      a <= c < d <= b, and 0 elsewhere in the linear block;
+    * M[(a,b)][m] = sum_{a < c <= b} (c - a) g[a][c] h[c][b] / (b - a),
+      since the rows of g and the columns of h are orthogonal.
+
+    Every entry is one product of an entry of g and one of h, or a short
+    sum of them.  ``weights[b - a][j]`` stands for j / (b - a): the
+    caller either passes the Fractions themselves, and gets the entries,
+    or passes j and divides by b - a.  Each row (a, b) is yielded as
+    (a, b, {column: entry}), zero products left out and the translation,
+    at column m, counted from ``zero``."""
+    n = len(g_rows)
+    m = coord_count(n)
+    # pos[c][d]: the coordinate of entry (c, d)
+    pos = [[0] * n for _ in range(n)]
+    for c in range(n):
+        for d in range(c + 1, n):
+            k = n - (d - c)
+            pos[c][d] = k * (k - 1) // 2 + c
+    for k in range(1, n):
+        span = n - k
+        w = weights[span]
+        for a in range(k):
+            b = a + span
+            ga, hb = g_rows[a], h_cols[b]
+            row, t = {}, zero
+            for c in range(a, b + 1):
+                p = ga[c]
+                if not p:
+                    continue
+                if c > a and hb[c]:
+                    t = t + p * hb[c] * w[c - a]
+                pc = pos[c]
+                for d in range(c + 1, b + 1):
+                    if q := hb[d]:
+                        row[pc[d]] = p * q * w[d - c]
+            if t:
+                row[m] = t
+            yield a, b, row
+
+
+def _over_lcms(vectors):
+    """(lcms, ints): for each vector of Fractions, the lcm r of its
+    denominators and the vector times r, as ints."""
+    lcms, ints = [], []
+    for vec in vectors:
+        r = lcm(*(v.denominator for v in vec))
+        lcms.append(r)
+        ints.append([v.numerator * (r // v.denominator) for v in vec])
+    return lcms, ints
+
+
+def _image_numerators(g: TriMat, h: TriMat) -> list:
+    """Rows of the image of a rational g above the corner, h = g**-1, as
+    (den, {column: s}) with entry s / den: :func:`_assembled` on g's rows
+    over their row lcms r_a and h's columns over their column lcms k_b,
+    so row (a, b) shares den = r_a k_b (b - a) and each entry needs one
+    gcd, whatever the denominators."""
+    row_lcms, g_rows = _over_lcms(g.rows)
+    col_lcms, h_cols = _over_lcms(zip(*h.rows))
+    weights = {span: range(span + 1) for span in range(1, g.n)}
+    return [
+        (row_lcms[a] * col_lcms[b] * (b - a), row)
+        for a, b, row in _assembled(g_rows, h_cols, weights, 0)
+    ]
+
+
+def _rational_image(image: list) -> TriMat:
+    """The image whose rows above the corner :func:`_image_numerators`
+    gave, each entry built with one gcd, and the corner row."""
+    m = len(image)
+    rows = [_decoded(row, m + 1, den, None, False) for den, row in image]
+    rows.append([_FZERO] * m + [Fraction(1)])
+    return TriMat(rows)
 
 
 @dataclass(frozen=True)
@@ -353,6 +458,13 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
     patterns, unit diagonals and essential hyperbolicity are all
     preserved.
     """
+    scale = _checked_clearing_scales(gens)
+    return TriMat.diagonal(scale), [_scaled_conjugate(g, scale) for g in gens]
+
+
+def _checked_clearing_scales(gens: list[TriMat]) -> list[int]:
+    """:func:`_clearing_scales` of gens, after the checks of
+    :func:`integerize`: the diagonal of its conjugator."""
     if not gens:
         raise ValueError("empty generating set")
     n = gens[0].n
@@ -373,8 +485,7 @@ def integerize(gens: list[TriMat]) -> tuple[TriMat, list[TriMat]]:
             paired.add(gens.index(g.inverse()))
         except ValueError:
             raise NotInverseClosed(f"missing inverse of {g!r}") from None
-    scale = _clearing_scales(gens)
-    return TriMat.diagonal(scale), [_scaled_conjugate(g, scale) for g in gens]
+    return _clearing_scales(gens)
 
 
 def _clearing_scales(gens: list[TriMat]) -> list[int]:
@@ -384,7 +495,7 @@ def _clearing_scales(gens: list[TriMat]) -> list[int]:
     the denominators in row i of every generator.  Being unitriangular,
     the generators can have denominators only above the diagonal.
     :func:`_embed_with_clearing_scales` reads the same d_i for an image
-    and its inverse off one series, without building the inverse."""
+    and its inverse off their numerators, without building the inverse."""
     n = gens[0].n
     return _suffix_products(
         [
@@ -405,12 +516,17 @@ def _suffix_products(row_lcms: list[int]) -> list[int]:
 def _embed_with_clearing_scales(g: TriMat) -> tuple[AffineRep, list[int]]:
     """(AffineRep.of(g), _clearing_scales([image, image**-1])) for a
     rational g that :func:`check_embeddable` accepts, which is not
-    checked again here.  The image and the row lcms of its denominators
-    and its inverse's come from one set of powers
-    (:func:`~affinetrees.trimat.nilpotent_exp_with_row_lcms`): the
-    inverse is never built."""
-    image, row_lcms = nilpotent_exp_with_row_lcms(affine_algebra_rep(unipotent_log(g)))
-    return AffineRep(g.n, coord_count(g.n), image), _suffix_products(row_lcms)
+    checked again here.  The image of g**-1 is the image's inverse, so
+    both come from :func:`_image_numerators`, with g and g**-1 swapped,
+    and row i's lcm is den // gcd(den, *s) over the numerators s of row i
+    of both; the second image is never decoded."""
+    h = g.inverse()
+    image = _image_numerators(g, h)
+    row_lcms = [
+        lcm(den // gcd(den, *row.values()), iden // gcd(iden, *irow.values()))
+        for (den, row), (iden, irow) in zip(image, _image_numerators(h, g))
+    ]
+    return AffineRep(g.n, len(image), _rational_image(image)), _suffix_products(row_lcms + [1])
 
 
 def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:

@@ -96,6 +96,16 @@ def mat_to_json(mat: TriMat) -> dict:
     return {"n": mat.n, "entries": entries}
 
 
+def diagonal_to_json(entries: list[int]) -> dict:
+    """:func:`mat_to_json` of the diagonal matrix of the ints ``entries``,
+    written without building the matrix."""
+    n = len(entries)
+    rows = [["0"] * n for _ in range(n)]
+    for i, v in enumerate(entries):
+        rows[i][i] = rat_to_str(v)
+    return {"n": n, "entries": rows}
+
+
 def mat_from_json(obj) -> TriMat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")

@@ -135,10 +135,23 @@ def rat_to_str(q: Fraction) -> str:
     try:
         return str(q if isinstance(q, Fraction) else Fraction(q))
     except ValueError as exc:
-        raise ResultTooLarge(
-            f"an exact value has more than {sys.get_int_max_str_digits()} digits,"
-            " too many to write as text"
-        ) from exc
+        raise _too_large() from exc
+
+
+def check_writable(k: int) -> None:
+    """Raise :class:`ResultTooLarge`, as :func:`rat_to_str` would, when the
+    int k has more digits than the interpreter converts to text, without
+    converting it."""
+    limit = sys.get_int_max_str_digits()
+    if limit and abs(k) >= 10**limit:
+        raise _too_large()
+
+
+def _too_large() -> ResultTooLarge:
+    return ResultTooLarge(
+        f"an exact value has more than {sys.get_int_max_str_digits()} digits,"
+        " too many to write as text"
+    )
 
 
 def _round_down(x: Fraction, bits: int) -> Fraction:

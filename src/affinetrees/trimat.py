@@ -40,13 +40,6 @@ inverse's included, runs the same kernel in ring mode.  The same
 encoder, kernel and decoder apply the affine automorphisms of
 :mod:`~affinetrees.actions`, and the series' integer sums
 (:func:`_series_sums`) invert them.
-
-One set of powers can carry several weight rows over one denominator.
-:func:`nilpotent_exp_with_row_lcms` runs the pair 1/k! and
-(-1)**k / k!, the sums of exp(N) and of its inverse exp(-N), and
-decodes only the first: it gives the inverse's denominators without the
-inverse, row by row, as the denominators that clearing an image and its
-inverse needs (:mod:`~affinetrees.embedding`).
 """
 
 from __future__ import annotations
@@ -378,37 +371,33 @@ def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
     return out
 
 
-def _series_sums(strict, d, el, *coeffs):
-    """(sums, den): for each coefficient function c, the sparse rows of
-    sum_k c(k) * B**k for k >= 1, B the nilpotent matrix whose
-    :func:`_encode` is ``strict, d, el``, as :func:`_series` forms them:
-    the integer numerators over den, or with d None the entries
-    themselves and den None.  Every function's weights share one den, so
-    one set of powers serves them all.  Row i of every sum comes from one
-    :func:`_product` of the weight rows {k: w_k}, one per function, with
-    the rows i of the powers.  The rows are yielded one i at a time, each
-    as the list of that row of every sum, so a caller that decodes each
-    as it comes holds one row of numerators, not all."""
+def _series_sums(strict, d, el, coeff):
+    """(sums, den): the sparse rows of sum_k coeff(k) * B**k for k >= 1,
+    B the nilpotent matrix whose :func:`_encode` is ``strict, d, el``, as
+    :func:`_series` forms them: the integer numerators over den, or with
+    d None the entries themselves and den None.  Row i of the sum comes
+    from one :func:`_product` of the weight row {k: w_k} with the rows i
+    of the powers.  The rows are yielded one i at a time, so a caller
+    that decodes each as it comes holds one row of numerators, not all."""
     powers, power = [], strict
     while any(power):
         powers.append(power)
         power = _product(power, strict, el)
     last = len(powers)
-    weights = [[coeff(k) for k in range(1, last + 1)] for coeff in coeffs]
+    weights = [coeff(k) for k in range(1, last + 1)]
     if d is None:
         den = None
     else:
-        lcd = lcm(*(c.denominator for row in weights for c in row))
+        lcd = lcm(*(c.denominator for c in weights))
         den = lcd * d**last
-        scales = [d ** (last - k) for k in range(1, last + 1)]
         weights = [
-            [c.numerator * (lcd // c.denominator) * s for c, s in zip(row, scales)]
-            for row in weights
+            c.numerator * (lcd // c.denominator) * d ** (last - k)
+            for k, c in enumerate(weights, 1)
         ]
         if el is not None:
-            weights = [[{0: w} for w in row] for row in weights]
-    wrows = [dict(enumerate(row)) for row in weights]
-    sums = (_product(wrows, [power[i] for power in powers], el) for i in range(len(strict)))
+            weights = [{0: w} for w in weights]
+    wrow = [dict(enumerate(weights))]
+    sums = (_product(wrow, [power[i] for power in powers], el)[0] for i in range(len(strict)))
     return sums, den
 
 
@@ -463,7 +452,7 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     """
     n = mat.n
     sums, den = _series_sums(strict, d, el, coeff)
-    out = [_decoded(row, n, den, el, mat.expsum) for (row,) in sums]
+    out = [_decoded(row, n, den, el, mat.expsum) for row in sums]
     if diag:
         one = mat.ring_one()
         for i, row in enumerate(out):
@@ -471,44 +460,11 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     return TriMat(out)
 
 
-def _exp_weight(k):
-    return Fraction(1, factorial(k))
-
-
 def nilpotent_exp(mat: TriMat) -> TriMat:
     """exp(N) = sum_k N**k / k! up to the first N**k = 0."""
     if not mat.is_strict_upper():
         raise NotStrictUpper("exponential defined for strictly upper matrices")
-    return _series(mat, True, _exp_weight, *_strict_part(mat))
-
-
-def nilpotent_exp_with_row_lcms(mat: TriMat) -> tuple[TriMat, list[int]]:
-    """(exp(N), lcms) for a rational strictly upper N: lcms[i] is the lcm
-    of the denominators in row i of exp(N) and of its inverse exp(-N).
-
-    One set of powers carries both weight rows, 1/k! and (-1)**k / k!,
-    over one den (:func:`_series_sums`), and only the rows of exp(N) are
-    decoded.  In integers, row i's lcm is den // gcd(den, *s), s the
-    numerators of row i of both sums; past
-    :data:`MAX_COMMON_DENOMINATOR_BITS` it is the lcm of the entries'
-    own denominators.  A matrix with ExpSum entries raises TypeError."""
-    if not mat.is_strict_upper():
-        raise NotStrictUpper("exponential defined for strictly upper matrices")
-    if mat.expsum:
-        raise TypeError("row denominators need a rational matrix")
-    n, one = mat.n, Fraction(1)
-    strict, d, _ = _strict_part(mat)
-    sums, den = _series_sums(strict, d, None, _exp_weight, lambda k: Fraction((-1) ** k, factorial(k)))
-    rows, lcms = [], []
-    for i, (plus, minus) in enumerate(sums):
-        row = _decoded(plus, n, den, None, False)
-        row[i] = one
-        rows.append(row)
-        if den is None:
-            lcms.append(lcm(*(v.denominator for v in chain(plus.values(), minus.values()))))
-        else:
-            lcms.append(den // gcd(den, *plus.values(), *minus.values()))
-    return TriMat(rows), lcms
+    return _series(mat, True, lambda k: Fraction(1, factorial(k)), *_strict_part(mat))
 
 
 def unipotent_log(mat: TriMat) -> TriMat:

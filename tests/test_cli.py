@@ -549,12 +549,12 @@ def test_deeply_nested_json_is_malformed_input(tmp_path, capsys):
 # -- structural guards on the request path ----------------------------------------
 
 
-def test_embed_integerize_runs_one_series_for_the_image_and_its_inverse(
+def test_embed_integerize_runs_no_series_on_the_image_and_one_inverse_of_the_input(
     tmp_path, capsys, monkeypatch
 ):
-    # the clearing scales need the inverse's denominators, which come from
-    # the powers of the image's series: no inversion, and for the 29 x 29
-    # algebra matrix one power loop (the 8 x 8 one is the logarithm's)
+    # the image and its inverse's denominators are assembled from g and
+    # g**-1: one inversion, of the 8 x 8 input, is the only series, and
+    # nothing runs over the 29 x 29 algebra matrix
     g = rand_unitriangular(trial_rng(40, "invert-once"), 8)
     src = write_json(tmp_path / "in.json", mat_to_json(g))
     inverses, series = [], []
@@ -572,8 +572,8 @@ def test_embed_integerize_runs_one_series_for_the_image_and_its_inverse(
     monkeypatch.setattr(trimat, "_series_sums", counting_series)
     code, _, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
     assert code == 0
-    assert inverses == []
-    assert series == [8, 29]
+    assert inverses == [8]
+    assert series == [8]
 
 
 def run_alone(*argv):
@@ -836,13 +836,46 @@ def test_embed_integerize_matches_the_recorded_bytes(capsys):
         assert out == handle.read()
 
 
-def test_embed_integerize_past_the_cutoff_too_large_to_print(tmp_path, capsys):
-    # 28 coprime 60-digit denominators: the scales have more digits than
-    # Python writes as text
-    src = write_json(tmp_path / "in.json", mat_to_json(coprime_60_digit_matrix(True)))
-    code, out, err = run_cli(capsys, "embed", "--input", src, "--integerize")
+def count_calls(monkeypatch, module, *names):
+    """Wrap each named function of module to count its calls; returns the
+    {name: count} dict the wrappers update."""
+    counts = dict.fromkeys(names, 0)
+    for name in names:
+
+        def counted(*args, _name=name, _f=getattr(module, name)):
+            counts[_name] += 1
+            return _f(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    return counts
+
+
+def assert_too_large_before_any_output(capsys, monkeypatch, *argv):
+    """The request exits 3 with ResultTooLarge's one stderr line, without
+    building a conjugate or encoding any matrix."""
+    conjugates = count_calls(monkeypatch, cli, "_scaled_conjugate")
+    encoded = count_calls(monkeypatch, jsonio, "mat_to_json", "diagonal_to_json")
+    code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
-    assert err.startswith("error: ResultTooLarge: ") and "Traceback" not in err
+    assert err == (
+        f"error: ResultTooLarge: an exact value has more than {sys.get_int_max_str_digits()}"
+        " digits, too many to write as text\n"
+    )
+    assert conjugates == {"_scaled_conjugate": 0}
+    assert encoded == {"mat_to_json": 0, "diagonal_to_json": 0}
+
+
+def test_embed_integerize_past_the_cutoff_too_large_to_print(tmp_path, capsys, monkeypatch):
+    # 28 coprime 60-digit denominators: the scales have more digits than
+    # Python writes as text, which is known before anything is written
+    src = write_json(tmp_path / "in.json", mat_to_json(coprime_60_digit_matrix(True)))
+    assert_too_large_before_any_output(capsys, monkeypatch, "embed", "--input", src, "--integerize")
+
+
+def test_integerize_too_large_to_print_stops_before_the_conjugates(tmp_path, capsys, monkeypatch):
+    g = coprime_60_digit_matrix(True)
+    src = write_json(tmp_path / "in.json", [mat_to_json(g), mat_to_json(g.inverse())])
+    assert_too_large_before_any_output(capsys, monkeypatch, "integerize", "--input", src)
 
 
 def golden_tstar_4():
@@ -899,7 +932,11 @@ def test_tstar_output_bytes_match_pinned_digests(tmp_path, capsys, command):
         len(v.terms()) > 1 and any(q.denominator == 3 for q, _ in v.terms())
         for row in gh.u.rows for v in row
     )
-    src = write_json(tmp_path / "g.json", jsonio.triangular_to_json(gh))
+    # CI checks the installed console script's extend-tstar on this file
+    # against the same digest
+    src = os.path.join(DATA, "extend-tstar-4.in.json")
+    with open(src, encoding="utf-8") as handle:
+        assert jsonio.triangular_from_json(json.load(handle)) == gh
     code, out, _ = run_cli(capsys, "extend-tstar", "--input", src)
     assert code == 0
     if command != "extend-tstar":

@@ -43,13 +43,14 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
-from affinetrees.triangular import conjugate_by_diagonal
+from affinetrees.triangular import TriangularElement, conjugate_by_diagonal
 from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
     nilpotent_exp,
     unipotent_log,
 )
+from test_cli import coprime_60_digit_matrix, golden_tstar_4
 
 
 def elementary(n, i, j, value=1):
@@ -379,10 +380,10 @@ def test_embedding_rejects_non_unitriangular():
 
 
 def test_embedding_rejects_dimension_nine(monkeypatch):
-    def no_log(_):
-        raise AssertionError("the dimension is checked before any logarithm")
+    def no_inverse(_):
+        raise AssertionError("the dimension is checked before any inversion")
 
-    monkeypatch.setattr(embedding, "unipotent_log", no_log)
+    monkeypatch.setattr(TriMat, "inverse", no_inverse)
     g = rand_unitriangular(trial_rng(16, "nine"), 9)
     with pytest.raises(DimensionMismatch, match="2 <= n <= 8"):
         embed_unitriangular(g)
@@ -706,3 +707,62 @@ def test_embed_with_clearing_scales_matches_the_image_and_its_inverse(monkeypatc
         assert rep == AffineRep.of(g)
         assert rep.matrix == image and repr(rep.matrix) == repr(image)
         assert scale == _clearing_scales([image, image.inverse()])
+
+
+def series_image(g):
+    """The defining route to the image: exp of the affine algebra rep of log g."""
+    return nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
+
+
+def tstar_unipotent_parts():
+    """golden_tstar_4's g * h, and the unipotent parts of products and
+    quotients of random elements of T*(n): exponential sums."""
+    parts = [golden_tstar_4().u]
+    for n in range(2, 7):
+        rng = trial_rng(14, "closed-form-tstar", n)
+        g, h = (
+            TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+            for _ in range(2)
+        )
+        parts += [(g * h).u, (g.inverse() * h).u]
+    return parts
+
+
+#: Inputs of the closed form, by kind: rational within the cutoff, with
+#: large entries (past it at most sizes), with 60-digit coprime
+#: denominators (past it), and in the ExpSum ring.
+CLOSED_FORM_CASES = {
+    "rational": lambda: [
+        rand_unitriangular(trial_rng(14, "closed-form", n, t), n, den=12)
+        for n in range(2, 9)
+        for t in range(2)
+    ],
+    "rational-large": lambda: [
+        rand_unitriangular(trial_rng(14, "closed-form-large", n), n, num=10**15, den=10**12)
+        for n in range(2, 9)
+    ],
+    "rational-coprime": lambda: [coprime_60_digit_matrix(False), coprime_60_digit_matrix(True)],
+    "expsum-constant": lambda: [
+        rand_unitriangular(trial_rng(14, "closed-form-lift", n), n).to_expsum()
+        for n in range(2, 9)
+    ],
+    "expsum-mixed": lambda: [
+        TriMat([[1, ExpSum.exponential(Fraction(1, 2)), Fraction(1, 3)], [0, 1, 2], [0, 0, 1]])
+    ],
+    "expsum-tstar": tstar_unipotent_parts,
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLOSED_FORM_CASES))
+def test_closed_form_image_matches_the_series(case):
+    for g in CLOSED_FORM_CASES[case]():
+        want = series_image(g)
+        types = [[type(v) for v in row] for row in want.rows]
+        got = embed_unitriangular(g)
+        assert got.rows == want.rows
+        assert [[type(v) for v in row] for row in got.rows] == types
+        if not g.expsum:
+            rep, scale = _embed_with_clearing_scales(g)
+            assert rep.matrix.rows == want.rows
+            assert [[type(v) for v in row] for row in rep.matrix.rows] == types
+            assert scale == _clearing_scales([want, want.inverse()])

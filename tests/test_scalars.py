@@ -1,4 +1,5 @@
 import math
+import sys
 import time
 from fractions import Fraction
 from math import factorial
@@ -14,6 +15,7 @@ from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
     ExpSum,
     _exp_interval,
+    check_writable,
     rat_from_str,
     rat_to_str,
     scalar_sign,
@@ -58,6 +60,24 @@ def test_rat_string_roundtrip():
             rat_to_str(huge)
     with pytest.raises(ValueError):
         rat_from_str("1.5x")
+
+
+def test_check_writable_agrees_with_rat_to_str_at_the_limit():
+    limit = sys.get_int_max_str_digits()
+    for k in (10**limit - 1, -(10**limit - 1), 10**limit, -(10**limit)):
+        try:
+            rat_to_str(k)
+        except ResultTooLarge:
+            with pytest.raises(ResultTooLarge):
+                check_writable(k)
+        else:
+            check_writable(k)
+    # a limit of 0 writes every int
+    sys.set_int_max_str_digits(0)
+    try:
+        check_writable(10**limit)
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 @pytest.mark.parametrize(

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import factorial, lcm
+from math import factorial
 
 import pytest
 from hypothesis import given, settings
@@ -24,7 +24,6 @@ from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
     nilpotent_exp,
-    nilpotent_exp_with_row_lcms,
     unipotent_log,
 )
 
@@ -288,35 +287,6 @@ def test_log_matches_reference_series(drawn):
     x, one = drawn
     g = unit_diagonal(x, one)
     assert_same(unipotent_log(g), reference_log(g))
-
-
-@st.composite
-def rational_strict_uppers(draw):
-    """Rational strictly upper matrix of size 1..9, its series on either
-    side of the cutoff."""
-    n = draw(st.integers(1, 9))
-    _, _, entries = RINGS[draw(st.sampled_from(["Q", "Q-coprime", "Q-past-cutoff"]))]
-    entry = st.one_of(st.just(Fraction(0)), entries)
-    return TriMat([[draw(entry) if j > i else 0 for j in range(n)] for i in range(n)])
-
-
-@given(rational_strict_uppers())
-@settings(max_examples=60, deadline=None)
-def test_exp_with_row_lcms_matches_exp_and_its_inverse(x):
-    image, lcms = nilpotent_exp_with_row_lcms(x)
-    ref = reference_exp(x)
-    assert_same(image, ref)
-    inv = reference_inverse(ref)
-    assert lcms == [
-        lcm(*(v.denominator for g in (ref, inv) for v in g.rows[i])) for i in range(x.n)
-    ]
-
-
-def test_exp_with_row_lcms_needs_a_rational_strict_upper_matrix():
-    with pytest.raises(TypeError):
-        nilpotent_exp_with_row_lcms(TriMat([[0, ExpSum.exponential(1)], [0, 0]]))
-    with pytest.raises(NotStrictUpper):
-        nilpotent_exp_with_row_lcms(TriMat.identity(2))
 
 
 # -- products against the dense triple loop -----------------------------------
