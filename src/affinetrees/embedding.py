@@ -111,21 +111,29 @@ def coord_block(nu: int) -> tuple[int, int]:
     return k, r
 
 
-def coord_vector(mat: TriMat) -> tuple:
-    """Strictly-upper entries flattened, longest block-index first.
+def coord_entries(n: int) -> list:
+    """The matrix entry (a, b), a < b, of each flattened coordinate, in
+    coordinate order: the (n-1)-th superdiagonal, then the (n-2)-th, down
+    to the 1st, each from its top row.  Block k of :func:`coord_block` is
+    the (n-k)-th superdiagonal."""
+    return [(a, a + n - k) for k in range(1, n) for a in range(k)]
 
-    The result lists the (n-1)-th superdiagonal, then the (n-2)-th, down
-    to the 1st; length is n(n-1)/2.
-    """
+
+def _coord_positions(n: int) -> list:
+    """pos[a][b]: the coordinate of entry (a, b), a < b."""
+    pos = [[0] * n for _ in range(n)]
+    for i, (a, b) in enumerate(coord_entries(n)):
+        pos[a][b] = i
+    return pos
+
+
+def coord_vector(mat: TriMat) -> tuple:
+    """Strictly-upper entries flattened in :func:`coord_entries` order;
+    length is n(n-1)/2."""
     if not mat.is_strict_upper():
         raise NotStrictUpper("coordinates defined for strict upper matrices")
-    n = mat.n
-    out = []
-    for k in range(1, n):
-        d = n - k
-        for r in range(k):
-            out.append(mat.rows[r][r + d])
-    return tuple(out)
+    rows = mat.rows
+    return tuple([rows[a][b] for a, b in coord_entries(mat.n)])
 
 
 def matrix_from_coords(n: int, vec) -> TriMat:
@@ -135,12 +143,8 @@ def matrix_from_coords(n: int, vec) -> TriMat:
             f"expected {coord_count(n)} coordinates, got {len(vec)}"
         )
     rows = [[Fraction(0)] * n for _ in range(n)]
-    pos = 0
-    for k in range(1, n):
-        d = n - k
-        for r in range(k):
-            rows[r][r + d] = vec[pos]
-            pos += 1
+    for (a, b), v in zip(coord_entries(n), vec):
+        rows[a][b] = v
     return TriMat(rows)
 
 
@@ -169,28 +173,24 @@ def left_mult_matrix_closed(x: TriMat) -> TriMat:
     """Closed-form route to the same matrix as :func:`left_mult_matrix`,
     built from its nonzero pattern.
 
-    In block/position terms (coordinate (k, r) is matrix entry
-    (r, r + n - k), 1-based), row (k_r, r) is nonzero only in the columns
-    (k_s, r + k_s - k_r) and (k_s, r) of the later blocks k_s > k_r:
-    there it holds c * x[r, r + k_s - k_r] and -c * x[n - k_s + r, n - k_r + r]
-    with c = (n - k_s)/(n - k_r).  Both are written even when x's entry is
-    zero, so every entry keeps the type its formula gives it.
+    Indexing the coordinates by entries (:func:`coord_entries`), row
+    (a, b) is nonzero only in the columns (c, b) and (a, c), a < c < b:
+    there it holds x[a][c] (b - c)/(b - a) and -x[c][b] (c - a)/(b - a).
+    Both are written even when x's entry is zero, so every entry keeps
+    the type its formula gives it.
     """
     if not x.is_strict_upper():
         raise NotStrictUpper("left multiplication needs a strict upper matrix")
     n, xr = x.n, x.rows
-    m = coord_count(n)
+    entries, pos = coord_entries(n), _coord_positions(n)
+    weights = {span: [Fraction(j, span) for j in range(span)] for span in range(1, n)}
     zero = x.ring_zero()
-    rows = [[zero] * m for _ in range(m)]
-    for k_r in range(1, n):
-        row0 = k_r * (k_r - 1) // 2
-        for k_s in range(k_r + 1, n):
-            c = Fraction(n - k_s, n - k_r)
-            col0, d = k_s * (k_s - 1) // 2, k_s - k_r
-            for r in range(k_r):  # 0-based position in block k_r
-                row = rows[row0 + r]
-                row[col0 + r + d] = xr[r][r + d] * c
-                row[col0 + r] = -(xr[n - k_s + r][n - k_r + r] * c)
+    rows = [[zero] * len(entries) for _ in entries]
+    for row, (a, b) in zip(rows, entries):
+        w, xa = weights[b - a], xr[a]
+        for c in range(a + 1, b):
+            row[pos[c][b]] = xa[c] * w[b - c]
+            row[pos[a][c]] = -(xr[c][b] * w[c - a])
     return TriMat(rows)
 
 
@@ -261,7 +261,7 @@ def _assembled(g_rows, h_cols, weights, zero):
     by x = log g is D**-1 ad_x D, and its exponential D**-1 Ad_g D.  With
     H = diag(0, -1, ..., -(n-1)), ad_H = D, the translation column
     sum_k lambda(x)**k x / (k+1)! is D**-1 (H - g H g**-1).  Indexing the
-    coordinates by entries (a, b), a < b, in :func:`coord_vector` order:
+    coordinates by entries (a, b), a < b, in :func:`coord_entries` order:
 
     * M[(a,b)][(c,d)] = g[a][c] h[d][b] (d - c) / (b - a) for
       a <= c < d <= b, and 0 elsewhere in the linear block;
@@ -275,33 +275,24 @@ def _assembled(g_rows, h_cols, weights, zero):
     (a, b, {column: entry}), zero products left out and the translation,
     at column m, counted from ``zero``."""
     n = len(g_rows)
-    m = coord_count(n)
-    # pos[c][d]: the coordinate of entry (c, d)
-    pos = [[0] * n for _ in range(n)]
-    for c in range(n):
-        for d in range(c + 1, n):
-            k = n - (d - c)
-            pos[c][d] = k * (k - 1) // 2 + c
-    for k in range(1, n):
-        span = n - k
-        w = weights[span]
-        for a in range(k):
-            b = a + span
-            ga, hb = g_rows[a], h_cols[b]
-            row, t = {}, zero
-            for c in range(a, b + 1):
-                p = ga[c]
-                if not p:
-                    continue
-                if c > a and hb[c]:
-                    t = t + p * hb[c] * w[c - a]
-                pc = pos[c]
-                for d in range(c + 1, b + 1):
-                    if q := hb[d]:
-                        row[pc[d]] = p * q * w[d - c]
-            if t:
-                row[m] = t
-            yield a, b, row
+    entries, pos = coord_entries(n), _coord_positions(n)
+    m = len(entries)
+    for a, b in entries:
+        w, ga, hb = weights[b - a], g_rows[a], h_cols[b]
+        row, t = {}, zero
+        for c in range(a, b + 1):
+            p = ga[c]
+            if not p:
+                continue
+            if c > a and hb[c]:
+                t = t + p * hb[c] * w[c - a]
+            pc = pos[c]
+            for d in range(c + 1, b + 1):
+                if q := hb[d]:
+                    row[pc[d]] = p * q * w[d - c]
+        if t:
+            row[m] = t
+        yield a, b, row
 
 
 def _over_lcms(vectors):

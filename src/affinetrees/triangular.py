@@ -25,6 +25,7 @@ from .embedding import (
     affine_algebra_rep,
     check_supported_dimension,
     coord_count,
+    coord_entries,
     coord_vector,
     embed_unitriangular,
     is_essentially_hyperbolic,
@@ -64,10 +65,9 @@ def _key(q: Fraction) -> tuple[int, int]:
 
 
 def _coord_exponents(exponents) -> list:
-    """q_r - q_s for the coordinate housing matrix entry (r, s), in the
-    flattened coordinate order of :func:`coord_vector`."""
-    n = len(exponents)
-    return [exponents[r] - exponents[r + n - k] for k in range(1, n) for r in range(k)]
+    """q_r - q_s for the coordinate housing matrix entry (r, s), in
+    :func:`coord_entries` order."""
+    return [exponents[r] - exponents[s] for r, s in coord_entries(len(exponents))]
 
 
 def _coord_multipliers(exponents) -> list:

@@ -111,6 +111,8 @@ class TriMat:
     @classmethod
     def diagonal(cls, entries):
         entries = [_coerce_entry(v) for v in entries]
+        if not entries:
+            raise DimensionMismatch("matrix must be square and non-empty")
         zero = entries[0] - entries[0]
         n = len(entries)
         return cls(

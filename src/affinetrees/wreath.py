@@ -22,7 +22,8 @@ element is a :class:`WreathElem` (``WreathGroup.check_element`` raises
 :class:`~affinetrees.errors.StructureMismatch` otherwise), not its
 shift, support or fibers; the validating constructors are
 :meth:`WreathGroup.element` (through each base's ``check_element``),
-``MatrixAffineAut``, ``from_affine_matrix`` and ``LexVec(space, value)``.
+``MatrixAffineAut`` (which ``from_affine_matrix`` calls) and
+``LexVec(space, value)``.
 
 A uniform index shift preserves the order of a support or family, and an
 element changes at most the fibers at its own support indices.  So
@@ -103,9 +104,7 @@ class MatrixBundle:
         return isinstance(other, MatrixBundle) and self.point_space == other.point_space
 
     def identity(self) -> MatrixAffineAut:
-        n = len(self.point_space.factors)
-        zero = self.point_space.factors[0].zero()
-        return MatrixAffineAut(TriMat.identity(n), (zero,) * n, self.point_space)
+        return MatrixAffineAut(TriMat.identity(len(self.point_space.factors) + 1), self.point_space)
 
     def is_identity(self, h) -> bool:
         return h.is_identity()

@@ -681,6 +681,50 @@ def test_act_inverse_of_a_non_monomial_diagonal_exits_3(tmp_path, capsys, point)
     assert err.startswith("error: NotInvertible: ") and "Traceback" not in err
 
 
+#: (rep entries, point, stderr line) of each rejected affine rep or point.
+ACT_REJECTIONS = {
+    "one-by-one": ([["1"]], ["1"], "NotAffineForm: affine form needs dimension at least 2"),
+    "below-diagonal": (
+        [["1", "0", "0"], ["2", "1", "0"], ["0", "0", "1"]],
+        ["1", "2"],
+        "NotAffineForm: dilation must be upper triangular",
+    ),
+    "last-row": (
+        [["1", "0", "0"], ["0", "1", "0"], ["0", "3", "1"]],
+        ["1", "2"],
+        "NotAffineForm: matrix must be upper triangular",
+    ),
+    "corner": (
+        [["1", "0", "1"], ["0", "1", "0"], ["0", "0", "2"]],
+        ["1", "2"],
+        "NotAffineForm: corner entry must be 1",
+    ),
+    "zero-diagonal": (
+        [["1", "0", "1"], ["0", "0", "0"], ["0", "0", "1"]],
+        ["1", "2"],
+        "NotAffineForm: diagonal must be positive for an order-preserving map",
+    ),
+    "negative-diagonal": (
+        [["-1", "0", "1"], ["0", "1", "0"], ["0", "0", "1"]],
+        ["1", "2"],
+        "NotAffineForm: diagonal must be positive for an order-preserving map",
+    ),
+    "exact-real-point-on-a-rational-rep": (
+        [["1", "1/2", "1"], ["0", "1", "2"], ["0", "0", "1"]],
+        [[{"coeff": "1", "exp": "1"}], "2"],
+        "IndexSpaceMismatch: not a rational: ExpSum(1*e^(1))",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(ACT_REJECTIONS))
+def test_act_rejection_exit_code_and_stderr_line(tmp_path, capsys, case):
+    entries, point, line = ACT_REJECTIONS[case]
+    rep = write_json(tmp_path / "rep.json", {"entries": entries})
+    point = write_json(tmp_path / "p.json", point)
+    assert run_cli(capsys, "act", "--rep", rep, "--point", point) == (3, "", f"error: {line}\n")
+
+
 def coprime_60_digit_matrix(full):
     """n = 8 unitriangular matrix whose entries above the diagonal (or, if
     not full, in the last column) have pairwise coprime 60-digit
@@ -787,14 +831,19 @@ def golden_rational_8():
 #: SHA-256 of the stdout of each command, recorded before the
 #: left-symmetric product was rewritten as one pass over the entries
 #: (the two wreath commands: before wreath fibers were composed and
-#: inverted on their integer encoding).  Refactors keep these bytes; a
-#: digest changes only with the output.
+#: inverted on their integer encoding; the four act commands: before
+#: affine maps stored their affine matrix).  Refactors keep these bytes;
+#: a digest changes only with the output.
 GOLDEN_DIGESTS = {
     "verify": "23946b7848ab287a8fa421ed05f3ea07603a3bbd767cb8f416586807b80ea877",
     "embed-integerize": "d1029ab9c5f3d27b18001184fe6ef60ac6849abb5a9a7f906fe4fd35d23e6295",
     "embed-integerize-past-cutoff": "2d4c808461e1052d9b22206c6695dff0feaa734f336925098bea96ea8488c13f",
     "wreath-ZQZ": "d05735835b5a1008915050c9456a9f7b1f7536d30937a9bd23a7230aca4df5cf",
     "wreath-QQQ": "3dc2494f326c63be0eb26ee5a6c21a268efafaf8d401cba79685f4a3e729fbf9",
+    "act-unit-diagonal": "93d337c9b635301009c3d054e2e3f26a9f0bbaec5f4a4ace1bea22b9972a5d8d",
+    "act-non-unit-diagonal": "a22b064228a3639090556b83dc6c6c784ef15096c6cffd56b3c6fdccc300e93a",
+    "act-exact-real": "8d4b61abe512451c6e9abd46273a9118f41354ba1bd00958aacc2aa43c66f923",
+    "act-past-cutoff": "7820278852b85fb65f3089543aa6dcab9286b94730103c97153ead3f182b03ed",
 }
 
 GOLDEN_ARGV = {
@@ -811,11 +860,59 @@ GOLDEN_EMBED_INPUTS = {
     "embed-integerize-past-cutoff": lambda: coprime_60_digit_matrix(False),
 }
 
+#: CI's exact-real ``act`` rep and point, whose output digest it checks.
+REAL_REP = {
+    "entries": [
+        [
+            [{"coeff": "1", "exp": "1/2"}],
+            [{"coeff": "2", "exp": "1/3"}],
+            [{"coeff": "1", "exp": "0"}, {"coeff": "-1", "exp": "1/5"}],
+        ],
+        ["0", "1", [{"coeff": "3/7", "exp": "-1/2"}]],
+        ["0", "0", "1"],
+    ]
+}
+REAL_POINT = [[{"coeff": "1", "exp": "1/4"}], [{"coeff": "-2", "exp": "0"}, {"coeff": "1", "exp": "2/7"}]]
+
+#: (rep, point, power) of each ``act`` digest, one for each way a map is
+#: inverted: a unit diagonal within the cutoff (the integer series), a
+#: diagonal other than 1, an exact-real rep, and a rep whose common
+#: denominator is past the cutoff (ring mode).
+GOLDEN_ACT_INPUTS = {
+    "act-unit-diagonal": (
+        lambda: mat_to_json(golden_rational_8()), ["1/2", "-3", "2/5", "7", "0", "-1/3", "4"], -4
+    ),
+    "act-non-unit-diagonal": (
+        lambda: {
+            "entries": [
+                ["2", "1/3", "-1", "5"],
+                ["0", "3/7", "2", "-1/2"],
+                ["0", "0", "5/4", "3"],
+                ["0", "0", "0", "1"],
+            ]
+        },
+        ["1/2", "7", "-2/3"],
+        -5,
+    ),
+    "act-exact-real": (lambda: REAL_REP, REAL_POINT, -3),
+    "act-past-cutoff": (
+        lambda: mat_to_json(coprime_60_digit_matrix(False)), ["1", "-1/2", "0", "3", "2/3", "-5", "1/7"], -2
+    ),
+}
+
 
 @pytest.mark.parametrize("command", sorted(GOLDEN_DIGESTS))
 def test_output_bytes_match_pinned_digests(tmp_path, capsys, command):
     argv = GOLDEN_ARGV.get(command)
-    if argv is None:
+    if command in GOLDEN_ACT_INPUTS:
+        rep, point, power = GOLDEN_ACT_INPUTS[command]
+        argv = [
+            "act",
+            "--rep", write_json(tmp_path / "rep.json", rep()),
+            "--point", write_json(tmp_path / "point.json", point),
+            "--power", str(power),
+        ]
+    elif argv is None:
         src = write_json(tmp_path / "in.json", mat_to_json(GOLDEN_EMBED_INPUTS[command]()))
         argv = ["embed", "--input", src, "--integerize"]
     code, out, _ = run_cli(capsys, *argv)

@@ -128,7 +128,7 @@ def test_wreath_elem_roundtrip_matrix_base():
     group = WreathGroup(base, Scalars("Z"))
     rng = trial_rng(3, "welem")
     elem = group.sample_nontrivial(rng)
-    payload = wreath_elem_to_json(group, elem, lambda h: mat_to_json(h.to_affine_matrix()))
+    payload = wreath_elem_to_json(group, elem, lambda h: mat_to_json(h.matrix))
     decoded = wreath_elem_from_json(
         group, payload, lambda obj: from_affine_matrix(mat_from_json(obj))
     )

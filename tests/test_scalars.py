@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from affinetrees import actions, scalars
-from affinetrees.actions import MatrixAffineAut, _encode_affine
+from affinetrees.actions import MatrixAffineAut, _columns
 from affinetrees.errors import PrecisionExhausted, ResultTooLarge
 from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
@@ -25,6 +25,7 @@ from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
     _decoded,
+    _encode,
     nilpotent_exp,
     unipotent_log,
 )
@@ -579,7 +580,9 @@ def test_affine_maps_match_fraction_model_on_both_sides_of_the_cutoff(
     coords = [data.draw(point) for _ in range(n)]
     xs = [ExpSum(p) for p in coords]
     space = Product(*[Scalars("R")] * n)
-    aut = MatrixAffineAut(TriMat([[ExpSum(p) for p in row] for row in rows]), tuple(map(ExpSum, shift)), space)
+    affine = [[ExpSum(p) for p in row] + [ExpSum(t)] for row, t in zip(rows, shift)]
+    affine.append([ExpSum.zero()] * n + [ExpSum.one()])
+    aut = MatrixAffineAut(TriMat(affine), space)
     model = [
         ref_of(
             [qc for a, x in zip(row, coords) for qc in ref_mul(ref_of(a), ref_of(x)).items()]
@@ -587,16 +590,16 @@ def test_affine_maps_match_fraction_model_on_both_sides_of_the_cutoff(
         )
         for row, t in zip(rows, shift)
     ]
-    cols, da, ela = _encode_affine(aut.dilation, aut.translation, True)
+    cols, da, ela = _encode(_columns(aut.matrix), True)
     if da is not None:
-        # column j holds the nonzero entries of column j of [dilation |
-        # translation], and decodes back to them
-        columns = [*zip(*aut.dilation.rows), aut.translation]
+        # column j holds the nonzero entries of column j of the affine
+        # matrix, and decodes back to them
+        columns = list(zip(*aut.matrix.rows))
         assert len(cols) == n + 1
         for col, column in zip(cols, columns):
             assert set(col) == {i for i, v in enumerate(column) if v}
             assert all(v for v in col.values())
-            for value, want in zip(_decoded(col, n, da, ela, True), column):
+            for value, want in zip(_decoded(col, n + 1, da, ela, True), column):
                 assert (value._den, value._num) == (want._den, want._num)
     ring_mode = []
 

@@ -62,6 +62,9 @@ def test_dimension_mismatch():
         TriMat.identity(2) * TriMat.identity(3)
     with pytest.raises(DimensionMismatch):
         TriMat([[1, 2], [3, 4], [5, 6]])
+    for empty in (lambda: TriMat.identity(0), lambda: TriMat.zeros(0), lambda: TriMat.diagonal([])):
+        with pytest.raises(DimensionMismatch, match="non-empty"):
+            empty()
 
 
 def test_inverse_roundtrip():

@@ -351,9 +351,8 @@ def killer(bundle, value):
     h = bundle.sample_element(trial_rng(0, "killer", repr(value)))
     moved = h._mat_apply(value, True)
     n = len(moved)
-    shift = MatrixAffineAut(
-        TriMat.identity(n), tuple(-x for x in reversed(moved)), bundle.point_space
-    )
+    rows = [[int(i == j) for j in range(n)] + [-x] for i, x in enumerate(reversed(moved))]
+    shift = MatrixAffineAut(TriMat(rows + [[0] * n + [1]]), bundle.point_space)
     return shift.compose(h)
 
 
