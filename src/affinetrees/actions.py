@@ -171,7 +171,7 @@ class MatrixAffineAut:
         grows."""
         enc = self.__dict__.get("_enc")
         if enc is None:
-            enc = _encode(_columns(self.matrix), self.space.factors[0].kind == "R")
+            enc = _encode(_columns(self.matrix), self.matrix.expsum)
             # not a field: ==, hash and repr do not see it
             object.__setattr__(self, "_enc", enc)
         return enc
@@ -186,7 +186,7 @@ class MatrixAffineAut:
         assignment, so a reader never sees columns at another L.  Past
         the cutoff xs, with the ring unit in column n, multiplies the
         unencoded columns in ring mode."""
-        expsum = self.space.factors[0].kind == "R"
+        expsum = self.matrix.expsum
         n = len(xs)
         cols, da, ela = self._encoding()
         xrow, dx = _sparse([xs])[0], None
@@ -228,7 +228,7 @@ class MatrixAffineAut:
         """self after other: x -> self(other(x)), the matrix M_s M_o."""
         if not isinstance(other, MatrixAffineAut) or other.space != self.space:
             raise IndexSpaceMismatch("can only compose over one space")
-        if self.space.factors[0].kind == "Q":
+        if not self.matrix.expsum:
             cs, ds, _ = self._encoding()
             co, do, _ = other._encoding()
             if ds is not None and do is not None:
@@ -240,7 +240,7 @@ class MatrixAffineAut:
         cutoff, M**T = I + S / D, so the int sums of the series
         sum_k (-S / D)**k, with D**K on the diagonal, are the inverse's
         columns over D**K."""
-        if self.space.factors[0].kind == "Q":
+        if not self.matrix.expsum:
             cols, d, _ = self._encoding()
             if d is not None and all(cols[j].get(j) == d for j in range(self.dim)):
                 strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]

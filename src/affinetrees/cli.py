@@ -180,7 +180,7 @@ def cmd_act(args) -> int:
         as_list = False
     power = args.power
     acting = aut if power >= 0 else aut.invert()
-    expsum = aut.space.factors[0].kind == "R"
+    expsum = aut.matrix.expsum
     for step in range(1, abs(power) + 1):
         point = acting.act(point)
         if expsum and sum(v.term_count() for v in point.value) > MAX_POINT_TERMS:

@@ -31,7 +31,7 @@ lexicographic order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import gcd, lcm
 
@@ -117,6 +117,15 @@ def coord_entries(n: int) -> list:
     to the 1st, each from its top row.  Block k of :func:`coord_block` is
     the (n-k)-th superdiagonal."""
     return [(a, a + n - k) for k in range(1, n) for a in range(k)]
+
+
+def block_nonzero(mat: TriMat, a: int, b: int) -> bool:
+    """Whether block (a, b) of a matrix in flattened coordinates has a
+    nonzero entry.  Blocks have sizes 1, 2, 3, ... as in
+    :func:`coord_block`, so block (a, b) is a x b and starts at row
+    a(a-1)/2 and column b(b-1)/2."""
+    r0, c0 = a * (a - 1) // 2, b * (b - 1) // 2
+    return any(mat.rows[r0 + r][c0 + c] for r in range(a) for c in range(b))
 
 
 def _coord_positions(n: int) -> list:
@@ -394,12 +403,7 @@ class AdmissibleReport:
         return self.blocks_clean and self.hyperbolic
 
     def to_json(self):
-        return {
-            "i0": self.i0,
-            "blocks_checked": self.blocks_checked,
-            "blocks_clean": self.blocks_clean,
-            "hyperbolic": self.hyperbolic,
-        }
+        return asdict(self)
 
 
 def certify_admissible(x: TriMat) -> AdmissibleReport:
@@ -425,11 +429,7 @@ def certify_admissible(x: TriMat) -> AdmissibleReport:
             if b - a >= i0:
                 continue
             blocks_checked += 1
-            row0 = a * (a - 1) // 2
-            col0 = b * (b - 1) // 2
-            if any(
-                rep.rows[row0 + r][col0 + c] for r in range(a) for c in range(b)
-            ):
+            if block_nonzero(rep, a, b):
                 clean = False
     hyperbolic = is_essentially_hyperbolic(nilpotent_exp(rep))
     return AdmissibleReport(i0, blocks_checked, clean, hyperbolic)

@@ -4,13 +4,23 @@ Each suite turns the exact laws of one area into sampled checks: the
 left-symmetric product axioms, the two independent routes to the
 left-multiplication matrix, hyperbolicity of embedded images,
 denominator clearing, the diagonal-conjugation identities of the
-positive-diagonal extension, and the wreath-product action laws.  Every
-check reports (trials, failures) plus a replayable witness for the first
-failure.  Each trial draws from one generator seeded by (seed, check
-name, trial index), where the check name carries the dimension, so
-verdicts are byte-stable across runs and independent of execution order.
-The diagonal-conjugation identities share one draw per (dimension,
-trial), made by :func:`verify_conjugation_identities`.
+positive-diagonal extension, and the wreath-product action laws.
+
+A check is one module-level function ``body(rng, n)``, declared with
+:func:`_check` beside its body under its suite, check name and law.  It
+returns None on a pass or a witness dict on a failure.  One loop,
+:func:`_suite`, runs a suite's per-dimension checks in declaration order
+at each n as ``<suite>.<check>.n<n>``, then, when 4 is among the
+dimensions, its size-4 checks once as ``<suite>.<check>``.  The wreath
+laws take a group in place of n and are run on each group of the
+``wreath`` suite and of the ``wreath`` command.
+
+Every check reports (trials, failures) plus a replayable witness for the
+first failure.  Each trial draws from one generator seeded by (seed,
+check name, trial index), where the check name carries the dimension,
+so verdicts are byte-stable across runs and independent of execution
+order.  The diagonal-conjugation identities share one draw per
+(dimension, trial), made by :func:`verify_conjugation_identities`.
 
 The golden fixtures hard-code, as symbolic templates, the fully worked
 size-4 example data: the product of two generic strictly-upper matrices
@@ -22,6 +32,7 @@ bindings and demand exact equality.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import asdict, dataclass, field
 from fractions import Fraction
 
@@ -33,6 +44,7 @@ from .actions import (
 )
 from .embedding import (
     affine_algebra_rep,
+    block_nonzero,
     certify_admissible,
     coord_block,
     coord_count,
@@ -110,13 +122,7 @@ class CheckResult:
         return self.failures == 0
 
     def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "law": self.law,
-            "trials": self.trials,
-            "failures": self.failures,
-            "witness": self.witness,
-        }
+        return asdict(self)
 
 
 @dataclass
@@ -138,9 +144,9 @@ class Verdict:
         }
 
 
-def _run(cfg: SuiteConfig, name: str, law: str, body) -> CheckResult:
-    """Run ``body(rng)`` for each of ``cfg.samples`` trials; body returns
-    None on pass or a witness dict on failure.
+def _run(cfg: SuiteConfig, name: str, law: str, body, *args) -> CheckResult:
+    """Run ``body(rng, *args)`` for each of ``cfg.samples`` trials; body
+    returns None on pass or a witness dict on failure.
 
     Trial t draws only from the generator that :func:`trial_rng` seeds
     with ``(cfg.seed, name, t)``, so a witness replays from the verdict
@@ -148,7 +154,7 @@ def _run(cfg: SuiteConfig, name: str, law: str, body) -> CheckResult:
     failures = 0
     witness = None
     for t in range(cfg.samples):
-        w = body(trial_rng(cfg.seed, name, t))
+        w = body(trial_rng(cfg.seed, name, t), *args)
         if w is not None:
             failures += 1
             if witness is None:
@@ -287,427 +293,245 @@ def _prose_hyperbolic(mat: TriMat) -> bool:
     return row_entries == [(lowest, N - 1)]
 
 
-# -- suite bodies --------------------------------------------------------------
+# -- declared checks -----------------------------------------------------------
+
+#: Each suite's declared checks, (name, law, body, size4), in declaration
+#: order.  The wreath entries are the wreath-product laws, whose bodies
+#: take a group where the others take a dimension.
+_DECLARED = {
+    suite: [] for suite in ("lsa", "embedding", "hyperbolicity", "integerize", "tstar", "wreath")
+}
 
 
-def _suite_lsa(cfg: SuiteConfig) -> list:
-    checks = []
-    for n in cfg.dims:
+def _check(suite: str, name: str, law: str, size4: bool = False):
+    """Declare ``body(rng, n)`` as the check ``name`` of ``suite``, run by
+    :func:`_suite` at each dimension n, or with ``size4`` once at n = 4."""
 
-        def left_symmetry(rng, n=n):
-            x, y, z = (rand_strict_upper(rng, n) for _ in range(3))
-            p = left_symmetric_product
-            lhs = p(p(x, y), z) - p(x, p(y, z))
-            rhs = p(p(y, x), z) - p(y, p(x, z))
-            if lhs != rhs:
-                return {"x": repr(x), "y": repr(y), "z": repr(z)}
+    def declare(body):
+        _DECLARED[suite].append((name, law, body, size4))
+        return body
 
-        checks.append(
-            _run(cfg, f"lsa.left_symmetry.n{n}", "left_symmetry", left_symmetry)
-        )
-
-        def commutator(rng, n=n):
-            x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
-            lhs = left_symmetric_product(x, y) - left_symmetric_product(y, x)
-            rhs = x * y - y * x
-            if lhs != rhs:
-                return {"x": repr(x), "y": repr(y)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"lsa.commutator_compat.n{n}",
-                "product_antisymmetrizes_to_commutator",
-                commutator,
-            )
-        )
-
-        def grading(rng, n=n):
-            x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
-            for i in range(1, n):
-                for j in range(1, n):
-                    prod = left_symmetric_product(
-                        superdiag_part(x, i), superdiag_part(y, j)
-                    )
-                    for d in range(1, n):
-                        if d == i + j:
-                            continue
-                        if any(prod.rows[k][k + d] for k in range(n - d)):
-                            return {"i": i, "j": j, "bad_diag": d}
-
-        checks.append(
-            _run(cfg, f"lsa.grading.n{n}", "graded_product", grading)
-        )
-
-        def entrywise(rng, n=n):
-            x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
-            if left_symmetric_product(x, y) != _product_graded(x, y):
-                return {"x": repr(x), "y": repr(y)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"lsa.entrywise_formula.n{n}",
-                "bilinear_vs_entrywise_product",
-                entrywise,
-            )
-        )
-
-    if 4 in cfg.dims:
-
-        def example_product(rng):
-            x, y = rand_strict_upper(rng, 4), rand_strict_upper(rng, 4)
-            if left_symmetric_product(x, y) != example4_product(x, y):
-                return {"x": repr(x), "y": repr(y)}
-
-        checks.append(
-            _run(
-                cfg,
-                "lsa.example4_product",
-                "golden_size4_product_template",
-                example_product,
-            )
-        )
-    return checks
+    return declare
 
 
-def _suite_embedding(cfg: SuiteConfig) -> list:
-    checks = []
-    for n in cfg.dims:
-
-        def two_routes(rng, n=n):
-            x = rand_strict_upper(rng, n)
-            if left_mult_matrix(x) != left_mult_matrix_closed(x):
-                return {"x": repr(x)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.left_mult_two_routes.n{n}",
-                "bilinear_vs_closed_form",
-                two_routes,
-            )
-        )
-
-        def coord_roundtrip(rng, n=n):
-            x = rand_strict_upper(rng, n)
-            if matrix_from_coords(n, coord_vector(x)) != x:
-                return {"x": repr(x)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.coord_roundtrip.n{n}",
-                "coordinate_isomorphism",
-                coord_roundtrip,
-            )
-        )
-
-        def block_strict(rng, n=n):
-            x = rand_strict_upper(rng, n)
-            lam = left_mult_matrix_closed(x)
-            for a in range(1, n):
-                for b in range(1, a + 1):
-                    r0, c0 = a * (a - 1) // 2, b * (b - 1) // 2
-                    if any(
-                        lam.rows[r0 + r][c0 + c] for r in range(a) for c in range(b)
-                    ):
-                        return {"x": repr(x), "block": (a, b)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.block_strict.n{n}",
-                "strict_block_upper",
-                block_strict,
-            )
-        )
-
-        def bracket(rng, n=n):
-            x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
-            lhs = affine_algebra_rep(x * y - y * x)
-            rx, ry = affine_algebra_rep(x), affine_algebra_rep(y)
-            if lhs != rx * ry - ry * rx:
-                return {"x": repr(x), "y": repr(y)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.algebra_bracket.n{n}",
-                "bracket_preserved",
-                bracket,
-            )
-        )
-
-        def homomorphism(rng, n=n):
-            g, h = rand_unitriangular(rng, n), rand_unitriangular(rng, n)
-            if embed_unitriangular(g * h) != embed_unitriangular(g) * embed_unitriangular(h):
-                return {"g": repr(g), "h": repr(h)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.homomorphism.n{n}",
-                "group_homomorphism",
-                homomorphism,
-            )
-        )
-
-        def injective(rng, n=n):
-            g = rand_nontrivial_unitriangular(rng, n)
-            if embed_unitriangular(g).is_identity():
-                return {"g": repr(g)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.injectivity.n{n}",
-                "nontrivial_maps_nontrivially",
-                injective,
-            )
-        )
-
-        def exp_log(rng, n=n):
-            g = rand_unitriangular(rng, n)
-            x = rand_strict_upper(rng, n)
-            if nilpotent_exp(unipotent_log(g)) != g:
-                return {"g": repr(g)}
-            if unipotent_log(nilpotent_exp(x)) != x:
-                return {"x": repr(x)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"embedding.exp_log_roundtrip.n{n}",
-                "mutually_inverse",
-                exp_log,
-            )
-        )
-
-    if 4 in cfg.dims:
-
-        def example_left_mult(rng):
-            x = rand_strict_upper(rng, 4)
-            if left_mult_matrix(x) != example4_left_mult(x):
-                return {"x": repr(x)}
-
-        checks.append(
-            _run(
-                cfg,
-                "embedding.example4_left_mult",
-                "golden_size4_left_mult_template",
-                example_left_mult,
-            )
-        )
-
-        def example_log(rng):
-            vals = [rand_fraction(rng) for _ in range(6)]
-            a, b, c, d, e, f = vals
-            if unipotent_log(example4_matrix(a, b, c, d, e, f)) != example4_log(
-                a, b, c, d, e, f
-            ):
-                return {"binding": repr(vals)}
-
-        checks.append(
-            _run(
-                cfg,
-                "embedding.example4_log",
-                "golden_size4_log_template",
-                example_log,
-            )
-        )
-
-        def example_image(rng):
-            vals = [rand_fraction(rng) for _ in range(6)]
-            a, b, c, d, e, f = vals
-            img = embed_unitriangular(example4_matrix(a, b, c, d, e, f))
-            if img != example4_image(a, b, c, d, e, f):
-                return {"binding": repr(vals)}
-
-        checks.append(
-            _run(
-                cfg,
-                "embedding.example4_image",
-                "golden_size4_image_template",
-                example_image,
-            )
-        )
-    return checks
+@_check("lsa", "left_symmetry", "left_symmetry")
+def _left_symmetry(rng, n):
+    x, y, z = (rand_strict_upper(rng, n) for _ in range(3))
+    p = left_symmetric_product
+    lhs = p(p(x, y), z) - p(x, p(y, z))
+    rhs = p(p(y, x), z) - p(y, p(x, z))
+    if lhs != rhs:
+        return {"x": repr(x), "y": repr(y), "z": repr(z)}
 
 
-def _suite_hyperbolicity(cfg: SuiteConfig) -> list:
-    checks = []
-    for n in cfg.dims:
-
-        def image_hyperbolic(rng, n=n):
-            g = rand_nontrivial_unitriangular(rng, n)
-            if not is_essentially_hyperbolic(embed_unitriangular(g)):
-                return {"g": repr(g)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"hyperbolicity.image.n{n}",
-                "embedded_images_essentially_hyperbolic",
-                image_hyperbolic,
-            )
-        )
-
-        def admissible(rng, n=n):
-            x = rand_strict_upper(rng, n)
-            if x.is_strict_upper() and all(
-                not v for row in x.rows for v in row
-            ):
-                return None
-            report = certify_admissible(x)
-            if not report.ok:
-                return {"x": repr(x), "report": report.to_json()}
-
-        checks.append(
-            _run(
-                cfg,
-                f"hyperbolicity.admissible.n{n}",
-                "lowest_superdiag_blocks_vanish",
-                admissible,
-            )
-        )
-
-        def power_dominance(rng, n=n):
-            x = rand_strict_upper(rng, n)
-            if all(not v for row in x.rows for v in row):
-                return None
-            i0 = lowest_superdiag(x)
-            rep = affine_algebra_rep(x)
-            lam = TriMat(
-                [[rep.rows[i][j] for j in range(rep.n - 1)] for i in range(rep.n - 1)]
-            )
-            power = lam
-            for k in range(1, n):
-                for a in range(1, n):
-                    for b in range(1, n):
-                        if b - a >= k * i0:
-                            continue
-                        r0, c0 = a * (a - 1) // 2, b * (b - 1) // 2
-                        if any(
-                            power.rows[r0 + r][c0 + c]
-                            for r in range(a)
-                            for c in range(b)
-                        ):
-                            return {"x": repr(x), "k": k, "block": (a, b)}
-                power = power * lam
-
-        checks.append(
-            _run(
-                cfg,
-                f"hyperbolicity.power_dominance.n{n}",
-                "power_blocks_vanish_below_k_i0",
-                power_dominance,
-            )
-        )
-
-        def prose(rng, n=n):
-            if rng.random() < 0.5:
-                mat = embed_unitriangular(rand_nontrivial_unitriangular(rng, n))
-            else:
-                mat = rand_nontrivial_unitriangular(rng, n + 1)
-            if is_essentially_hyperbolic(mat) != _prose_hyperbolic(mat):
-                return {"mat": repr(mat)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"hyperbolicity.prose_equivalence.n{n}",
-                "implication_matches_lowest_entry_form",
-                prose,
-            )
-        )
-
-        def displacement(rng, n=n):
-            g = rand_nontrivial_unitriangular(rng, n)
-            aut = from_affine_matrix(embed_unitriangular(g))
-            report = check_free_and_rigid(aut, 10, rng.randint(0, 10**9))
-            if not report["certified"] or not report.get("consistent", False):
-                return {"g": repr(g), "report": {k: v for k, v in report.items() if k != "witness"}}
-
-        checks.append(
-            _run(
-                cfg,
-                f"hyperbolicity.displacement.n{n}",
-                "certificate_implies_sampled_freeness",
-                displacement,
-            )
-        )
-    return checks
+@_check("lsa", "commutator_compat", "product_antisymmetrizes_to_commutator")
+def _commutator(rng, n):
+    x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+    lhs = left_symmetric_product(x, y) - left_symmetric_product(y, x)
+    rhs = x * y - y * x
+    if lhs != rhs:
+        return {"x": repr(x), "y": repr(y)}
 
 
-def _suite_integerize(cfg: SuiteConfig) -> list:
-    checks = []
-    for n in cfg.dims:
-
-        def make_gens(rng, n):
-            gens = []
-            for _ in range(rng.randint(1, 3)):
-                g = rand_unitriangular(rng, n)
-                gens.append(g)
-                inv = g.inverse()
-                if inv not in gens:
-                    gens.append(inv)
-            return gens
-
-        def integral(rng, n=n):
-            gens = make_gens(rng, n)
-            conj, conjugated = integerize(gens)
-            for g in conjugated:
-                if not g.is_unitriangular():
-                    return {"gens": repr(gens)}
-                if any(
-                    v.denominator != 1 for row in g.rows for v in row
-                ):
-                    return {"gens": repr(gens), "bad": repr(g)}
-
-        checks.append(
-            _run(
-                cfg,
-                f"integerize.integral.n{n}",
-                "conjugates_are_integral_unitriangular",
-                integral,
-            )
-        )
-
-        def preserved(rng, n=n):
-            gens = make_gens(rng, n)
-            conj, conjugated = integerize(gens)
-            for before, after in zip(gens, conjugated):
-                if before.is_identity():
+@_check("lsa", "grading", "graded_product")
+def _grading(rng, n):
+    x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+    for i in range(1, n):
+        for j in range(1, n):
+            prod = left_symmetric_product(superdiag_part(x, i), superdiag_part(y, j))
+            for d in range(1, n):
+                if d == i + j:
                     continue
-                if is_essentially_hyperbolic(before) != is_essentially_hyperbolic(after):
-                    return {"before": repr(before), "after": repr(after)}
+                if any(prod.rows[k][k + d] for k in range(n - d)):
+                    return {"i": i, "j": j, "bad_diag": d}
 
-        checks.append(
-            _run(
-                cfg,
-                f"integerize.hyperbolicity_preserved.n{n}",
-                "zero_pattern_preserved",
-                preserved,
-            )
-        )
 
-        def deterministic(rng, n=n):
-            gens = make_gens(rng, n)
-            first, _ = integerize(gens)
-            second, _ = integerize(list(gens))
-            if first != second:
-                return {"gens": repr(gens)}
+@_check("lsa", "entrywise_formula", "bilinear_vs_entrywise_product")
+def _entrywise(rng, n):
+    x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+    if left_symmetric_product(x, y) != _product_graded(x, y):
+        return {"x": repr(x), "y": repr(y)}
 
-        checks.append(
-            _run(
-                cfg,
-                f"integerize.deterministic.n{n}",
-                "lcm_construction_deterministic",
-                deterministic,
-            )
-        )
-    return checks
+
+@_check("lsa", "example4_product", "golden_size4_product_template", size4=True)
+def _example_product(rng, n):
+    x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+    if left_symmetric_product(x, y) != example4_product(x, y):
+        return {"x": repr(x), "y": repr(y)}
+
+
+@_check("embedding", "left_mult_two_routes", "bilinear_vs_closed_form")
+def _two_routes(rng, n):
+    x = rand_strict_upper(rng, n)
+    if left_mult_matrix(x) != left_mult_matrix_closed(x):
+        return {"x": repr(x)}
+
+
+@_check("embedding", "coord_roundtrip", "coordinate_isomorphism")
+def _coord_roundtrip(rng, n):
+    x = rand_strict_upper(rng, n)
+    if matrix_from_coords(n, coord_vector(x)) != x:
+        return {"x": repr(x)}
+
+
+@_check("embedding", "block_strict", "strict_block_upper")
+def _block_strict(rng, n):
+    x = rand_strict_upper(rng, n)
+    lam = left_mult_matrix_closed(x)
+    for a in range(1, n):
+        for b in range(1, a + 1):
+            if block_nonzero(lam, a, b):
+                return {"x": repr(x), "block": (a, b)}
+
+
+@_check("embedding", "algebra_bracket", "bracket_preserved")
+def _bracket(rng, n):
+    x, y = rand_strict_upper(rng, n), rand_strict_upper(rng, n)
+    lhs = affine_algebra_rep(x * y - y * x)
+    rx, ry = affine_algebra_rep(x), affine_algebra_rep(y)
+    if lhs != rx * ry - ry * rx:
+        return {"x": repr(x), "y": repr(y)}
+
+
+@_check("embedding", "homomorphism", "group_homomorphism")
+def _homomorphism(rng, n):
+    g, h = rand_unitriangular(rng, n), rand_unitriangular(rng, n)
+    if embed_unitriangular(g * h) != embed_unitriangular(g) * embed_unitriangular(h):
+        return {"g": repr(g), "h": repr(h)}
+
+
+@_check("embedding", "injectivity", "nontrivial_maps_nontrivially")
+def _injective(rng, n):
+    g = rand_nontrivial_unitriangular(rng, n)
+    if embed_unitriangular(g).is_identity():
+        return {"g": repr(g)}
+
+
+@_check("embedding", "exp_log_roundtrip", "mutually_inverse")
+def _exp_log(rng, n):
+    g = rand_unitriangular(rng, n)
+    x = rand_strict_upper(rng, n)
+    if nilpotent_exp(unipotent_log(g)) != g:
+        return {"g": repr(g)}
+    if unipotent_log(nilpotent_exp(x)) != x:
+        return {"x": repr(x)}
+
+
+@_check("embedding", "example4_left_mult", "golden_size4_left_mult_template", size4=True)
+def _example_left_mult(rng, n):
+    x = rand_strict_upper(rng, n)
+    if left_mult_matrix(x) != example4_left_mult(x):
+        return {"x": repr(x)}
+
+
+@_check("embedding", "example4_log", "golden_size4_log_template", size4=True)
+def _example_log(rng, n):
+    vals = [rand_fraction(rng) for _ in range(6)]
+    if unipotent_log(example4_matrix(*vals)) != example4_log(*vals):
+        return {"binding": repr(vals)}
+
+
+@_check("embedding", "example4_image", "golden_size4_image_template", size4=True)
+def _example_image(rng, n):
+    vals = [rand_fraction(rng) for _ in range(6)]
+    if embed_unitriangular(example4_matrix(*vals)) != example4_image(*vals):
+        return {"binding": repr(vals)}
+
+
+@_check("hyperbolicity", "image", "embedded_images_essentially_hyperbolic")
+def _image_hyperbolic(rng, n):
+    g = rand_nontrivial_unitriangular(rng, n)
+    if not is_essentially_hyperbolic(embed_unitriangular(g)):
+        return {"g": repr(g)}
+
+
+@_check("hyperbolicity", "admissible", "lowest_superdiag_blocks_vanish")
+def _admissible(rng, n):
+    x = rand_strict_upper(rng, n)
+    if all(not v for row in x.rows for v in row):
+        return None
+    report = certify_admissible(x)
+    if not report.ok:
+        return {"x": repr(x), "report": report.to_json()}
+
+
+@_check("hyperbolicity", "power_dominance", "power_blocks_vanish_below_k_i0")
+def _power_dominance(rng, n):
+    x = rand_strict_upper(rng, n)
+    if all(not v for row in x.rows for v in row):
+        return None
+    i0 = lowest_superdiag(x)
+    lam = left_mult_matrix_closed(x)
+    power = lam
+    for k in range(1, n):
+        for a in range(1, n):
+            for b in range(1, n):
+                if b - a < k * i0 and block_nonzero(power, a, b):
+                    return {"x": repr(x), "k": k, "block": (a, b)}
+        power = power * lam
+
+
+@_check("hyperbolicity", "prose_equivalence", "implication_matches_lowest_entry_form")
+def _prose(rng, n):
+    if rng.random() < 0.5:
+        mat = embed_unitriangular(rand_nontrivial_unitriangular(rng, n))
+    else:
+        mat = rand_nontrivial_unitriangular(rng, n + 1)
+    if is_essentially_hyperbolic(mat) != _prose_hyperbolic(mat):
+        return {"mat": repr(mat)}
+
+
+@_check("hyperbolicity", "displacement", "certificate_implies_sampled_freeness")
+def _displacement(rng, n):
+    g = rand_nontrivial_unitriangular(rng, n)
+    aut = from_affine_matrix(embed_unitriangular(g))
+    report = check_free_and_rigid(aut, 10, rng.randint(0, 10**9))
+    if not report["certified"] or not report.get("consistent", False):
+        return {"g": repr(g), "report": {k: v for k, v in report.items() if k != "witness"}}
+
+
+def _generators(rng, n):
+    """One to three random unitriangular matrices, each followed by its
+    inverse unless that is already listed."""
+    gens = []
+    for _ in range(rng.randint(1, 3)):
+        g = rand_unitriangular(rng, n)
+        gens.append(g)
+        inv = g.inverse()
+        if inv not in gens:
+            gens.append(inv)
+    return gens
+
+
+@_check("integerize", "integral", "conjugates_are_integral_unitriangular")
+def _integral(rng, n):
+    gens = _generators(rng, n)
+    conj, conjugated = integerize(gens)
+    for g in conjugated:
+        if not g.is_unitriangular():
+            return {"gens": repr(gens)}
+        if any(v.denominator != 1 for row in g.rows for v in row):
+            return {"gens": repr(gens), "bad": repr(g)}
+
+
+@_check("integerize", "hyperbolicity_preserved", "zero_pattern_preserved")
+def _preserved(rng, n):
+    gens = _generators(rng, n)
+    conj, conjugated = integerize(gens)
+    for before, after in zip(gens, conjugated):
+        if before.is_identity():
+            continue
+        if is_essentially_hyperbolic(before) != is_essentially_hyperbolic(after):
+            return {"before": repr(before), "after": repr(after)}
+
+
+@_check("integerize", "deterministic", "lcm_construction_deterministic")
+def _deterministic(rng, n):
+    gens = _generators(rng, n)
+    first, _ = integerize(gens)
+    second, _ = integerize(list(gens))
+    if first != second:
+        return {"gens": repr(gens)}
 
 
 def _multiplier(exponents, rho, sigma):
@@ -727,118 +551,143 @@ def _multiplier(exponents, rho, sigma):
     return ExpSum.one()
 
 
-def _suite_tstar(cfg: SuiteConfig) -> list:
-    checks = []
-    for n in cfg.dims:
-        report = verify_conjugation_identities(n, cfg.samples, cfg.seed)
-        for tag in IDENTITY_TAGS:
-            checks.append(
-                CheckResult(
-                    f"tstar.{tag}.n{n}",
-                    f"diagonal_conjugation_{tag}",
-                    report[tag]["trials"],
-                    report[tag]["failures"],
-                    report[tag]["witness"],
-                )
-            )
+@_check("tstar", "multiplier_table", "entrywise_conjugation_multipliers")
+def _multiplier_table(rng, n):
+    exps = rand_exponents(rng, n)
+    x = rand_strict_upper(rng, n).to_expsum()
+    lam = left_mult_matrix_closed(x)
+    lam_conj = left_mult_matrix_closed(conjugate_by_diagonal(exps, x))
+    m = coord_count(n)
+    for rho in range(1, m + 1):
+        for sigma in range(1, m + 1):
+            expected = lam.rows[rho - 1][sigma - 1] * _multiplier(exps, rho, sigma)
+            if lam_conj.rows[rho - 1][sigma - 1] != expected:
+                return {"exps": repr(exps), "entry": (rho, sigma)}
 
-        def multiplier_table(rng, n=n):
-            exps = rand_exponents(rng, n)
-            x = rand_strict_upper(rng, n).to_expsum()
-            lam = left_mult_matrix_closed(x)
-            lam_conj = left_mult_matrix_closed(conjugate_by_diagonal(exps, x))
-            m = coord_count(n)
-            for rho in range(1, m + 1):
-                for sigma in range(1, m + 1):
-                    expected = lam.rows[rho - 1][sigma - 1] * _multiplier(
-                        exps, rho, sigma
-                    )
-                    if lam_conj.rows[rho - 1][sigma - 1] != expected:
-                        return {"exps": repr(exps), "entry": (rho, sigma)}
 
-        checks.append(
-            _run(
-                cfg,
-                f"tstar.multiplier_table.n{n}",
-                "entrywise_conjugation_multipliers",
-                multiplier_table,
-            )
-        )
+@_check("tstar", "group_law", "canonical_factorization_group")
+def _group_law(rng, n):
+    gs = [
+        TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+        for _ in range(3)
+    ]
+    g1, g2, g3 = gs
+    if (g1 * g2) * g3 != g1 * (g2 * g3):
+        return {"g1": repr(g1), "g2": repr(g2), "g3": repr(g3)}
+    if (g1 * g2).matrix() != g1.matrix() * g2.matrix():
+        return {"g1": repr(g1), "g2": repr(g2)}
+    prod = g1 * g1.inverse()
+    if not prod.is_identity():
+        return {"g1": repr(g1), "prod": repr(prod)}
 
-        def group_law(rng, n=n):
-            gs = [
-                TriangularElement(
-                    n, rand_unitriangular(rng, n), rand_exponents(rng, n)
-                )
-                for _ in range(3)
-            ]
-            g1, g2, g3 = gs
-            if (g1 * g2) * g3 != g1 * (g2 * g3):
-                return {"g1": repr(g1), "g2": repr(g2), "g3": repr(g3)}
-            if (g1 * g2).matrix() != g1.matrix() * g2.matrix():
-                return {"g1": repr(g1), "g2": repr(g2)}
-            prod = g1 * g1.inverse()
-            if not prod.is_identity():
-                return {"g1": repr(g1), "prod": repr(prod)}
 
-        checks.append(
-            _run(
-                cfg,
-                f"tstar.group_law.n{n}",
-                "canonical_factorization_group",
-                group_law,
-            )
-        )
+@_check("tstar", "essentially_free", "nontrivial_elements_essentially_hyperbolic")
+def _essentially_free(rng, n):
+    style = rng.randrange(3)
+    if style == 0:
+        g = TriangularElement.diagonal(rand_exponents(rng, n))
+    elif style == 1:
+        g = TriangularElement.unipotent(rand_unitriangular(rng, n))
+    else:
+        g = TriangularElement(n, rand_unitriangular(rng, n), rand_exponents(rng, n))
+    if g.is_identity():
+        return None
+    try:
+        if not is_essentially_hyperbolic_embedded(g):
+            return {"g": repr(g)}
+    except PrecisionExhausted as exc:
+        return {"g": repr(g), "error": str(exc)}
 
-        def essentially_free(rng, n=n):
-            style = rng.randrange(3)
-            if style == 0:
-                g = TriangularElement.diagonal(rand_exponents(rng, n))
-            elif style == 1:
-                g = TriangularElement.unipotent(rand_unitriangular(rng, n))
-            else:
-                g = TriangularElement(
-                    n, rand_unitriangular(rng, n), rand_exponents(rng, n)
-                )
-            if g.is_identity():
-                return None
-            try:
-                if not is_essentially_hyperbolic_embedded(g):
-                    return {"g": repr(g)}
-            except PrecisionExhausted as exc:
-                return {"g": repr(g), "error": str(exc)}
 
-        checks.append(
-            _run(
-                cfg,
-                f"tstar.essentially_free.n{n}",
-                "nontrivial_elements_essentially_hyperbolic",
-                essentially_free,
-            )
-        )
+@_check("tstar", "unipotent_agreement", "extension_restricts_to_embedding")
+def _unipotent_agreement(rng, n):
+    u = rand_unitriangular(rng, n).to_expsum()
+    m = coord_count(n)
+    big = embed_unipotent_part(u)
+    rep = embed_unitriangular(u)
+    for i in range(m):
+        for j in range(m):
+            if big.rows[i][j] != rep.rows[i][j]:
+                return {"u": repr(u), "entry": (i, j)}
+        if big.rows[i][m + n] != rep.rows[i][m]:
+            return {"u": repr(u), "row": i}
 
-        def unipotent_agreement(rng, n=n):
-            u = rand_unitriangular(rng, n).to_expsum()
-            m = coord_count(n)
-            big = embed_unipotent_part(u)
-            rep = embed_unitriangular(u)
-            for i in range(m):
-                for j in range(m):
-                    if big.rows[i][j] != rep.rows[i][j]:
-                        return {"u": repr(u), "entry": (i, j)}
-                if big.rows[i][m + n] != rep.rows[i][m]:
-                    return {"u": repr(u), "row": i}
-            return None
 
-        checks.append(
-            _run(
-                cfg,
-                f"tstar.unipotent_agreement.n{n}",
-                "extension_restricts_to_embedding",
-                unipotent_agreement,
-            )
-        )
-    return checks
+@_check("wreath", "group_axioms", "wreath_group_axioms")
+def _group_axioms(rng, group):
+    a, b, c = (group.sample_element(rng) for _ in range(3))
+    if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+        return {"a": repr(a), "b": repr(b), "c": repr(c)}
+    e = group.identity()
+    if group.mul(a, e) != a or group.mul(e, a) != a:
+        return {"a": repr(a)}
+    if not group.is_identity(group.mul(a, group.inv(a))):
+        return {"a": repr(a)}
+    if not group.is_identity(group.mul(group.inv(a), a)):
+        return {"a": repr(a)}
+
+
+@_check("wreath", "action_axiom", "compatible_with_multiplication")
+def _action_axiom(rng, group):
+    g, h = group.sample_element(rng), group.sample_element(rng)
+    p = group.sample_point(rng)
+    lhs = group.act_vec(g, group.act_vec(h, p))
+    rhs = group.act_vec(group.mul(g, h), p)
+    if lhs != rhs:
+        return {"g": repr(g), "h": repr(h), "p": repr(p)}
+
+
+@_check("wreath", "affine_law", "metric_dilation")
+def _affine_law(rng, group):
+    g = group.sample_element(rng)
+    p, q = group.sample_point(rng), group.sample_point(rng)
+    lhs = lex_distance(group.act_vec(g, p), group.act_vec(g, q))
+    rhs = group.dilate_vec(g, lex_distance(p, q))
+    if lhs != rhs:
+        return {"g": repr(g), "p": repr(p), "q": repr(q)}
+
+
+@_check("wreath", "dilation_homomorphism", "dilations_compose")
+def _alpha_hom(rng, group):
+    g, h = group.sample_element(rng), group.sample_element(rng)
+    delta = group.sample_point(rng)
+    lhs = group.dilate_vec(group.mul(g, h), delta)
+    rhs = group.dilate_vec(g, group.dilate_vec(h, delta))
+    if lhs != rhs:
+        return {"g": repr(g), "h": repr(h), "delta": repr(delta)}
+
+
+@_check("wreath", "first_coord_fixed", "dilation_fixes_lead_coordinate")
+def _first_coord(rng, group):
+    g = group.sample_element(rng)
+    delta = group.sample_point(rng)
+    if group.dilate_vec(g, delta).value[0] != delta.value[0]:
+        return {"g": repr(g), "delta": repr(delta)}
+
+
+@_check("wreath", "free_and_rigid", "freeness_and_sign_constancy")
+def _freeness(rng, group):
+    g = group.sample_nontrivial(rng)
+    signs = set()
+    for i in range(20):
+        p = group.sample_point(rng)
+        delta = group.act_vec(g, p) - p
+        s = delta.sign()
+        if s == 0:
+            return {"g": repr(g), "p": repr(p)}
+        signs.add(s)
+    if len(signs) > 1:
+        return {"g": repr(g), "signs": sorted(signs)}
+
+
+def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list:
+    """The wreath-product laws on ``group``, named ``<label>.<check>``;
+    the ``wreath`` suite runs them on three groups, the ``wreath`` command
+    on the one its levels give."""
+    return [
+        _run(cfg, f"{label}.{name}", law, body, group)
+        for name, law, body, _ in _DECLARED["wreath"]
+    ]
 
 
 def make_unitriangular_image_bundle(n: int = 3, bound: int = 3) -> MatrixBundle:
@@ -853,133 +702,62 @@ def make_unitriangular_image_bundle(n: int = 3, bound: int = 3) -> MatrixBundle:
     return MatrixBundle(probe.space, sampler)
 
 
-def _wreath_law_checks(cfg: SuiteConfig, label: str, group: WreathGroup) -> list:
+def _product_transfer(rng):
+    g1 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
+    g2 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
+    aut = ProductAut([g1, g2])
+    p = LexVec(aut.space, aut.space.sample(rng))
+    q = LexVec(aut.space, aut.space.sample(rng))
+    if lex_distance(aut.act(p), aut.act(q)) != aut.dilate(lex_distance(p, q)):
+        return {"p": repr(p), "q": repr(q)}
+    delta = aut.act(p) - p
+    if delta.sign() == 0:
+        return {"p": repr(p), "fixed": True}
+
+
+def _wreath_suite(cfg: SuiteConfig) -> list:
+    """The wreath laws on the embedded U_3 images over Z and on the
+    iterated wreaths of Z, then the transfer of the laws to a product."""
+    groups = {
+        "matrix_base": WreathGroup(make_unitriangular_image_bundle(3), Scalars("Z")),
+        "iterated2": iterated_wreath(["Z", "Z"]),
+        "iterated3": iterated_wreath(["Z", "Z", "Z"]),
+    }
     checks = []
-
-    def group_axioms(rng):
-        a, b, c = (group.sample_element(rng) for _ in range(3))
-        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
-            return {"a": repr(a), "b": repr(b), "c": repr(c)}
-        e = group.identity()
-        if group.mul(a, e) != a or group.mul(e, a) != a:
-            return {"a": repr(a)}
-        if not group.is_identity(group.mul(a, group.inv(a))):
-            return {"a": repr(a)}
-        if not group.is_identity(group.mul(group.inv(a), a)):
-            return {"a": repr(a)}
-
-    checks.append(
-        _run(cfg, f"{label}.group_axioms", "wreath_group_axioms", group_axioms)
-    )
-
-    def action_axiom(rng):
-        g, h = group.sample_element(rng), group.sample_element(rng)
-        p = group.sample_point(rng)
-        lhs = group.act_vec(g, group.act_vec(h, p))
-        rhs = group.act_vec(group.mul(g, h), p)
-        if lhs != rhs:
-            return {"g": repr(g), "h": repr(h), "p": repr(p)}
-
-    checks.append(
-        _run(cfg, f"{label}.action_axiom", "compatible_with_multiplication", action_axiom)
-    )
-
-    def affine_law(rng):
-        g = group.sample_element(rng)
-        p, q = group.sample_point(rng), group.sample_point(rng)
-        lhs = lex_distance(group.act_vec(g, p), group.act_vec(g, q))
-        rhs = group.dilate_vec(g, lex_distance(p, q))
-        if lhs != rhs:
-            return {"g": repr(g), "p": repr(p), "q": repr(q)}
-
-    checks.append(
-        _run(cfg, f"{label}.affine_law", "metric_dilation", affine_law)
-    )
-
-    def alpha_hom(rng):
-        g, h = group.sample_element(rng), group.sample_element(rng)
-        delta = group.sample_point(rng)
-        lhs = group.dilate_vec(group.mul(g, h), delta)
-        rhs = group.dilate_vec(g, group.dilate_vec(h, delta))
-        if lhs != rhs:
-            return {"g": repr(g), "h": repr(h), "delta": repr(delta)}
-
-    checks.append(
-        _run(cfg, f"{label}.dilation_homomorphism", "dilations_compose", alpha_hom)
-    )
-
-    def first_coord(rng):
-        g = group.sample_element(rng)
-        delta = group.sample_point(rng)
-        if group.dilate_vec(g, delta).value[0] != delta.value[0]:
-            return {"g": repr(g), "delta": repr(delta)}
-
-    checks.append(
-        _run(cfg, f"{label}.first_coord_fixed", "dilation_fixes_lead_coordinate", first_coord)
-    )
-
-    def freeness(rng):
-        g = group.sample_nontrivial(rng)
-        signs = set()
-        for i in range(20):
-            p = group.sample_point(rng)
-            delta = group.act_vec(g, p) - p
-            s = delta.sign()
-            if s == 0:
-                return {"g": repr(g), "p": repr(p)}
-            signs.add(s)
-        if len(signs) > 1:
-            return {"g": repr(g), "signs": sorted(signs)}
-
-    checks.append(
-        _run(cfg, f"{label}.free_and_rigid", "freeness_and_sign_constancy", freeness)
-    )
+    for label, group in groups.items():
+        checks.extend(_wreath_law_checks(cfg, f"wreath.{label}", group))
+    law = "componentwise_action_inherits_laws"
+    checks.append(_run(cfg, "wreath.product_action_transfer", law, _product_transfer))
     return checks
 
 
-def _suite_wreath(cfg: SuiteConfig) -> list:
+def _suite(suite: str, cfg: SuiteConfig) -> list:
+    """The declared checks of a dimension-indexed suite: at each n of
+    ``cfg.dims`` (after tstar's identity checks, which share one draw per
+    trial) the per-dimension checks as ``<suite>.<check>.n<n>``, then, if
+    4 is among the dimensions, the size-4 checks once as ``<suite>.<check>``."""
     checks = []
-    base = make_unitriangular_image_bundle(3)
-    group = WreathGroup(base, Scalars("Z"))
-    checks.extend(_wreath_law_checks(cfg, "wreath.matrix_base", group))
-
-    for label, levels in (
-        ("wreath.iterated2", ["Z", "Z"]),
-        ("wreath.iterated3", ["Z", "Z", "Z"]),
-    ):
-        bundle = iterated_wreath(levels)
-        checks.extend(_wreath_law_checks(cfg, label, bundle))
-
-    def product_transfer(rng):
-        g1 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
-        g2 = from_affine_matrix(embed_unitriangular(rand_nontrivial_unitriangular(rng, 3)))
-        aut = ProductAut([g1, g2])
-        p = LexVec(aut.space, aut.space.sample(rng))
-        q = LexVec(aut.space, aut.space.sample(rng))
-        if lex_distance(aut.act(p), aut.act(q)) != aut.dilate(lex_distance(p, q)):
-            return {"p": repr(p), "q": repr(q)}
-        delta = aut.act(p) - p
-        if delta.sign() == 0:
-            return {"p": repr(p), "fixed": True}
-
-    checks.append(
-        _run(
-            cfg,
-            "wreath.product_action_transfer",
-            "componentwise_action_inherits_laws",
-            product_transfer,
-        )
-    )
+    for n in cfg.dims:
+        if suite == "tstar":
+            report = verify_conjugation_identities(n, cfg.samples, cfg.seed)
+            for tag in IDENTITY_TAGS:
+                law = f"diagonal_conjugation_{tag}"
+                checks.append(CheckResult(f"tstar.{tag}.n{n}", law, **report[tag]))
+        for name, law, body, size4 in _DECLARED[suite]:
+            if not size4:
+                checks.append(_run(cfg, f"{suite}.{name}.n{n}", law, body, n))
+    if 4 in cfg.dims:
+        for name, law, body, size4 in _DECLARED[suite]:
+            if size4:
+                checks.append(_run(cfg, f"{suite}.{name}", law, body, 4))
     return checks
 
 
+#: suite -> body(cfg); looked up at call time, so one suite's entry can
+#: be replaced (a traced benchmark run wraps each to time it)
 _SUITE_BODIES = {
-    "lsa": _suite_lsa,
-    "embedding": _suite_embedding,
-    "hyperbolicity": _suite_hyperbolicity,
-    "integerize": _suite_integerize,
-    "tstar": _suite_tstar,
-    "wreath": _suite_wreath,
+    **{suite: functools.partial(_suite, suite) for suite in _DECLARED if suite != "wreath"},
+    "wreath": _wreath_suite,
 }
 
 SUITES = (*_SUITE_BODIES, "all")

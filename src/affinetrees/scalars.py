@@ -62,14 +62,6 @@ def _fraction(n: int, d: int) -> Fraction:
     return f
 
 
-def set_default_max_refinements(n: int) -> None:
-    """Override the global sign-test refinement bound (n >= 1)."""
-    global _max_refinements
-    if n < 1:
-        raise ValueError("refinement bound must be at least 1")
-    _max_refinements = int(n)
-
-
 def get_default_max_refinements() -> int:
     return _max_refinements
 
@@ -86,12 +78,14 @@ class refinement_budget:
         self._n = n
 
     def __enter__(self):
+        global _max_refinements
         self._previous = _max_refinements
         if self._n is not None:
-            set_default_max_refinements(self._n)
+            _max_refinements = int(self._n)
 
     def __exit__(self, *exc_info):
-        set_default_max_refinements(self._previous)
+        global _max_refinements
+        _max_refinements = self._previous
 
 
 _RATIONAL = re.compile(r"([+-]?[0-9]+)(?:/([0-9]+))?")

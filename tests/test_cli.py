@@ -832,10 +832,13 @@ def golden_rational_8():
 #: left-symmetric product was rewritten as one pass over the entries
 #: (the two wreath commands: before wreath fibers were composed and
 #: inverted on their integer encoding; the four act commands: before
-#: affine maps stored their affine matrix).  Refactors keep these bytes;
+#: affine maps stored their affine matrix; ``verify-n2-8``, which names
+#: every per-dimension check at n = 5..8 too: before the checks were
+#: declared in one table).  Refactors keep these bytes;
 #: a digest changes only with the output.
 GOLDEN_DIGESTS = {
     "verify": "23946b7848ab287a8fa421ed05f3ea07603a3bbd767cb8f416586807b80ea877",
+    "verify-n2-8": "6c2799161a79ef987adf3818bdb277b3a4940e794d5930eeb551bc1a9ecdcf3f",
     "embed-integerize": "d1029ab9c5f3d27b18001184fe6ef60ac6849abb5a9a7f906fe4fd35d23e6295",
     "embed-integerize-past-cutoff": "2d4c808461e1052d9b22206c6695dff0feaa734f336925098bea96ea8488c13f",
     "wreath-ZQZ": "d05735835b5a1008915050c9456a9f7b1f7536d30937a9bd23a7230aca4df5cf",
@@ -848,6 +851,7 @@ GOLDEN_DIGESTS = {
 
 GOLDEN_ARGV = {
     "verify": ["verify", "--suite", "all", "--n", "2..4", "--samples", "2", "--seed", "0"],
+    "verify-n2-8": ["verify", "--suite", "all", "--n", "2..8", "--samples", "1", "--seed", "0"],
     "wreath-ZQZ": ["wreath", "--levels", "Z,Q,Z", "--samples", "20", "--seed", "3"],
     "wreath-QQQ": ["wreath", "--levels", "Q,Q,Q", "--samples", "50", "--seed", "0"],
 }

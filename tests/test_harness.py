@@ -15,6 +15,7 @@ from affinetrees.harness import (
 )
 from affinetrees.sampling import rand_strict_upper, trial_rng
 from affinetrees.triangular import IDENTITY_TAGS
+from affinetrees.trimat import TriMat
 
 
 def test_config_validation():
@@ -123,6 +124,49 @@ def test_failing_check_replays_from_verdict_alone(monkeypatch):
     rng = trial_rng(payload["config"]["seed"], check["name"], witness["trial"])
     x, y = rand_strict_upper(rng, 3), rand_strict_upper(rng, 3)
     assert {"x": repr(x), "y": repr(y), "trial": 1} == witness
+
+
+def test_failing_size4_check_keeps_its_witness(monkeypatch):
+    # the template agrees only on its first call, so the size-4 image
+    # check fails from trial 1 on; the witness was recorded before the
+    # checks were declared in one table
+    calls, template = [], harness.example4_image
+
+    def wrong_template(*vals):
+        calls.append(None)
+        return template(*vals) if len(calls) == 1 else TriMat.identity(7)
+
+    monkeypatch.setattr(harness, "example4_image", wrong_template)
+    verdict = run_suite(SuiteConfig(suite="embedding", n_low=4, n_high=4, samples=3, seed=11))
+    (check,) = [c for c in verdict.to_json()["checks"] if c["failures"]]
+    assert check["name"] == "embedding.example4_image"
+    assert check["failures"] == 2
+    assert check["witness"] == {
+        "binding": "[Fraction(1, 2), Fraction(0, 1), Fraction(4, 9), "
+        "Fraction(7, 5), Fraction(-3, 7), Fraction(9, 8)]",
+        "trial": 1,
+    }
+
+
+def test_failing_wreath_law_keeps_its_witness(monkeypatch):
+    # a distance that ignores its first point breaks the affine law on
+    # every trial; the witness was recorded before the wreath laws were
+    # declared as module-level functions
+    monkeypatch.setattr(harness, "lex_distance", lambda p, q: q)
+    verdict = run_suite(SuiteConfig(suite="wreath", samples=3, seed=12))
+    checks = {c["name"]: c for c in verdict.to_json()["checks"]}
+    check = checks["wreath.matrix_base.affine_law"]
+    assert check["failures"] == 3
+    assert check["witness"] == {
+        "g": "WreathElem(shift=-6, support=((-5, MatrixAffineAut(matrix=TriMat[1 -1 0 1; "
+        "0 1 0 0; 0 0 1 2; 0 0 0 1], space=Product(Scalars('Q'), Scalars('Q'), "
+        "Scalars('Q')))), (-4, MatrixAffineAut(matrix=TriMat[1 1 1 2; 0 1 0 2; 0 0 1 -2; "
+        "0 0 0 1], space=Product(Scalars('Q'), Scalars('Q'), Scalars('Q'))))))",
+        "p": "LexVec((6, ((-4, (Fraction(-1, 2), Fraction(-1, 2), Fraction(4, 3))),)))",
+        "q": "LexVec((-5, ((6, (Fraction(8, 3), Fraction(-6, 1), Fraction(-1, 1))), "
+        "(8, (Fraction(-1, 1), Fraction(-4, 3), Fraction(1, 1))))))",
+        "trial": 0,
+    }
 
 
 def test_every_draw_is_seeded_by_its_check_name(monkeypatch):

@@ -20,8 +20,7 @@ from affinetrees.sampling import trial_rng
 from affinetrees.scalars import (
     ExpSum,
     _fraction,
-    get_default_max_refinements,
-    set_default_max_refinements,
+    refinement_budget,
 )
 
 Q2 = Product(Scalars("Q"), Scalars("Q"))
@@ -379,16 +378,12 @@ def test_point_equality_runs_no_sign_test(monkeypatch):
     def no_sign(self):
         raise AssertionError("point equality ran a sign test")
 
-    bound = get_default_max_refinements()
-    set_default_max_refinements(1)
-    try:
+    with refinement_budget(1):
         monkeypatch.setattr(ExpSum, "sign", no_sign)
         for a, b in pairs:
             assert a != b and not a == b
             assert len({a, b}) == 2
             assert a == LexVec(a.space, a.value) and b == LexVec(b.space, b.value)
-    finally:
-        set_default_max_refinements(bound)
 
 
 # -- index shifts in int arithmetic against Fraction arithmetic ---------------
