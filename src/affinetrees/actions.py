@@ -8,35 +8,10 @@ ways: row N-1 is the most significant point coordinate, while
 :class:`~affinetrees.ordered.Product` spaces list the most significant
 component first, so the bridge reverses coordinates.
 
-A map applies M in integer arithmetic, on the kernel and decoder of the
-matrix series.  The columns of M are written once, on first use, over
-the common denominator D of their rational coefficients, by
-:func:`~affinetrees.trimat._encode`: as ints, or for exponential-sum
-entries as sparse Laurent polynomials {x: c} in e**(1/L).  They are the
-rows of D * M**T.  A point x is encoded the same way as one row over its
-own D_x, and ``act`` multiplies (x, D_x) by them, ``dilate`` (x, 0):
-one 1-row product (:func:`~affinetrees.trimat._product`), whose corner
-coordinate is dropped, and one decode
-(:func:`~affinetrees.trimat._decoded`), which builds each output entry
-once, with one gcd, over D * D_x, in the ring of the point space.  The
-encoding (columns, D, L) is stored on the map outside its fields, so
-``==``, ``hash`` and ``repr`` do not see it.  A point whose exponent lcm
-does not divide L has the columns rescaled once to the lcm of both,
-stored in place of the old encoding, so L only grows and the points of
-one orbit rescale nothing after the first.  While either common
-denominator has more than
-:data:`~affinetrees.trimat.MAX_COMMON_DENOMINATOR_BITS` bits the same
-product runs in ring mode, on the unencoded columns and point.
-
-Over the rationals ``compose`` and ``invert`` work on the encodings: a
-composite is one int product, (M_s M_o)**T = M_o**T M_s**T, and the
-inverse of a unit-diagonal map the int series sum_k (-S / D)**k, S the
-strict part of D * M**T (:func:`~affinetrees.trimat._series_sums`).
-Divided by the common gcd of its numerators and denominator, either
-result is exactly its own encoding, and is stored on it while within
-the cutoff; its matrix is decoded once (:func:`_from_columns`).  Other
-maps multiply and invert their matrices as
-:class:`~affinetrees.trimat.TriMat` does.
+A map acts, composes and inverts through its matrix, which owns the
+integer encoding of its columns (:mod:`~affinetrees.trimat`): ``act``
+and ``dilate`` are :meth:`~affinetrees.trimat.TriMat.affine_apply`,
+``compose`` the matrix product and ``invert`` the matrix inverse.
 
 Diagnostics distinguish *certified* verdicts (the exact matrix predicate)
 from *sampled* evidence, since sampling cannot prove universally
@@ -46,7 +21,6 @@ quantified claims.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
 
 from .embedding import is_essentially_hyperbolic
 from .errors import (
@@ -58,22 +32,7 @@ from .errors import (
 from .ordered import LexVec, Product, Scalars, lex_distance
 from .sampling import trial_rng
 from .scalars import ExpSum
-from .trimat import (
-    MAX_COMMON_DENOMINATOR_BITS,
-    TriMat,
-    _decoded,
-    _encode,
-    _product,
-    _series_sums,
-    _sparse,
-)
-
-
-def _columns(mat: TriMat) -> list:
-    """Sparse columns {i: nonzero entry} of an upper triangular matrix:
-    column j is read down to row j."""
-    rows = mat.rows
-    return [{i: v for i in range(j + 1) if (v := rows[i][j])} for j in range(mat.n)]
+from .trimat import TriMat
 
 
 def _translation(mat: TriMat) -> tuple:
@@ -81,35 +40,6 @@ def _translation(mat: TriMat) -> tuple:
     coordinate order: stored on each map beside its fields, so
     ``MatrixBundle.act_zero`` and ``is_identity`` read it as it is."""
     return tuple([row[-1] for row in mat.rows[:-1]])
-
-
-def _from_columns(cols, den: int, space: Product) -> "MatrixAffineAut":
-    """The rational map whose affine matrix has the int columns ``cols``
-    over ``den``.  Columns and den are first divided by their common gcd,
-    which leaves exactly the :func:`~affinetrees.trimat._encode` of the
-    matrix's columns; it is stored as the map's encoding while den is
-    within the cutoff."""
-    g = gcd(den, *(v for col in cols for v in col.values()))
-    if g > 1:
-        den //= g
-        cols = [{i: v // g for i, v in col.items()} for col in cols]
-    n = len(cols)
-    aut = MatrixAffineAut._trusted(
-        TriMat(zip(*(_decoded(col, n, den, None, False) for col in cols))), space
-    )
-    if den.bit_length() <= MAX_COMMON_DENOMINATOR_BITS:
-        object.__setattr__(aut, "_enc", (cols, den, None))
-    return aut
-
-
-def _rescaled(row: dict, f: int) -> dict:
-    """A sparse row of Laurent polynomials in e**(1/el) (or of ints, the
-    constant polynomials) written in e**(1/(f * el))."""
-    if f == 0:
-        return {j: {0: c} for j, c in row.items()}
-    if f == 1:
-        return row
-    return {j: {x * f: c for x, c in t.items()} for j, t in row.items()}
 
 
 @dataclass(frozen=True)
@@ -165,54 +95,8 @@ class MatrixAffineAut:
     def is_identity(self) -> bool:
         return not any(self.translation) and self.matrix.is_identity()
 
-    def _encoding(self):
-        """:func:`~affinetrees.trimat._encode` of the matrix's columns,
-        stored on first use and rebound by :meth:`_apply` when its L
-        grows."""
-        enc = self.__dict__.get("_enc")
-        if enc is None:
-            enc = _encode(_columns(self.matrix), self.matrix.expsum)
-            # not a field: ==, hash and repr do not see it
-            object.__setattr__(self, "_enc", enc)
-        return enc
-
-    def _apply(self, xs, translate: bool) -> list:
-        """A * xs (+ t), xs and the result in matrix coordinate order.
-
-        Within the cutoff the product runs over Laurent polynomials in
-        e**(1/L) when either side has an exponent other than 0, L the lcm
-        of both exponent denominators.  When L is not the map's, the
-        map's columns are rescaled to L and stored with it in one
-        assignment, so a reader never sees columns at another L.  Past
-        the cutoff xs, with the ring unit in column n, multiplies the
-        unencoded columns in ring mode."""
-        expsum = self.matrix.expsum
-        n = len(xs)
-        cols, da, ela = self._encoding()
-        xrow, dx = _sparse([xs])[0], None
-        if da is not None:
-            (xrow,), dx, elx = _encode([xrow], expsum)
-        if dx is None:
-            if da is not None:
-                cols = _columns(self.matrix)
-            den = el = None
-            unit = self.matrix.ring_one()
-        else:
-            den, el, unit = da * dx, None, dx
-            if ela is not None or elx is not None:
-                el = lcm(ela or 1, elx or 1)
-                xrow, unit = _rescaled(xrow, el // elx if elx else 0), {0: dx}
-                if el != ela:
-                    cols = [_rescaled(col, el // ela if ela else 0) for col in cols]
-                    object.__setattr__(self, "_enc", (cols, da, el))
-        if translate:
-            xrow[n] = unit
-        row = _product([xrow], cols, el)[0]
-        row.pop(n, None)  # the corner coordinate
-        return _decoded(row, n, den, el, expsum)
-
     def _mat_apply(self, values, translate: bool):
-        return tuple(reversed(self._apply(values[::-1], translate)))
+        return tuple(reversed(self.matrix.affine_apply(values[::-1], translate)))
 
     def act(self, point: LexVec) -> LexVec:
         if point.space != self.space:
@@ -228,27 +112,10 @@ class MatrixAffineAut:
         """self after other: x -> self(other(x)), the matrix M_s M_o."""
         if not isinstance(other, MatrixAffineAut) or other.space != self.space:
             raise IndexSpaceMismatch("can only compose over one space")
-        if not self.matrix.expsum:
-            cs, ds, _ = self._encoding()
-            co, do, _ = other._encoding()
-            if ds is not None and do is not None:
-                return _from_columns(_product(co, cs, None), ds * do, self.space)
         return MatrixAffineAut._trusted(self.matrix * other.matrix, self.space)
 
     def invert(self) -> "MatrixAffineAut":
-        """The inverse map.  Over Q, for a unit diagonal within the
-        cutoff, M**T = I + S / D, so the int sums of the series
-        sum_k (-S / D)**k, with D**K on the diagonal, are the inverse's
-        columns over D**K."""
-        if not self.matrix.expsum:
-            cols, d, _ = self._encoding()
-            if d is not None and all(cols[j].get(j) == d for j in range(self.dim)):
-                strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
-                sums, den = _series_sums(strict, d, None, lambda k: (-1) ** k)
-                sums = list(sums)
-                for j, col in enumerate(sums):
-                    col[j] = den
-                return _from_columns(sums, den, self.space)
+        """The inverse map, the matrix M**-1."""
         return MatrixAffineAut._trusted(self.matrix.inverse(), self.space)
 
 

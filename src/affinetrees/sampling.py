@@ -12,8 +12,12 @@ from __future__ import annotations
 import hashlib
 import random
 from fractions import Fraction
+from math import gcd
 
+from .scalars import _fraction
 from .trimat import TriMat
+
+_ZERO, _ONE = Fraction(0), Fraction(1)
 
 
 def trial_rng(seed: int, *labels) -> random.Random:
@@ -23,7 +27,9 @@ def trial_rng(seed: int, *labels) -> random.Random:
 
 
 def rand_fraction(rng: random.Random, num: int = 10, den: int = 10) -> Fraction:
-    return Fraction(rng.randint(-num, num), rng.randint(1, den))
+    p, q = rng.randint(-num, num), rng.randint(1, den)
+    g = gcd(p, q)
+    return _fraction(p // g, q // g)
 
 
 def rand_nonzero_fraction(rng: random.Random, num: int = 10, den: int = 10) -> Fraction:
@@ -34,7 +40,7 @@ def rand_nonzero_fraction(rng: random.Random, num: int = 10, den: int = 10) -> F
 
 
 def rand_strict_upper(rng: random.Random, n: int, num: int = 10, den: int = 10) -> TriMat:
-    rows = [[Fraction(0)] * n for _ in range(n)]
+    rows = [[_ZERO] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rand_fraction(rng, num, den)
@@ -42,7 +48,7 @@ def rand_strict_upper(rng: random.Random, n: int, num: int = 10, den: int = 10) 
 
 
 def rand_unitriangular(rng: random.Random, n: int, num: int = 10, den: int = 10) -> TriMat:
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = rand_fraction(rng, num, den)
@@ -50,7 +56,7 @@ def rand_unitriangular(rng: random.Random, n: int, num: int = 10, den: int = 10)
 
 
 def rand_unitriangular_int(rng: random.Random, n: int, bound: int = 3) -> TriMat:
-    rows = [[Fraction(1) if i == j else Fraction(0) for j in range(n)] for i in range(n)]
+    rows = [[_ONE if i == j else _ZERO for j in range(n)] for i in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             rows[i][j] = Fraction(rng.randint(-bound, bound))

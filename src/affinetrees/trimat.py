@@ -13,33 +13,29 @@ and logarithm are the finite sums valid for strictly-upper /
 unitriangular matrices: both stop at the first zero power of the
 nilpotent part (the n-th at latest).
 
-All products run on one kernel, :func:`_product`, over sparse rows
-{j: nonzero entry}, and every output row is written out by one decoder,
-:func:`_decoded`.  A matrix product runs it in ring mode, summing the
-entries in their own ring.  The series run it in integer arithmetic over
-one common denominator D, the lcm of the denominators of the rational
-coefficients of the strict part N: the powers of M = D * N are formed
-with int products and dict sums only, and each entry of the sum is
-divided out once at the end, with one gcd.  Over the rationals M is an
-integer matrix.  Over ExpSum entries, which store int numerators over
-their own denominator, D is the lcm of the entries' denominators and
-every exponent lies in (1/L)Z, with L the lcm of the exponents'
-denominators, so each entry of M is a sparse Laurent polynomial {x: c}
-in e**(1/L) with int keys and coefficients, read off the entry's
-numerators; a matrix whose exponents are all 0 (a rational matrix lifted
-by :meth:`TriMat.to_expsum`, say) runs as an integer matrix and is
-lifted back.  Every inverse is a series too: an upper-triangular A is
-T(I + N) with T its diagonal, so A**-1 = (sum_k (-N)**k) * T**-1; each
-diagonal entry other than 1 is divided once, and the series in N is
-formed the same way.  D can be far larger than any single entry's
+This module owns the integer encoding.  :func:`_encode` writes sparse
+rows {j: nonzero entry} over the common denominator D of the entries'
+rational coefficients: as ints, or, over ExpSum entries, as sparse
+Laurent polynomials {x: c} in e**(1/L) with int keys and coefficients, L
+the lcm of the exponents' denominators (ints again when every exponent
+is 0).  Each matrix stores the encoding of its columns, the rows of
+D * M**T, in one slot filled on first use, which ``==``, ``hash`` and
+``repr`` do not read.  All products run on one kernel, :func:`_product`,
+and every output row is written out by one decoder, :func:`_decoded`,
+which builds each entry once, with one gcd.  A product of two rational
+matrices is one int product of their stored columns, and stores its own
+(:func:`_from_columns`); other products sum the entries in their own
+ring.  The series take int powers of M = D * N, N the strict part, and
+divide each entry of the sum out once.  Every inverse is a series too:
+an upper-triangular A is T(I + N) with T its diagonal, so
+A**-1 = (sum_k (-N)**k) * T**-1, and each diagonal entry other than 1 is
+divided once.  :meth:`TriMat.affine_apply` multiplies an encoded point
+by the stored columns.  D can be far larger than any single entry's
 denominator (pairwise coprime denominators multiply), and the integers
 then grow faster than the Fraction arithmetic they replace.  So the
 integer path runs only while D has at most
-:data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise every series, an
-inverse's included, runs the same kernel in ring mode.  The same
-encoder, kernel and decoder apply the affine automorphisms of
-:mod:`~affinetrees.actions`, and the series' integer sums
-(:func:`_series_sums`) invert them.
+:data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the same kernel runs
+in ring mode.
 """
 
 from __future__ import annotations
@@ -81,7 +77,7 @@ def _coerce_entry(v):
 class TriMat:
     """Immutable n x n matrix; n >= 1."""
 
-    __slots__ = ("n", "rows", "expsum")
+    __slots__ = ("n", "rows", "expsum", "_enc")
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
@@ -98,6 +94,8 @@ class TriMat:
         object.__setattr__(self, "rows", rows)
         # whether any entry is an ExpSum: the ring of the matrix
         object.__setattr__(self, "expsum", expsum)
+        # _encode of the columns, filled by _encoding: a cache, not part of the value
+        self._enc = None
 
     @classmethod
     def zeros(cls, n, zero=Fraction(0)):
@@ -131,12 +129,25 @@ class TriMat:
 
     def to_expsum(self) -> "TriMat":
         """Same matrix with every entry coerced into the ExpSum ring."""
+        zero = ExpSum.zero()
         return TriMat(
             [
-                [v if isinstance(v, ExpSum) else ExpSum.constant(v) for v in row]
+                [
+                    v if type(v) is ExpSum
+                    else ExpSum._trusted(v.denominator, {_ZERO_EXP: v.numerator}) if v
+                    else zero
+                    for v in row
+                ]
                 for row in self.rows
             ]
         )
+
+    def _encoding(self):
+        """:func:`_encode` of the sparse columns, stored on first use;
+        :meth:`affine_apply` rebinds it when its L grows."""
+        if self._enc is None:
+            self._enc = _encode(_columns(self), self.expsum)
+        return self._enc
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -162,6 +173,11 @@ class TriMat:
         if self.n != other.n:
             raise DimensionMismatch(f"{self.n} vs {other.n}")
         expsum = self.expsum or other.expsum
+        if not expsum:
+            (ca, da, _), (cb, db, _) = self._encoding(), other._encoding()
+            if da and db:
+                # (AB)**T = B**T A**T
+                return _from_columns(_product(cb, ca, None), da * db)
         return TriMat(
             [
                 _decoded(row, self.n, None, None, expsum)
@@ -217,12 +233,24 @@ class TriMat:
         integer arithmetic while the common denominator of N has at most
         :data:`MAX_COMMON_DENOMINATOR_BITS` bits and in ring mode past
         it; and column j of the sum is scaled by 1 / d_j.  A unit
-        diagonal divides and scales nothing.
+        diagonal divides and scales nothing; a rational one within the
+        cutoff runs the series on the stored columns, D * A**T = D * I + S,
+        and the int sums of sum_k (-S / D)**k, with D**K on the diagonal,
+        are the inverse's columns over D**K.
 
         Diagonal entries must be invertible in the entry ring: nonzero,
         and for ExpSum entries monomials.  Otherwise :class:`NotInvertible`
         is raised.
         """
+        if not self.expsum:
+            cols, d, _ = self._encoding()
+            # column j has D in row j and nothing below it
+            if d is not None and all(
+                col.get(j) == d and max(col) == j for j, col in enumerate(cols)
+            ):
+                strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
+                sums, den = _series_sums(strict, d, None, lambda k: (-1) ** k)
+                return _from_columns([{**col, j: den} for j, col in enumerate(sums)], den)
         if not self.is_upper_triangular():
             raise NotUpperTriangular("inverse implemented for upper triangular only")
         n, rows = self.n, self.rows
@@ -241,6 +269,45 @@ class TriMat:
         return TriMat(
             [[v * inv[j] if v else v for j, v in enumerate(row)] for row in unit.rows]
         )
+
+    # -- affine action -------------------------------------------------------
+
+    def affine_apply(self, xs, translate: bool) -> list:
+        """A xs + t when ``translate``, else A xs, for the affine matrix
+        M = [[A, t], [0, 1]] and n - 1 entries xs of its ring.
+
+        xs, encoded as one row over its own D_x, multiplies the stored
+        columns: one 1-row :func:`_product`, whose corner coordinate is
+        dropped, decoded over D * D_x.  It runs over Laurent polynomials
+        in e**(1/L) when either side has an exponent other than 0, L the
+        lcm of both exponent denominators.  A new L rescales the columns,
+        stored with it in one assignment, so L only grows and the points
+        of one orbit rescale nothing after the first.  Past the cutoff
+        the unencoded columns multiply xs in ring mode."""
+        expsum = self.expsum
+        n = len(xs)
+        cols, da, ela = self._encoding()
+        xrow, dx = {j: x for j, x in enumerate(xs) if x}, None
+        if da is not None:
+            (xrow,), dx, elx = _encode([xrow], expsum)
+        if dx is None:
+            if da is not None:
+                cols = _columns(self)
+            den = el = None
+            unit = self.ring_one()
+        else:
+            den, el, unit = da * dx, None, dx
+            if ela is not None or elx is not None:
+                el = lcm(ela or 1, elx or 1)
+                xrow, unit = _rescaled(xrow, el // elx if elx else 0), {0: dx}
+                if el != ela:
+                    cols = [_rescaled(col, el // ela if ela else 0) for col in cols]
+                    self._enc = (cols, da, el)
+        if translate:
+            xrow[n] = unit
+        row = _product([xrow], cols, el)[0]
+        row.pop(n, None)  # the corner coordinate
+        return _decoded(row, n, den, el, expsum)
 
 
 def _common_denominator(denominators):
@@ -307,8 +374,45 @@ def _strict_part(mat: TriMat):
 
 
 def _sparse(rows) -> list:
-    """Sparse rows {j: entry} of the nonzero entries of rows."""
-    return [{j: v for j, v in enumerate(row) if v} for row in rows]
+    """Sparse rows {j: entry} of the nonzero entries of rows of matrix
+    entries.  Each entry is tested on its numerator slot, not by
+    ``__bool__``, which is a Python call per entry: about a third of the
+    time of a dense scan."""
+    return [
+        {j: v for j, v in enumerate(row) if (v._num if type(v) is ExpSum else v._numerator)}
+        for row in rows
+    ]
+
+
+def _columns(mat: TriMat) -> list:
+    """Sparse columns {i: nonzero entry} of mat."""
+    return _sparse(zip(*mat.rows))
+
+
+def _from_columns(cols, den: int) -> TriMat:
+    """The rational matrix whose columns are the sparse int rows ``cols``
+    over ``den``.  Columns and den are first divided by their common gcd,
+    which leaves exactly the :func:`_encode` of the matrix's columns; it
+    is stored as the matrix's encoding while den is within the cutoff."""
+    g = gcd(den, *(v for col in cols for v in col.values()))
+    if g > 1:
+        den //= g
+        cols = [{i: v // g for i, v in col.items()} for col in cols]
+    n = len(cols)
+    mat = TriMat(zip(*(_decoded(col, n, den, None, False) for col in cols)))
+    if den.bit_length() <= MAX_COMMON_DENOMINATOR_BITS:
+        mat._enc = (cols, den, None)
+    return mat
+
+
+def _rescaled(row: dict, f: int) -> dict:
+    """A sparse row of Laurent polynomials in e**(1/el) (or of ints, the
+    constant polynomials) written in e**(1/(f * el))."""
+    if f == 0:
+        return {j: {0: c} for j, c in row.items()}
+    if f == 1:
+        return row
+    return {j: {x * f: c for x, c in t.items()} for j, t in row.items()}
 
 
 def _product(a, b, el) -> list:

@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetrees import actions
+from affinetrees import trimat
 from affinetrees.actions import (
     MatrixAffineAut,
     ProductAut,
-    _columns,
     check_affine_law,
     check_free_and_rigid,
     from_affine_matrix,
@@ -24,7 +23,7 @@ from affinetrees.sampling import (
     trial_rng,
 )
 from affinetrees.scalars import ExpSum
-from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, _encode
+from affinetrees.trimat import MAX_COMMON_DENOMINATOR_BITS, TriMat, _columns, _encode
 
 
 def affine(dilation, translation):
@@ -417,7 +416,7 @@ def back_substituted(mat: TriMat) -> list:
 @settings(max_examples=25, deadline=None)
 def test_integer_kernel_matches_ring_sums(kind, data):
     a, b, p = data.draw(kernel_cases(kind))
-    calls, decoded = [], actions._decoded
+    calls, decoded = [], trimat._decoded
 
     def counted(row, n, den, el, expsum):
         # a ring-mode decode (den None) ends each past-cutoff fallback
@@ -426,14 +425,17 @@ def test_integer_kernel_matches_ring_sums(kind, data):
         return decoded(row, n, den, el, expsum)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(actions, "_decoded", counted)
+        mp.setattr(trimat, "_decoded", counted)
         moved, stretched = a.act(p), a.dilate(p)
-        # a past-cutoff point takes the fallback unless it is zero
-        expect_fallback = kind.endswith("past-cutoff") and (
-            kind != "R-point-past-cutoff" or any(p.value)
-        )
-        assert len(calls) == (2 if expect_fallback else 0)
-        composed, inverted = a.compose(b), a.invert()
+    # a past-cutoff point takes the fallback unless it is zero
+    expect_fallback = kind.endswith("past-cutoff") and (
+        kind != "R-point-past-cutoff" or any(p.value)
+    )
+    assert len(calls) == (2 if expect_fallback else 0)
+    if kind.startswith("Q"):
+        # a rational matrix's stored encoding is _encode of its columns
+        assert a.matrix._enc == _encode(_columns(a.matrix), False)
+    composed, inverted = a.compose(b), a.invert()
     want = tuple(reversed(oracle(a, p.value[::-1], True)))
     assert_same_terms(moved.value, want)
     want = tuple(reversed(oracle(a, p.value[::-1], False)))
@@ -443,12 +445,15 @@ def test_integer_kernel_matches_ring_sums(kind, data):
     for got, want in zip(inverted.matrix.rows, back_substituted(a.matrix)):
         assert_same_terms(got, want)
     # a rational result within the cutoff keeps the encoding of its
-    # integer product or series, which is _encode of its matrix's columns
-    stored = [vars(aut).get("_enc") for aut in (composed, inverted)]
+    # integer product or series, which is _encode of its matrix's columns;
+    # a ring-mode result, past the cutoff or exact-real, stores none
+    stored = [aut.matrix._enc for aut in (composed, inverted)]
     if kind in ("Q", "Q-unit"):
         assert stored[0] is not None
     if kind == "Q-unit":
         assert stored[1] is not None
+    if not kind.startswith("Q") or kind == "Q-past-cutoff":
+        assert stored == [None, None]
     for aut, enc in zip((composed, inverted), stored):
         if enc is not None:
             assert enc == _encode(_columns(aut.matrix), False)
@@ -469,17 +474,26 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     ]
     order = [points[data.draw(st.integers(0, 2))] for _ in range(6)]
     a.act(p)  # stores the encoding, at an L that p's exponents divide
-    cols, da, ela = vars(a)["_enc"]
-    # one column per column of the affine matrix
+    cols, da, ela = a.matrix._enc
+    # one column per column of the affine matrix, at first exactly the
+    # encoding of the matrix's columns or, if p's L did not divide the
+    # matrix's, that encoding rescaled to the lcm of both
     assert len(cols) == a.dim + 1
-    rescaled, rescales = actions._rescaled, []
+    fresh = _encode(_columns(a.matrix), True)
+    assert da == fresh[1]
+    if ela == fresh[2]:
+        assert cols == fresh[0]
+    else:
+        f = ela // fresh[2] if fresh[2] else 0
+        assert cols == [trimat._rescaled(c, f) for c in fresh[0]]
+    rescaled, rescales = trimat._rescaled, []
 
     def counted(row, f):
-        rescales.append(any(row is c for c in vars(a)["_enc"][0]))
+        rescales.append(any(row is c for c in a.matrix._enc[0]))
         return rescaled(row, f)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(actions, "_rescaled", counted)
+        mp.setattr(trimat, "_rescaled", counted)
         for q in order:
             moved, stretched = a.act(q), a.dilate(q)
             assert_same_terms(moved.value, tuple(reversed(oracle(a, q.value[::-1], True))))
@@ -495,7 +509,7 @@ def test_rows_rescaled_for_the_last_exponent_lcm_are_kept(kind, data):
     assert rescales.count(True) == expected
     # the stored columns are those at the last L, each rescaled from its own
     kept = [rescaled(c, last // ela if ela else 0) for c in cols] if last != ela else cols
-    assert vars(a)["_enc"] == (kept, da, last)
+    assert a.matrix._enc == (kept, da, last)
 
 
 def test_equality_hash_and_repr_ignore_the_stored_encoding():
@@ -503,10 +517,17 @@ def test_equality_hash_and_repr_ignore_the_stored_encoding():
     g = rand_unitriangular(rng, 4)
     aut = from_affine_matrix(embed_unitriangular(g))
     twin = from_affine_matrix(embed_unitriangular(g))
-    before = (repr(aut), hash(aut))
+    before = (repr(aut), hash(aut), repr(aut.matrix), hash(aut.matrix))
     p = LexVec(aut.space, aut.space.sample(rng))
     moved = aut.act(p)
-    assert "_enc" in vars(aut) and "_enc" not in vars(twin)
-    assert (repr(aut), hash(aut)) == before
+    assert aut.matrix._enc is not None and twin.matrix._enc is None
+    assert (repr(aut), hash(aut), repr(aut.matrix), hash(aut.matrix)) == before
     assert aut == twin and twin == aut
+    assert aut.matrix == twin.matrix and twin.matrix == aut.matrix
     assert aut.act(p) == moved == twin.act(p)
+    # a product stores its encoding; the same rows built afresh store none
+    square = aut.compose(aut).matrix
+    rebuilt = TriMat(square.rows)
+    assert square._enc is not None and rebuilt._enc is None
+    assert square == rebuilt and hash(square) == hash(rebuilt)
+    assert repr(square) == repr(rebuilt)

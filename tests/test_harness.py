@@ -1,4 +1,5 @@
 import ast
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -13,9 +14,24 @@ from affinetrees.harness import (
     _run,
     run_suite,
 )
-from affinetrees.sampling import rand_strict_upper, trial_rng
+from affinetrees.sampling import rand_fraction, rand_strict_upper, trial_rng
 from affinetrees.triangular import IDENTITY_TAGS
 from affinetrees.trimat import TriMat
+
+
+@pytest.mark.parametrize("num, den", [(10, 10), (3, 7), (0, 1)])
+def test_rand_fraction_replays_the_draws_of_the_fraction_it_builds(num, den):
+    # a recorded (seed, labels) pair replays only while each draw takes the
+    # same random numbers, in the same order, as Fraction(p, q) did
+    for t in range(200):
+        rng, twin = trial_rng(t, "draws"), trial_rng(t, "draws")
+        got = [rand_fraction(rng, num, den) for _ in range(5)]
+        want = [Fraction(twin.randint(-num, num), twin.randint(1, den)) for _ in range(5)]
+        assert got == want and list(map(hash, got)) == list(map(hash, want))
+        assert [(q.numerator, q.denominator) for q in got] == [
+            (q.numerator, q.denominator) for q in want
+        ]
+        assert rng.getstate() == twin.getstate()
 
 
 def test_config_validation():

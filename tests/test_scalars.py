@@ -8,8 +8,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affinetrees import actions, scalars
-from affinetrees.actions import MatrixAffineAut, _columns
+from affinetrees import scalars, trimat
+from affinetrees.actions import MatrixAffineAut
 from affinetrees.errors import PrecisionExhausted, ResultTooLarge
 from affinetrees.scalars import (
     EXP_INTERVAL_CACHE_SIZE,
@@ -24,6 +24,7 @@ from affinetrees.ordered import Product, Scalars
 from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
+    _columns,
     _decoded,
     _encode,
     nilpotent_exp,
@@ -608,8 +609,8 @@ def test_affine_maps_match_fraction_model_on_both_sides_of_the_cutoff(
         return _decoded(row, n, den, el, expsum)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(actions, "_decoded", decoded)
-        got = aut._apply(xs, translate)
+        mp.setattr(trimat, "_decoded", decoded)
+        got = aut.matrix.affine_apply(xs, translate)
     # the integer kernel runs unless a common denominator is past the cutoff
     assert ring_mode == [past_map or (past_point and any(xs))]
     for value, ref in zip(got, model):

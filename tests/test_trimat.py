@@ -11,6 +11,7 @@ from affinetrees.errors import (
     NotInvertible,
     NotStrictUpper,
     NotUnitriangular,
+    NotUpperTriangular,
 )
 from affinetrees.sampling import (
     rand_exponents,
@@ -23,6 +24,8 @@ from affinetrees.triangular import conj_coord_matrix_affine, embed_diagonal_part
 from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
+    _columns,
+    _encode,
     nilpotent_exp,
     unipotent_log,
 )
@@ -320,9 +323,25 @@ def square_matrices(draw, ring, n):
 def test_product_matches_dense_triple_loop(ring, data):
     n = data.draw(st.integers(1, 6))
     a = data.draw(square_matrices(ring, n))
-    b = data.draw(square_matrices(data.draw(st.sampled_from([ring, "Q", "R"])), n))
-    assert_same(a * b, reference_product(a, b))
+    other = st.sampled_from([ring, "Q", "Q-past-cutoff", "R"])
+    b = data.draw(square_matrices(data.draw(other), n))
+    ab = a * b
+    assert_same(ab, reference_product(a, b))
     assert_same(b * a, reference_product(b, a))
+    # a rational product within the cutoff stores the encoding of its
+    # columns, and a chained product reads it as it is; a ring-mode
+    # product stores none
+    stored = ab._enc
+    if ab.expsum or None in (_encode(_columns(m), False)[1] for m in (a, b)):
+        assert stored is None
+    else:
+        want = _encode(_columns(ab), False)
+        assert stored == (want if want[1] is not None else None)
+    c = data.draw(square_matrices(data.draw(other), n))
+    assert_same(ab * c, reference_product(reference_product(a, b), c))
+    assert_same(c * ab, reference_product(c, reference_product(a, b)))
+    if stored is not None:
+        assert ab._enc is stored
 
 
 # -- equality, hash and shape predicates against entrywise oracles -------------
@@ -544,6 +563,14 @@ def test_inverse_matches_back_substitution_on_images(mat):
 )
 def test_inverse_rejects_a_diagonal_entry_without_inverse(mat):
     with pytest.raises(NotInvertible):
+        mat.inverse()
+
+
+@pytest.mark.parametrize("below", [Fraction(1, 3), Fraction(1, PAST), ExpSum.exponential(1)])
+def test_inverse_rejects_an_entry_below_a_unit_diagonal(below):
+    # a unit diagonal alone does not take the series on the stored columns
+    mat = TriMat([[1, 2, 0], [0, 1, 5], [below, 0, 1]])
+    with pytest.raises(NotUpperTriangular):
         mat.inverse()
 
 
