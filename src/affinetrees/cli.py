@@ -96,16 +96,19 @@ def cmd_embed(args) -> int:
     _require_rational([mat])
     # a rational unitriangular image and its inverse form an inverse-closed
     # set, so integerize's own checks would only repeat the inversion; the
-    # clearing scales of the pair come with the image, and only the image's
-    # conjugate is written
-    rep, scale = _embed_with_clearing_scales(mat)
+    # clearing scales of the pair come with the image's integer rows, and
+    # the image and its conjugate are written from those rows, neither
+    # built as a matrix
+    image, scale = _embed_with_clearing_scales(mat)
     # the first scale is the largest: one too long to write ends the
-    # request before the conjugate is built or any JSON encoded
+    # request before any JSON is encoded
     scalars.check_writable(scale[0])
-    payload = jsonio.affine_rep_to_json(rep)
-    payload["integerized"] = {
-        "P": jsonio.diagonal_to_json(scale),
-        "conjugated": jsonio.mat_to_json(_scaled_conjugate(rep.matrix, scale)),
+    matrix, conjugated = jsonio.image_and_conjugate_to_json(image, scale)
+    payload = {
+        "n": mat.n,
+        "m": len(image),
+        "matrix": matrix,
+        "integerized": {"P": jsonio.diagonal_to_json(scale), "conjugated": conjugated},
     }
     _emit(payload, args.output)
     return 0

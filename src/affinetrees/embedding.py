@@ -504,20 +504,22 @@ def _suffix_products(row_lcms: list[int]) -> list[int]:
     return scale
 
 
-def _embed_with_clearing_scales(g: TriMat) -> tuple[AffineRep, list[int]]:
-    """(AffineRep.of(g), _clearing_scales([image, image**-1])) for a
-    rational g that :func:`check_embeddable` accepts, which is not
-    checked again here.  The image of g**-1 is the image's inverse, so
-    both come from :func:`_image_numerators`, with g and g**-1 swapped,
-    and row i's lcm is den // gcd(den, *s) over the numerators s of row i
-    of both; the second image is never decoded."""
+def _embed_with_clearing_scales(g: TriMat) -> tuple[list, list[int]]:
+    """(image, scale) for a rational g that :func:`check_embeddable`
+    accepts, which is not checked again here: the rows above the corner
+    of g's image as :func:`_image_numerators` gives them, (den,
+    {column: s}) with entry s / den, and _clearing_scales([image,
+    image**-1]).  The image of g**-1 is the image's inverse, so both come
+    from :func:`_image_numerators`, with g and g**-1 swapped, and row
+    i's lcm is den // gcd(den, *s) over the numerators s of row i of
+    both; neither image is decoded."""
     h = g.inverse()
     image = _image_numerators(g, h)
     row_lcms = [
         lcm(den // gcd(den, *row.values()), iden // gcd(iden, *irow.values()))
         for (den, row), (iden, irow) in zip(image, _image_numerators(h, g))
     ]
-    return AffineRep(g.n, len(image), _rational_image(image)), _suffix_products(row_lcms + [1])
+    return image, _suffix_products(row_lcms + [1])
 
 
 def _scaled_conjugate(g: TriMat, scale: list[int]) -> TriMat:

@@ -2,17 +2,26 @@
 boundary, and the writer of the CLI's JSON text.  All numbers are exact
 strings ('p/q') or term lists for exponential sums -- never floats -- so
 identical inputs always produce byte-identical outputs.
+
+The text writer :func:`dumps` quotes a row of strings in one piece: the
+row's concatenation goes through the C string escaper once, and when
+nothing in it needs escaping the row is joined between quotes.
+:func:`image_and_conjugate_to_json` writes ``embed --integerize``'s
+image and its integral conjugate straight from the integer rows of the
+closed-form embedding, with one gcd per image entry and int arithmetic
+for the conjugate, without building either matrix.
 """
 
 from __future__ import annotations
 
 import re
 from json.encoder import encode_basestring_ascii as _escape
+from math import gcd
 
 from .embedding import AffineRep
 from .errors import DimensionMismatch
 from .ordered import LexFamily, LexVec, Product, Scalars, Space
-from .scalars import ExpSum, rat_from_str, rat_to_str
+from .scalars import ExpSum, _too_large, rat_from_str, rat_to_str
 from .trimat import TriMat
 from .triangular import TriangularElement
 
@@ -35,8 +44,10 @@ def dumps(obj) -> str:
     keys; anything else (a float included) raises :class:`TypeError`.
 
     An indent makes :func:`json.dumps` run its pure-Python encoder; here the
-    leaves go through the C string escaper, a whole row of strings in one
-    call."""
+    leaves go through the C string escaper.  A row of strings is escaped
+    once, as one string: if that adds only the two quotes, no item needs
+    escaping and the row is joined between quotes; otherwise each item is
+    escaped on its own."""
     return _dumps(obj, "\n")
 
 
@@ -49,9 +60,14 @@ def _dumps(obj, newline: str) -> str:
             return "[]"
         inner = newline + "  "
         try:
-            body = ("," + inner).join(map(_escape, obj))
+            flat = "".join(obj)
         except TypeError:  # not a row of strings only
             body = ("," + inner).join([_dumps(v, inner) for v in obj])
+        else:
+            if len(_escape(flat)) == len(flat) + 2:
+                body = '"' + ('",' + inner + '"').join(obj) + '"'
+            else:
+                body = ("," + inner).join(map(_escape, obj))
         return "[" + inner + body + newline + "]"
     if isinstance(obj, dict):
         if not obj:
@@ -106,22 +122,57 @@ def diagonal_to_json(entries: list[int]) -> dict:
     return {"n": n, "entries": rows}
 
 
+def image_and_conjugate_to_json(image: list, scale: list[int]) -> tuple[dict, dict]:
+    """:func:`mat_to_json` of an embedded image and of its conjugate
+    diag(scale) * image * diag(scale)**-1, written from the image's rows
+    above the corner, (den, {column: s}) with entry s / den, as
+    :func:`~affinetrees.embedding._embed_with_clearing_scales` gives them
+    with its clearing scales.  An image entry is s / den reduced by one
+    gcd; the conjugate's entry (i, j) is the int s * (s_i // s_j) // den.
+    Absent entries are "0", and the corner row is written as it is.
+    Raises :class:`ResultTooLarge` when an entry has more digits than the
+    interpreter converts to text."""
+    size = len(image) + 1
+    zeros = ["0"] * size
+    matrix, conjugated = [], []
+    try:
+        for (den, row), si in zip(image, scale):
+            out, cout = zeros.copy(), zeros.copy()
+            for j, s in row.items():
+                g = gcd(s, den)
+                out[j] = str(s // g) if g == den else f"{s // g}/{den // g}"
+                cout[j] = str(s * (si // scale[j]) // den)
+            matrix.append(out)
+            conjugated.append(cout)
+    except ValueError as exc:
+        raise _too_large() from exc
+    for rows in (matrix, conjugated):
+        rows.append(zeros[:-1] + ["1"])
+    return {"n": size, "entries": matrix}, {"n": size, "entries": conjugated}
+
+
 def mat_from_json(obj) -> TriMat:
     if not isinstance(obj, dict) or "entries" not in obj:
         raise ValueError("matrix JSON must be an object with an 'entries' field")
     entries = _array(obj["entries"], "'entries'")
-    # each distinct string is parsed once per matrix; most entries repeat
-    parsed = {}
-
-    def scalar(v):
-        if isinstance(v, str):
-            q = parsed.get(v)
-            if q is None:
-                q = parsed[v] = rat_from_str(v)
-            return q
-        return scalar_from_json(v)
-
-    mat = TriMat([[scalar(v) for v in _array(row, "matrix row")] for row in entries])
+    # each distinct string is parsed once per matrix, since most entries
+    # repeat, and every entry in reading order, so the first bad one is
+    # the one reported; term lists and JSON numbers are kept by identity
+    parsed, others, rows = {}, {}, []
+    for row in entries:
+        rows.append(row := _array(row, "matrix row"))
+        for v in row:
+            if type(v) is str:
+                if v not in parsed:
+                    parsed[v] = rat_from_str(v)
+            else:
+                others[id(v)] = scalar_from_json(v)
+    get = parsed.__getitem__
+    if others:
+        rows = [[get(v) if type(v) is str else others[id(v)] for v in row] for row in rows]
+    else:
+        rows = [list(map(get, row)) for row in rows]
+    mat = TriMat(rows)
     if "n" in obj:
         n = obj["n"]
         if type(n) is not int:

@@ -233,17 +233,22 @@ class TriMat:
         integer arithmetic while the common denominator of N has at most
         :data:`MAX_COMMON_DENOMINATOR_BITS` bits and in ring mode past
         it; and column j of the sum is scaled by 1 / d_j.  A unit
-        diagonal divides and scales nothing; a rational one within the
-        cutoff runs the series on the stored columns, D * A**T = D * I + S,
-        and the int sums of sum_k (-S / D)**k, with D**K on the diagonal,
-        are the inverse's columns over D**K.
+        diagonal divides and scales nothing.  A rational matrix with a
+        unit diagonal whose encoding is already stored (the matrix of a
+        map that has acted or composed) runs the series on the stored
+        columns, D * A**T = D * I + S, and the int sums of
+        sum_k (-S / D)**k, with D**K on the diagonal, are the inverse's
+        columns over D**K.  A fresh one runs the row series instead,
+        which encodes only the strict part, needs no transpose and
+        stores no encoding: encoding all the columns first cost more
+        than the series saved.
 
         Diagonal entries must be invertible in the entry ring: nonzero,
         and for ExpSum entries monomials.  Otherwise :class:`NotInvertible`
         is raised.
         """
-        if not self.expsum:
-            cols, d, _ = self._encoding()
+        if not self.expsum and self._enc is not None:
+            cols, d, _ = self._enc
             # column j has D in row j and nothing below it
             if d is not None and all(
                 col.get(j) == d and max(col) == j for j, col in enumerate(cols)

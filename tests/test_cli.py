@@ -937,6 +937,17 @@ def test_embed_integerize_matches_the_recorded_bytes(capsys):
         assert out == handle.read()
 
 
+def test_embed_integerize_8_input_is_the_pinned_matrix(capsys):
+    # CI checks the installed console script's embed --integerize on this
+    # file against the "embed-integerize" digest
+    src = os.path.join(DATA, "embed-integerize-8.in.json")
+    with open(src, encoding="utf-8") as handle:
+        assert json.load(handle) == mat_to_json(golden_rational_8())
+    code, out, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_DIGESTS["embed-integerize"]
+
+
 def count_calls(monkeypatch, module, *names):
     """Wrap each named function of module to count its calls; returns the
     {name: count} dict the wrappers update."""
@@ -953,9 +964,11 @@ def count_calls(monkeypatch, module, *names):
 
 def assert_too_large_before_any_output(capsys, monkeypatch, *argv):
     """The request exits 3 with ResultTooLarge's one stderr line, without
-    building a conjugate or encoding any matrix."""
+    building a conjugate or encoding or writing any matrix."""
     conjugates = count_calls(monkeypatch, cli, "_scaled_conjugate")
-    encoded = count_calls(monkeypatch, jsonio, "mat_to_json", "diagonal_to_json")
+    encoded = count_calls(
+        monkeypatch, jsonio, "mat_to_json", "diagonal_to_json", "image_and_conjugate_to_json"
+    )
     code, out, err = run_cli(capsys, *argv)
     assert code == 3 and out == ""
     assert err == (
@@ -963,7 +976,7 @@ def assert_too_large_before_any_output(capsys, monkeypatch, *argv):
         " digits, too many to write as text\n"
     )
     assert conjugates == {"_scaled_conjugate": 0}
-    assert encoded == {"mat_to_json": 0, "diagonal_to_json": 0}
+    assert encoded == {"mat_to_json": 0, "diagonal_to_json": 0, "image_and_conjugate_to_json": 0}
 
 
 def test_embed_integerize_past_the_cutoff_too_large_to_print(tmp_path, capsys, monkeypatch):

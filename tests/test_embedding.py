@@ -10,6 +10,7 @@ from affinetrees.embedding import (
     AffineRep,
     _clearing_scales,
     _embed_with_clearing_scales,
+    _rational_image,
     _scaled_conjugate,
     affine_algebra_rep,
     certify_admissible,
@@ -34,6 +35,7 @@ from affinetrees.errors import (
     ZeroInput,
 )
 from affinetrees.harness import _product_graded, superdiag_part
+from affinetrees.jsonio import image_and_conjugate_to_json, mat_to_json
 from affinetrees.sampling import (
     rand_exponents,
     rand_fraction,
@@ -701,12 +703,14 @@ def test_embed_with_clearing_scales_matches_the_image_and_its_inverse(monkeypatc
         monkeypatch.setattr(trimat, "MAX_COMMON_DENOMINATOR_BITS", bits)
     for t in range(3):
         g = rand_unitriangular(trial_rng(12, "clearing-scales", n, t), n, den=12)
-        rep, scale = _embed_with_clearing_scales(g)
-        a = affine_algebra_rep(unipotent_log(g))
-        image = nilpotent_exp(a)
-        assert rep == AffineRep.of(g)
-        assert rep.matrix == image and repr(rep.matrix) == repr(image)
+        rows, scale = _embed_with_clearing_scales(g)
+        image = nilpotent_exp(affine_algebra_rep(unipotent_log(g)))
+        embedded = embed_unitriangular(g)
+        assert embedded == image
         assert scale == _clearing_scales([image, image.inverse()])
+        written, conjugated = image_and_conjugate_to_json(rows, scale)
+        assert written == mat_to_json(embedded)
+        assert conjugated == mat_to_json(_scaled_conjugate(image, scale))
 
 
 def series_image(g):
@@ -762,7 +766,8 @@ def test_closed_form_image_matches_the_series(case):
         assert got.rows == want.rows
         assert [[type(v) for v in row] for row in got.rows] == types
         if not g.expsum:
-            rep, scale = _embed_with_clearing_scales(g)
-            assert rep.matrix.rows == want.rows
-            assert [[type(v) for v in row] for row in rep.matrix.rows] == types
+            rows, scale = _embed_with_clearing_scales(g)
+            image = _rational_image(rows)
+            assert image.rows == want.rows
+            assert [[type(v) for v in row] for row in image.rows] == types
             assert scale == _clearing_scales([want, want.inverse()])

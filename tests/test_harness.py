@@ -14,7 +14,9 @@ from affinetrees.harness import (
     _run,
     run_suite,
 )
-from affinetrees.sampling import rand_fraction, rand_strict_upper, trial_rng
+from affinetrees.ordered import Scalars
+from affinetrees.sampling import rand_exponents, rand_fraction, rand_strict_upper, trial_rng
+from affinetrees.scalars import ExpSum
 from affinetrees.triangular import IDENTITY_TAGS
 from affinetrees.trimat import TriMat
 
@@ -31,6 +33,54 @@ def test_rand_fraction_replays_the_draws_of_the_fraction_it_builds(num, den):
         assert [(q.numerator, q.denominator) for q in got] == [
             (q.numerator, q.denominator) for q in want
         ]
+        assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("num, den", [(10, 10), (3, 7)])
+def test_rand_exponents_replays_the_draws_it_makes(num, den):
+    # each exponent is one random() test, then, unless it is 0, the two
+    # draws of rand_fraction, in that order
+    for t in range(200):
+        rng, twin = trial_rng(t, "exponents"), trial_rng(t, "exponents")
+        got = rand_exponents(rng, 6, num, den)
+        want = tuple(
+            Fraction(0)
+            if twin.random() < 0.25
+            else Fraction(twin.randint(-num, num), twin.randint(1, den))
+            for _ in range(6)
+        )
+        assert got == want
+        assert [(q.numerator, q.denominator) for q in got] == [
+            (q.numerator, q.denominator) for q in want
+        ]
+        assert rng.getstate() == twin.getstate()
+
+
+def _twin_sample(kind, twin):
+    """The value Scalars(kind).sample draws, rebuilt from twin's numbers in
+    the order the sampler is meant to take them."""
+    if kind == "Z":
+        return twin.randint(-8, 8)
+    q = Fraction(twin.randint(-8, 8), twin.randint(1, 8))
+    if kind == "Q":
+        return q
+    base = ExpSum.constant(q)
+    if twin.random() < 0.3:
+        base = base + ExpSum.exponential(
+            Fraction(twin.randint(-2, 2)), Fraction(twin.randint(-3, 3))
+        )
+    return base
+
+
+@pytest.mark.parametrize("kind", Scalars.KINDS)
+def test_scalars_sample_replays_the_draws_it_makes(kind):
+    space = Scalars(kind)
+    for t in range(200):
+        rng, twin = trial_rng(t, "scalars", kind), trial_rng(t, "scalars", kind)
+        got = [space.sample(rng) for _ in range(4)]
+        want = [_twin_sample(kind, twin) for _ in range(4)]
+        assert got == want and list(map(repr, got)) == list(map(repr, want))
+        assert list(map(type, got)) == list(map(type, want))
         assert rng.getstate() == twin.getstate()
 
 

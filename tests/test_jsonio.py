@@ -14,6 +14,7 @@ from affinetrees.jsonio import (
     affine_rep_from_json,
     affine_rep_to_json,
     dumps,
+    image_and_conjugate_to_json,
     lexvec_from_json,
     lexvec_to_json,
     mat_from_json,
@@ -27,7 +28,7 @@ from affinetrees.jsonio import (
     wreath_elem_from_json,
     wreath_elem_to_json,
 )
-from affinetrees.embedding import AffineRep, _clearing_scales
+from affinetrees.embedding import AffineRep, _clearing_scales, _embed_with_clearing_scales
 from affinetrees.harness import make_unitriangular_image_bundle
 from affinetrees.ordered import LexFamily, LexVec, Product, Scalars
 from affinetrees.sampling import rand_unitriangular, trial_rng
@@ -366,6 +367,17 @@ def test_dumps_matches_indented_sorted_json_dumps(value):
     assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
 
 
+@pytest.mark.parametrize("odd", ['"', "\\", "\n", "é", "\u2028", "\ud800"])
+@pytest.mark.parametrize("at", [0, 3, 6])
+def test_dumps_escapes_the_one_string_of_a_digit_row_that_needs_it(odd, at):
+    # a row is escaped once as a whole, so one escapable item among plain
+    # digit strings must send the row back to the per-item path
+    row = ["0", "1", "-3/4", "12", "0", "7", "0"]
+    row[at] = row[at] + odd
+    value = {"entries": [row, ["0", "1", "5"], ["2/3"] * 3], "n": 3}
+    assert dumps(value) == json.dumps(value, sort_keys=True, indent=2)
+
+
 @pytest.mark.parametrize("value", [Fraction(1, 2), ["a", Fraction(1)], {"a": {1, 2}}])
 def test_dumps_rejects_what_json_dumps_rejects(value):
     with pytest.raises(TypeError):
@@ -433,6 +445,9 @@ def test_mat_from_json_matches_per_entry_decoding(doc):
         ([["1", True], ["0", "1"]], "not a rational: True"),
         ([["1", "1/0"], ["1/0", "1/0"]], "zero denominator: '1/0'"),
         ([["1", "2"], "01"], "matrix row must be a JSON array, got str"),
+        # entries are read in order: a bad one before a bad row is reported
+        ([["1", "x"], "01"], "not a rational: 'x'"),
+        ([["1", [{"exp": "1", "coeff": "z"}]], ["0", "y"]], "not a rational: 'z'"),
     ],
 )
 def test_malformed_matrices_keep_their_message(tmp_path, entries, message):
@@ -488,3 +503,7 @@ def test_mat_to_json_of_a_rational_matrix_too_large_to_print():
         assert not big.expsum
         with pytest.raises(ResultTooLarge):
             mat_to_json(big)
+    # the image written from its integer rows, and its conjugate
+    rows, scale = _embed_with_clearing_scales(mat)
+    with pytest.raises(ResultTooLarge):
+        image_and_conjugate_to_json(rows, scale)

@@ -507,12 +507,24 @@ def invertible_uppers(draw):
     )
 
 
-@given(invertible_uppers())
-@settings(max_examples=60, deadline=None)
-def test_inverse_matches_back_substitution(mat):
+def assert_inverse(mat, encoded):
+    """mat.inverse() against back-substitution.  With ``encoded`` the
+    matrix stores its encoding first, as a map's matrix does once it has
+    acted or composed, so a rational unit diagonal inverts on the stored
+    columns; a fresh matrix runs the row series, which stores none."""
+    if encoded:
+        mat._encoding()
     inv = mat.inverse()
     assert_same(inv, reference_inverse(mat))
+    if not encoded:
+        assert inv._enc is None
     assert mat * inv == TriMat.identity(mat.n)
+
+
+@given(invertible_uppers(), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_inverse_matches_back_substitution(mat, encoded):
+    assert_inverse(mat, encoded)
 
 
 def inverse_cases():
@@ -550,7 +562,8 @@ def scaled_diagonal(mat, factor):
 
 @pytest.mark.parametrize("mat", list(inverse_cases()))
 def test_inverse_matches_back_substitution_on_images(mat):
-    assert_same(mat.inverse(), reference_inverse(mat))
+    for encoded in (False, True):
+        assert_inverse(TriMat(mat.rows), encoded)
 
 
 @pytest.mark.parametrize(
@@ -569,9 +582,12 @@ def test_inverse_rejects_a_diagonal_entry_without_inverse(mat):
 @pytest.mark.parametrize("below", [Fraction(1, 3), Fraction(1, PAST), ExpSum.exponential(1)])
 def test_inverse_rejects_an_entry_below_a_unit_diagonal(below):
     # a unit diagonal alone does not take the series on the stored columns
-    mat = TriMat([[1, 2, 0], [0, 1, 5], [below, 0, 1]])
-    with pytest.raises(NotUpperTriangular):
-        mat.inverse()
+    for encoded in (False, True):
+        mat = TriMat([[1, 2, 0], [0, 1, 5], [below, 0, 1]])
+        if encoded:
+            mat._encoding()
+        with pytest.raises(NotUpperTriangular):
+            mat.inverse()
 
 
 def count_ring_products(monkeypatch, ring):
