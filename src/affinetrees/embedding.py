@@ -12,10 +12,11 @@ coordinate vector as a final column produces a Lie algebra map into the
 affine algebra of dimension m = n(n-1)/2, and conjugating by the matrix
 exponential/logarithm turns it into an injective group homomorphism from
 the unitriangular group of size n to the one of size m+1.  That
-exponential has a closed form in g and g**-1 (:func:`_assembled` derives
-it), so :func:`embed_unitriangular` never forms the logarithm or the
-(m+1) x (m+1) series; :func:`affine_algebra_rep` and the series stay as
-the definition it is tested against.
+exponential has a closed form in g and g**-1, assembled by one integer
+kernel over both scalar rings (:func:`_image_numerators` derives it), so
+:func:`embed_unitriangular` never forms the logarithm or the (m+1) x
+(m+1) series; :func:`affine_algebra_rep` and the series stay as the
+definition it is tested against.
 
 Images of nontrivial elements are essentially hyperbolic for the natural
 affine action: in the displacement of any point, the contribution of the
@@ -44,8 +45,8 @@ from .errors import (
     NotUnitriangular,
     ZeroInput,
 )
-from .scalars import ExpSum, _fraction
-from .trimat import _FZERO, TriMat, _decoded, nilpotent_exp
+from .scalars import _fraction
+from .trimat import TriMat, _decoded, _over_lcms, nilpotent_exp
 
 
 def coord_count(n: int) -> int:
@@ -223,17 +224,21 @@ def affine_algebra_rep(x: TriMat) -> TriMat:
     return TriMat(rows)
 
 
+#: Largest n the embeddings and the ``verify`` suites accept.
+MAX_DIMENSION = 8
+
+
 def check_supported_dimension(n: int) -> None:
-    """Reject sizes outside the supported range 2 <= n <= 8 before any work."""
-    if not 2 <= n <= 8:
+    """Reject sizes outside 2 <= n <= MAX_DIMENSION before any work."""
+    if not 2 <= n <= MAX_DIMENSION:
         raise DimensionMismatch(
-            f"embedding needs 2 <= n <= 8 (the supported range), got n = {n}"
+            f"embedding needs 2 <= n <= {MAX_DIMENSION} (the supported range), got n = {n}"
         )
 
 
 def check_embeddable(g: TriMat) -> None:
-    """Reject a size outside 2 <= n <= 8, then a matrix that is not
-    unitriangular, before any work."""
+    """Reject a size outside 2 <= n <= MAX_DIMENSION, then a matrix that
+    is not unitriangular, before any work."""
     check_supported_dimension(g.n)
     if not g.is_unitriangular():
         raise NotUnitriangular("embedding defined on unitriangular matrices")
@@ -243,26 +248,20 @@ def embed_unitriangular(g: TriMat) -> TriMat:
     """Group homomorphism from unitriangular n x n matrices into
     unitriangular (m+1) x (m+1) matrices: the exponential of the affine
     algebra representation of the logarithm, assembled in closed form
-    from g and its inverse (:func:`_assembled`).  Over the rationals the
-    entries are formed in integers; an ExpSum matrix is assembled in its
-    own ring."""
+    from g and its inverse by one integer kernel over either ring
+    (:func:`_image_numerators`), each entry divided out once."""
     check_embeddable(g)
-    h = g.inverse()
-    if not g.expsum:
-        return _rational_image(_image_numerators(g, h))
-    n, m, zero = g.n, coord_count(g.n), ExpSum.zero()
-    weights = {span: [Fraction(j, span) for j in range(span + 1)] for span in range(1, n)}
-    rows = [
-        _decoded(row, m + 1, None, None, True)
-        for _, _, row in _assembled(g.rows, list(zip(*h.rows)), weights, zero)
-    ]
-    rows.append([zero] * m + [ExpSum.one()])
+    image = _image_numerators(g, g.inverse())
+    m = len(image)
+    rows = [_decoded(row, m + 1, den, None, g.expsum) for den, row in image]
+    rows.append([g.ring_zero()] * m + [g.ring_one()])
     return TriMat(rows)
 
 
-def _assembled(g_rows, h_cols, weights, zero):
+def _image_numerators(g: TriMat, h: TriMat) -> list:
     """Rows of the image exp(affine_algebra_rep(log g)) above the corner,
-    in closed form from the rows of g and the columns of h = g**-1.
+    in closed form from g and h = g**-1, as (den, {column: s}) with entry
+    s / den.
 
     Write D for the grading derivation, which scales entry (a, b) by
     b - a.  The left-symmetric product is x.y = D**-1 [x, D y], the
@@ -278,65 +277,34 @@ def _assembled(g_rows, h_cols, weights, zero):
       since the rows of g and the columns of h are orthogonal.
 
     Every entry is one product of an entry of g and one of h, or a short
-    sum of them.  ``weights[b - a][j]`` stands for j / (b - a): the
-    caller either passes the Fractions themselves, and gets the entries,
-    or passes j and divides by b - a.  Each row (a, b) is yielded as
-    (a, b, {column: entry}), zero products left out and the translation,
-    at column m, counted from ``zero``."""
-    n = len(g_rows)
-    entries, pos = coord_entries(n), _coord_positions(n)
-    m = len(entries)
+    sum of them.  They are formed over g's row lcms r_a and h's column
+    lcms k_b (:func:`~affinetrees.trimat._over_lcms`), so row (a, b)
+    shares den = r_a k_b (b - a) and each entry needs one gcd, whatever
+    the denominators.  s is an int, or an ExpSum over denominator 1 when
+    an entry has an exponent other than 0.  Zero products are left out;
+    the translation is at column m."""
+    row_lcms, g_rows = _over_lcms(g.rows, g.expsum)
+    col_lcms, h_cols = _over_lcms(zip(*h.rows), h.expsum)
+    entries, pos = coord_entries(g.n), _coord_positions(g.n)
+    m, image = len(entries), []
     for a, b in entries:
-        w, ga, hb = weights[b - a], g_rows[a], h_cols[b]
-        row, t = {}, zero
+        ga, hb = g_rows[a], h_cols[b]
+        row, t = {}, 0
         for c in range(a, b + 1):
             p = ga[c]
             if not p:
                 continue
             if c > a and hb[c]:
-                t = t + p * hb[c] * w[c - a]
+                x = p * (c - a) * hb[c]
+                t = t + x if t else x
             pc = pos[c]
             for d in range(c + 1, b + 1):
                 if q := hb[d]:
-                    row[pc[d]] = p * q * w[d - c]
+                    row[pc[d]] = p * (d - c) * q
         if t:
             row[m] = t
-        yield a, b, row
-
-
-def _over_lcms(vectors):
-    """(lcms, ints): for each vector of Fractions, the lcm r of its
-    denominators and the vector times r, as ints."""
-    lcms, ints = [], []
-    for vec in vectors:
-        r = lcm(*(v.denominator for v in vec))
-        lcms.append(r)
-        ints.append([v.numerator * (r // v.denominator) for v in vec])
-    return lcms, ints
-
-
-def _image_numerators(g: TriMat, h: TriMat) -> list:
-    """Rows of the image of a rational g above the corner, h = g**-1, as
-    (den, {column: s}) with entry s / den: :func:`_assembled` on g's rows
-    over their row lcms r_a and h's columns over their column lcms k_b,
-    so row (a, b) shares den = r_a k_b (b - a) and each entry needs one
-    gcd, whatever the denominators."""
-    row_lcms, g_rows = _over_lcms(g.rows)
-    col_lcms, h_cols = _over_lcms(zip(*h.rows))
-    weights = {span: range(span + 1) for span in range(1, g.n)}
-    return [
-        (row_lcms[a] * col_lcms[b] * (b - a), row)
-        for a, b, row in _assembled(g_rows, h_cols, weights, 0)
-    ]
-
-
-def _rational_image(image: list) -> TriMat:
-    """The image whose rows above the corner :func:`_image_numerators`
-    gave, each entry built with one gcd, and the corner row."""
-    m = len(image)
-    rows = [_decoded(row, m + 1, den, None, False) for den, row in image]
-    rows.append([_FZERO] * m + [Fraction(1)])
-    return TriMat(rows)
+        image.append((row_lcms[a] * col_lcms[b] * (b - a), row))
+    return image
 
 
 @dataclass(frozen=True)
@@ -415,7 +383,8 @@ def certify_admissible(x: TriMat) -> AdmissibleReport:
     :func:`affine_algebra_rep`; the ``verify`` embedding suite checks it
     against the bilinear :func:`left_mult_matrix`.  The embedded image of
     exp(x) is exp(affine_algebra_rep(x)), since log(exp(x)) = x.  A size
-    outside 2 <= n <= 8 is rejected before that representation is built."""
+    outside 2 <= n <= MAX_DIMENSION is rejected before that representation
+    is built."""
     if not x.is_strict_upper():
         raise NotStrictUpper("certification needs a strict upper matrix")
     i0 = lowest_superdiag(x)  # raises ZeroInput on the zero matrix
@@ -466,16 +435,17 @@ def _checked_clearing_scales(gens: list[TriMat]) -> list[int]:
             raise NotUnitriangular("generators must be unitriangular")
         if g.expsum:
             raise TypeError("integerization needs rational generators")
-    # a generator paired with an earlier one is that one's inverse, so its
-    # own inverse is already known to be present
+    # each generator's first index; one paired with an earlier generator is
+    # that one's inverse, so its own inverse is already known to be present
+    first = {g: i for i, g in reversed(list(enumerate(gens)))}
     paired = set()
     for i, g in enumerate(gens):
         if i in paired:
             continue
-        try:
-            paired.add(gens.index(g.inverse()))
-        except ValueError:
-            raise NotInverseClosed(f"missing inverse of {g!r}") from None
+        j = first.get(g.inverse())
+        if j is None:
+            raise NotInverseClosed(f"missing inverse of {g!r}")
+        paired.add(j)
     return _clearing_scales(gens)
 
 

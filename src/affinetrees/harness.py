@@ -43,6 +43,7 @@ from .actions import (
     from_affine_matrix,
 )
 from .embedding import (
+    MAX_DIMENSION,
     affine_algebra_rep,
     block_nonzero,
     certify_admissible,
@@ -99,8 +100,8 @@ class SuiteConfig:
             raise ConfigInvalid(f"unknown suite {self.suite!r}")
         if not 1 <= self.samples <= MAX_SAMPLES:
             raise ConfigInvalid(f"samples must satisfy 1 <= samples <= {MAX_SAMPLES}")
-        if not (2 <= self.n_low <= self.n_high <= 8):
-            raise ConfigInvalid("dimension range must satisfy 2 <= low <= high <= 8")
+        if not (2 <= self.n_low <= self.n_high <= MAX_DIMENSION):
+            raise ConfigInvalid(f"dimension range must satisfy 2 <= low <= high <= {MAX_DIMENSION}")
         if self.max_refinements is not None and self.max_refinements < 1:
             raise ConfigInvalid("max_refinements must be at least 1")
 

@@ -22,8 +22,10 @@ is 0).  Each matrix stores the encoding of its columns, the rows of
 D * M**T, in one slot filled on first use, which ``==``, ``hash`` and
 ``repr`` do not read.  All products run on one kernel, :func:`_product`,
 and every output row is written out by one decoder, :func:`_decoded`,
-which builds each entry once, with one gcd.  A product of two rational
-matrices is one int product of their stored columns, and stores its own
+which builds each entry once, with one gcd; it also decodes products
+of :func:`_over_lcms` entries, the closed-form embedding's integer
+kernel in either ring.  A product of two rational matrices is one int
+product of their stored columns, and stores its own
 (:func:`_from_columns`); other products sum the entries in their own
 ring.  The series take int powers of M = D * N, N the strict part, and
 divide each entry of the sum out once.  Every inverse is a series too:
@@ -451,16 +453,42 @@ def _product(a, b, el) -> list:
     return out
 
 
+def _over_lcms(vectors, expsum: bool):
+    """(lcms, nums): for each vector of entries, the lcm r of their
+    denominators and r times each entry, without a gcd: an int for a
+    Fraction or a constant ExpSum, else an ExpSum over denominator 1,
+    whose products and sums take no gcd either.  ``expsum`` says whether
+    any entry may be an ExpSum."""
+    lcms, nums = [], []
+    for vec in vectors:
+        if not expsum:
+            r = lcm(*(v.denominator for v in vec))
+            nums.append([v.numerator * (r // v.denominator) for v in vec])
+        else:
+            r = lcm(*(v._den if type(v) is ExpSum else v.denominator for v in vec))
+            nums.append(
+                [
+                    v.numerator * (r // v.denominator) if type(v) is not ExpSum
+                    else v._num.get(_ZERO_EXP, 0) * (r // v._den) if v._num.keys() <= {_ZERO_EXP}
+                    else ExpSum._trusted(1, {q: c * (r // v._den) for q, c in v._num.items()})
+                    for v in vec
+                ]
+            )
+        lcms.append(r)
+    return lcms, nums
+
+
 def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
-    """The n entries of a sparse row of :func:`_product`, absent ones the
-    ring zero: an ExpSum ring when ``expsum``, else the Fractions.
+    """The n entries of a sparse row of :func:`_product` (or of products of
+    :func:`_over_lcms` entries), absent ones the ring zero: an ExpSum ring
+    when ``expsum``, else the Fractions.
 
     With den None (ring mode) the entries are kept, a Fraction lifted to
     a constant ExpSum in an ExpSum ring.  Otherwise each entry is built
     once, with one gcd, from its numerator over den: an int s as the
-    Fraction s / den, or as a constant ExpSum; a Laurent polynomial
-    {x: c} (el not None) as the ExpSum sum_x c / den * e**(x / el), each
-    exponent reduced."""
+    Fraction s / den, or as a constant ExpSum; an ExpSum s over
+    denominator 1 as s / den; a Laurent polynomial {x: c} (el not None)
+    as the ExpSum sum_x c / den * e**(x / el), each exponent reduced."""
     out = [ExpSum.zero() if expsum else _FZERO] * n
     if den is None:
         for j, v in row.items():
@@ -474,7 +502,7 @@ def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
             out[j] = ExpSum._reduced(den, num, den)
     elif expsum:
         for j, s in row.items():
-            out[j] = ExpSum._reduced(den, {_ZERO_EXP: s}, den)
+            out[j] = ExpSum._reduced(den, s._num if type(s) is ExpSum else {_ZERO_EXP: s}, den)
     else:
         for j, s in row.items():
             g = gcd(s, den)

@@ -1062,6 +1062,38 @@ def test_tstar_output_bytes_match_pinned_digests(tmp_path, capsys, command):
     assert hashlib.sha256(out.encode()).hexdigest() == GOLDEN_TSTAR_DIGESTS[command]
 
 
+#: Each tests/data input of plain ``embed``, the matrix it holds and the
+#: SHA-256 of the command's stdout, recorded while an exponential-sum
+#: input was still assembled in its own ring: golden_rational_8, its lift
+#: to the exponential-sum ring (constant entries), and the unipotent part
+#: of golden_tstar_4 (entries with exponents).  CI checks the installed
+#: console script's output on the lifted input against its digest.
+GOLDEN_PLAIN_EMBED = {
+    "embed-integerize-8.in.json": (
+        golden_rational_8, "2bcb865afdba4ef0f30984e0ea4d4eec00de1a4f8c996f1fab8ddfb7e0c66b9c"
+    ),
+    "embed-expsum-8.in.json": (
+        lambda: golden_rational_8().to_expsum(),
+        "66669ccf5c10483dc9d5ca49ff15f36eea9b19987cff9369665d485e8097ec2f",
+    ),
+    "embed-tstar-4.in.json": (
+        lambda: golden_tstar_4().u,
+        "16d70d90ae748ff552f87624cb1bc66f23f99046fd60862dfbee501687d58625",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GOLDEN_PLAIN_EMBED))
+def test_plain_embed_output_bytes_match_pinned_digests(capsys, name):
+    source, digest = GOLDEN_PLAIN_EMBED[name]
+    src = os.path.join(DATA, name)
+    with open(src, encoding="utf-8") as handle:
+        assert json.load(handle) == mat_to_json(source())
+    code, out, _ = run_cli(capsys, "embed", "--input", src)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
 #: An exact-real rep whose exponents have lcm L = 30 and a point whose
 #: exponents have lcm 28, which does not divide 30: each act rescales
 #: the map's stored columns to a larger L.

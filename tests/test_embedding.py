@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 from math import lcm
 
@@ -10,12 +11,12 @@ from affinetrees.embedding import (
     AffineRep,
     _clearing_scales,
     _embed_with_clearing_scales,
-    _rational_image,
     _scaled_conjugate,
     affine_algebra_rep,
     certify_admissible,
     coord_block,
     coord_count,
+    coord_entries,
     coord_vector,
     embed_unitriangular,
     integerize,
@@ -49,6 +50,7 @@ from affinetrees.triangular import TriangularElement, conjugate_by_diagonal
 from affinetrees.trimat import (
     MAX_COMMON_DENOMINATOR_BITS,
     TriMat,
+    _decoded,
     nilpotent_exp,
     unipotent_log,
 )
@@ -615,6 +617,26 @@ def test_integerize_requires_inverse_closure():
     integerize([a, a, eye, a.inverse()])
 
 
+def test_integerize_of_many_pairs_finds_each_inverse_in_linear_time():
+    # 4,000 inverse pairs: each inverse is looked up by hash, not by a scan
+    # of the list, which took 21.6 s for this input
+    gens = []
+    for k in range(4000):
+        g = TriMat([[1, Fraction(k, 2), 1], [0, 1, k % 7], [0, 0, 1]])
+        gens += [g, g.inverse()]
+    start = time.perf_counter()
+    conj, conjugated = integerize(gens)
+    assert time.perf_counter() - start < 2
+    assert conj == TriMat.diagonal([2, 1, 1])
+    assert len(conjugated) == len(gens)
+    # the first generator whose inverse is missing is the one named
+    start = time.perf_counter()
+    with pytest.raises(NotInverseClosed) as info:
+        integerize(gens[:2469] + gens[2470:6001] + gens[6002:])
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == f"missing inverse of {gens[2468]!r}"
+
+
 def test_integerize_requires_unitriangular():
     with pytest.raises(NotUnitriangular):
         integerize([TriMat([[2, 0], [0, 1]])])
@@ -767,7 +789,26 @@ def test_closed_form_image_matches_the_series(case):
         assert [[type(v) for v in row] for row in got.rows] == types
         if not g.expsum:
             rows, scale = _embed_with_clearing_scales(g)
-            image = _rational_image(rows)
-            assert image.rows == want.rows
-            assert [[type(v) for v in row] for row in image.rows] == types
+            m = len(rows)
+            image = [tuple(_decoded(row, m + 1, den, None, False)) for den, row in rows]
+            assert image == list(want.rows[:m])
+            assert [[type(v) for v in row] for row in image] == types[:m]
             assert scale == _clearing_scales([want, want.inverse()])
+
+
+def test_expsum_inputs_past_the_cutoff_match_the_rational_image_and_its_conjugate():
+    # 28 coprime 60-digit denominators: every series runs in ring mode,
+    # while the assembly runs over the row and column lcms; with exponents
+    # its numerators are exponential sums over denominator 1
+    g = coprime_60_digit_matrix(True)
+    dens = [v.denominator for row in g.rows for v in row]
+    assert lcm(*dens).bit_length() > MAX_COMMON_DENOMINATOR_BITS
+    lifted = g.to_expsum()
+    image = embed_unitriangular(lifted)
+    assert image == embed_unitriangular(g).to_expsum()
+    assert all(type(v) is ExpSum for row in image.rows for v in row)
+    exps = [Fraction(k, 2 + k % 3) for k in range(-3, 5)]
+    pad_exps = [exps[a] - exps[b] for a, b in coord_entries(8)] + [Fraction(0)]
+    conjugated = embed_unitriangular(conjugate_by_diagonal(exps, lifted))
+    assert conjugated == conjugate_by_diagonal(pad_exps, image)
+    assert all(type(v) is ExpSum for row in conjugated.rows for v in row)
