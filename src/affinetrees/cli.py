@@ -22,14 +22,21 @@ import sys
 from . import jsonio, scalars
 from .actions import from_affine_matrix
 from .embedding import (
-    AffineRep,
     _checked_clearing_scales,
     _embed_with_clearing_scales,
     _scaled_conjugate,
     check_embeddable,
+    coord_count,
+    embed_unitriangular,
     is_essentially_hyperbolic,
 )
-from .errors import AffineTreesError, ConfigInvalid, ResultTooLarge, TooManyLevels
+from .errors import (
+    AffineTreesError,
+    ConfigInvalid,
+    NotUnitriangular,
+    ResultTooLarge,
+    TooManyLevels,
+)
 from .harness import SuiteConfig, run_suite, _wreath_law_checks
 from .ordered import LexVec
 from .triangular import embed_triangular
@@ -90,7 +97,8 @@ def cmd_embed(args) -> int:
     if args.n is not None and args.n != mat.n:
         raise CliInputError(f"--n {args.n} does not match input dimension {mat.n}")
     if not args.integerize:
-        _emit(jsonio.affine_rep_to_json(AffineRep.of(mat)), args.output)
+        image = jsonio.mat_to_json(embed_unitriangular(mat))
+        _emit({"n": mat.n, "m": coord_count(mat.n), "matrix": image}, args.output)
         return 0
     check_embeddable(mat)
     _require_rational([mat])
@@ -142,6 +150,9 @@ def cmd_integerize(args) -> int:
 def cmd_extend_tstar(args) -> int:
     try:
         elem = jsonio.triangular_from_json(_load_json(args.input))
+    except NotUnitriangular:
+        # a precondition of the element, not its shape: exit 3, as embed
+        raise
     except (KeyError, TypeError, ValueError) as exc:
         raise CliInputError(f"malformed element JSON: {exc}") from exc
     image = embed_triangular(elem)

@@ -163,18 +163,18 @@ EXP_INTERVAL_CACHE_SIZE = 1024
 
 
 @lru_cache(maxsize=EXP_INTERVAL_CACHE_SIZE)
-def _exp_interval(
-    key: tuple[int, int], depth: int, bits: int
-) -> tuple[Fraction, Fraction]:
+def _exp_interval(key: tuple[int, int], depth: int) -> tuple[Fraction, Fraction]:
     """Rational interval [lo, hi] containing e**q, for the exponent q
     keyed by its reduced ``(numerator, denominator)`` pair; both ends are
-    multiples of 2**-bits.
+    multiples of 2**-bits, bits = 32 + depth.
 
     Argument reduction brings the exponent into [-1/2, 1/2]; a Taylor
-    partial sum with an explicit tail bound gives an interval there, and
-    repeated squaring (with outward rounding to ``bits`` fractional bits,
-    which keeps denominators from exploding) recovers e**q.
+    partial sum of ``depth`` terms with an explicit tail bound gives an
+    interval there, and repeated squaring (with outward rounding to
+    ``bits`` fractional bits, which keeps denominators from exploding)
+    recovers e**q.
     """
+    bits = 32 + depth
     q = Fraction(*key)
     k = 0
     x = q
@@ -479,11 +479,10 @@ class ExpSum:
         shifted = [(_exp_add(q, (-tn, td)), c) for q, c in num.items()]
         depth = 8
         for step in range(_max_refinements):
-            bits = 32 + depth
-            scale = 1 << bits
+            scale = 1 << (32 + depth)  # the grid of _exp_interval's ends
             lo = hi = 0
             for q, c in shifted:
-                l, h = _exp_interval(q, depth, bits)
+                l, h = _exp_interval(q, depth)
                 l = l.numerator * (scale // l.denominator)
                 h = h.numerator * (scale // h.denominator)
                 if c >= 0:

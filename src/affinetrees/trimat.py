@@ -31,13 +31,14 @@ ring.  The series take int powers of M = D * N, N the strict part, and
 divide each entry of the sum out once.  Every inverse is a series too:
 an upper-triangular A is T(I + N) with T its diagonal, so
 A**-1 = (sum_k (-N)**k) * T**-1, and each diagonal entry other than 1 is
-divided once.  :meth:`TriMat.affine_apply` multiplies an encoded point
-by the stored columns.  D can be far larger than any single entry's
-denominator (pairwise coprime denominators multiply), and the integers
-then grow faster than the Fraction arithmetic they replace.  So the
-integer path runs only while D has at most
-:data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise the same kernel runs
-in ring mode.
+divided once.  The series encode the strict part afresh, so the stored
+columns have two readers only: the product, and
+:meth:`TriMat.affine_apply`, which multiplies an encoded point by them.
+D can be far larger than any single entry's denominator (pairwise
+coprime denominators multiply), and the integers then grow faster than
+the Fraction arithmetic they replace.  So the integer path runs only
+while D has at most :data:`MAX_COMMON_DENOMINATOR_BITS` bits; otherwise
+the same kernel runs in ring mode.
 """
 
 from __future__ import annotations
@@ -235,29 +236,12 @@ class TriMat:
         integer arithmetic while the common denominator of N has at most
         :data:`MAX_COMMON_DENOMINATOR_BITS` bits and in ring mode past
         it; and column j of the sum is scaled by 1 / d_j.  A unit
-        diagonal divides and scales nothing.  A rational matrix with a
-        unit diagonal whose encoding is already stored (the matrix of a
-        map that has acted or composed) runs the series on the stored
-        columns, D * A**T = D * I + S, and the int sums of
-        sum_k (-S / D)**k, with D**K on the diagonal, are the inverse's
-        columns over D**K.  A fresh one runs the row series instead,
-        which encodes only the strict part, needs no transpose and
-        stores no encoding: encoding all the columns first cost more
-        than the series saved.
+        diagonal divides and scales nothing.
 
         Diagonal entries must be invertible in the entry ring: nonzero,
         and for ExpSum entries monomials.  Otherwise :class:`NotInvertible`
         is raised.
         """
-        if not self.expsum and self._enc is not None:
-            cols, d, _ = self._enc
-            # column j has D in row j and nothing below it
-            if d is not None and all(
-                col.get(j) == d and max(col) == j for j, col in enumerate(cols)
-            ):
-                strict = [{i: v for i, v in col.items() if i != j} for j, col in enumerate(cols)]
-                sums, den = _series_sums(strict, d, None, lambda k: (-1) ** k)
-                return _from_columns([{**col, j: den} for j, col in enumerate(sums)], den)
         if not self.is_upper_triangular():
             raise NotUpperTriangular("inverse implemented for upper triangular only")
         n, rows = self.n, self.rows
@@ -510,46 +494,16 @@ def _decoded(row: dict, n: int, den, el, expsum: bool) -> list:
     return out
 
 
-def _series_sums(strict, d, el, coeff):
-    """(sums, den): the sparse rows of sum_k coeff(k) * B**k for k >= 1,
-    B the nilpotent matrix whose :func:`_encode` is ``strict, d, el``, as
-    :func:`_series` forms them: the integer numerators over den, or with
-    d None the entries themselves and den None.  Row i of the sum comes
-    from one :func:`_product` of the weight row {k: w_k} with the rows i
-    of the powers.  The rows are yielded one i at a time, so a caller
-    that decodes each as it comes holds one row of numerators, not all."""
-    powers, power = [], strict
-    while any(power):
-        powers.append(power)
-        power = _product(power, strict, el)
-    last = len(powers)
-    weights = [coeff(k) for k in range(1, last + 1)]
-    if d is None:
-        den = None
-    else:
-        lcd = lcm(*(c.denominator for c in weights))
-        den = lcd * d**last
-        weights = [
-            c.numerator * (lcd // c.denominator) * d ** (last - k)
-            for k, c in enumerate(weights, 1)
-        ]
-        if el is not None:
-            weights = [{0: w} for w in weights]
-    wrow = [dict(enumerate(weights))]
-    sums = (_product(wrow, [power[i] for power in powers], el)[0] for i in range(len(strict)))
-    return sums, den
-
-
 def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     """diag * I + sum_k coeff(k) * B**k, B the strict upper part of mat.
 
-    ``strict, d, el`` is :func:`_strict_part` of mat.
-    :func:`_series_sums` forms the powers by :func:`_product` up to the
-    last nonzero power K, and row i of the sum by one more product: of
-    the weight row {k: w_k} with the rows i of the powers, decoded by
-    :func:`_decoded`.  With d None the powers are those of B in its own
-    ring, the weights are coeff(k), and entries left out are the ring
-    zero of mat.  Otherwise they are powers
+    ``strict, d, el`` is :func:`_strict_part` of mat.  The powers are
+    formed by :func:`_product` up to the last nonzero power K, and row i
+    of the sum by one more product: of the weight row {k: w_k} with the
+    rows i of the powers, decoded by :func:`_decoded` as it comes, so
+    one row of numerators is held at a time, not all.  With d None the
+    powers are those of B in its own ring, the weights are coeff(k), and
+    entries left out are the ring zero of mat.  Otherwise they are powers
     of M = d * B, whose entries are ints or (el not None) Laurent
     polynomials {x: c} over the ints, so they take int products and dict
     sums only.  With L the lcm of the coefficients' denominators, the
@@ -589,9 +543,29 @@ def _series(mat: TriMat, diag: bool, coeff, strict, d, el) -> TriMat:
     Fraction coefficients, because their exponents lie sparsely in
     (1/el)Z and the packed ints are mostly zero bits.
     """
+    powers, power = [], strict
+    while any(power):
+        powers.append(power)
+        power = _product(power, strict, el)
+    last = len(powers)
+    weights = [coeff(k) for k in range(1, last + 1)]
+    if d is None:
+        den = None
+    else:
+        lcd = lcm(*(c.denominator for c in weights))
+        den = lcd * d**last
+        weights = [
+            c.numerator * (lcd // c.denominator) * d ** (last - k)
+            for k, c in enumerate(weights, 1)
+        ]
+        if el is not None:
+            weights = [{0: w} for w in weights]
+    wrow = [dict(enumerate(weights))]
     n = mat.n
-    sums, den = _series_sums(strict, d, el, coeff)
-    out = [_decoded(row, n, den, el, mat.expsum) for row in sums]
+    out = [
+        _decoded(_product(wrow, [power[i] for power in powers], el)[0], n, den, el, mat.expsum)
+        for i in range(n)
+    ]
     if diag:
         one = mat.ring_one()
         for i, row in enumerate(out):

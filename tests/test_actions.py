@@ -444,19 +444,16 @@ def test_integer_kernel_matches_ring_sums(kind, data):
         assert_same_terms(got, want)
     for got, want in zip(inverted.matrix.rows, back_substituted(a.matrix)):
         assert_same_terms(got, want)
-    # a rational result within the cutoff keeps the encoding of its
-    # integer product or series, which is _encode of its matrix's columns;
-    # a ring-mode result, past the cutoff or exact-real, stores none
-    stored = [aut.matrix._enc for aut in (composed, inverted)]
+    # a rational product within the cutoff keeps the encoding of its
+    # integer product, which is _encode of its matrix's columns; a
+    # ring-mode product, past the cutoff or exact-real, stores none, and
+    # an inverse's series stores none for any kind
+    stored = composed.matrix._enc
     if kind in ("Q", "Q-unit"):
-        assert stored[0] is not None
-    if kind == "Q-unit":
-        assert stored[1] is not None
-    if not kind.startswith("Q") or kind == "Q-past-cutoff":
-        assert stored == [None, None]
-    for aut, enc in zip((composed, inverted), stored):
-        if enc is not None:
-            assert enc == _encode(_columns(aut.matrix), False)
+        assert stored == _encode(_columns(composed.matrix), False)
+    else:
+        assert stored is None
+    assert inverted.matrix._enc is None
 
 
 @pytest.mark.parametrize("kind", ["R", "R-rational-dilation"])

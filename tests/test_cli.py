@@ -163,6 +163,30 @@ def test_extend_tstar_rejects_dimension_nine(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "entries, exponents, code, message",
+    [
+        # a u that is not unitriangular is a precondition, exit 3 as in embed
+        ([["2", "1"], ["0", "1"]], ["1", "0"], 3, "error: NotUnitriangular: "),
+        ([["1", "1"], ["1/3", "1"]], ["1", "0"], 3, "error: NotUnitriangular: "),
+        # a u or exponent list of the wrong length is malformed, exit 2
+        ([["1", "0", "0"], ["0", "1", "0"], ["0", "0", "1"]], ["1", "0"], 2,
+         "error: malformed element JSON: unipotent part has wrong dimension"),
+        ([["1", "1"], ["0", "1"]], ["1"], 2,
+         "error: malformed element JSON: one diagonal exponent per row required"),
+    ],
+    ids=["diagonal-2", "below-diagonal", "u-wrong-size", "exponents-wrong-size"],
+)
+def test_extend_tstar_exit_code_tells_precondition_from_shape(
+    tmp_path, capsys, entries, exponents, code, message
+):
+    elem = {"n": 2, "u": {"entries": entries}, "diag_exponents": exponents}
+    src = write_json(tmp_path / "g.json", elem)
+    got, out, err = run_cli(capsys, "extend-tstar", "--input", src)
+    assert (got, out) == (code, "")
+    assert err.startswith(message) and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
     "elem",
     [
         {"n": 2.0, "u": identity_json(2), "diag_exponents": ["1", "0"]},
@@ -557,23 +581,23 @@ def test_embed_integerize_runs_no_series_on_the_image_and_one_inverse_of_the_inp
     # nothing runs over the 29 x 29 algebra matrix
     g = rand_unitriangular(trial_rng(40, "invert-once"), 8)
     src = write_json(tmp_path / "in.json", mat_to_json(g))
-    inverses, series = [], []
-    inverse, series_sums = TriMat.inverse, trimat._series_sums
+    inverses, lengths = [], []
+    inverse, series = TriMat.inverse, trimat._series
 
     def counting_inverse(self):
         inverses.append(self.n)
         return inverse(self)
 
-    def counting_series(strict, *args):
-        series.append(len(strict))
-        return series_sums(strict, *args)
+    def counting_series(mat, *args):
+        lengths.append(mat.n)
+        return series(mat, *args)
 
     monkeypatch.setattr(TriMat, "inverse", counting_inverse)
-    monkeypatch.setattr(trimat, "_series_sums", counting_series)
+    monkeypatch.setattr(trimat, "_series", counting_series)
     code, _, _ = run_cli(capsys, "embed", "--input", src, "--integerize")
     assert code == 0
     assert inverses == [8]
-    assert series == [8]
+    assert lengths == [8]
 
 
 def run_alone(*argv):
@@ -644,10 +668,10 @@ def test_act_signs_a_diagonal_with_a_huge_exponent(
     brackets = []
     real = scalars._exp_interval
 
-    def nonpositive_only(key, depth, bits):
+    def nonpositive_only(key, depth):
         brackets.append(key)
         assert key[0] <= 0, f"bracketed e**({key[0]}/{key[1]})"
-        return real(key, depth, bits)
+        return real(key, depth)
 
     monkeypatch.setattr(scalars, "_exp_interval", nonpositive_only)
     diagonal = [{"coeff": "1", "exp": exponent}, {"coeff": "-1", "exp": "0"}]

@@ -329,10 +329,9 @@ def ref_sign(a: dict) -> int:
         return 0
     depth = 8
     for _ in range(20):
-        bits = 32 + depth
         lo = hi = Fraction(0)
         for q, c in a.items():
-            l, h = _exp_interval((q.numerator, q.denominator), depth, bits)
+            l, h = _exp_interval((q.numerator, q.denominator), depth)
             lo += c * (l if c >= 0 else h)
             hi += c * (h if c >= 0 else l)
         if lo > 0 or hi < 0:
@@ -478,10 +477,10 @@ def test_sign_brackets_no_positive_exponent(monkeypatch):
     # e**q for q = 10**9 has about 1.44e9 bits; every bracket must stay in [0, 1]
     brackets = []
 
-    def nonpositive_only(key, depth, bits):
+    def nonpositive_only(key, depth):
         brackets.append(key)
         assert key[0] <= 0, f"bracketed e**({key[0]}/{key[1]})"
-        return _exp_interval(key, depth, bits)
+        return _exp_interval(key, depth)
 
     monkeypatch.setattr(scalars, "_exp_interval", nonpositive_only)
     big = 10**9

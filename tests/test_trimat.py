@@ -510,14 +510,13 @@ def invertible_uppers(draw):
 def assert_inverse(mat, encoded):
     """mat.inverse() against back-substitution.  With ``encoded`` the
     matrix stores its encoding first, as a map's matrix does once it has
-    acted or composed, so a rational unit diagonal inverts on the stored
-    columns; a fresh matrix runs the row series, which stores none."""
+    acted or composed; a stored encoding never changes the inverse, and
+    the series stores none on it."""
     if encoded:
         mat._encoding()
     inv = mat.inverse()
     assert_same(inv, reference_inverse(mat))
-    if not encoded:
-        assert inv._enc is None
+    assert inv._enc is None
     assert mat * inv == TriMat.identity(mat.n)
 
 
@@ -581,7 +580,7 @@ def test_inverse_rejects_a_diagonal_entry_without_inverse(mat):
 
 @pytest.mark.parametrize("below", [Fraction(1, 3), Fraction(1, PAST), ExpSum.exponential(1)])
 def test_inverse_rejects_an_entry_below_a_unit_diagonal(below):
-    # a unit diagonal alone does not take the series on the stored columns
+    # a stored encoding never changes the error
     for encoded in (False, True):
         mat = TriMat([[1, 2, 0], [0, 1, 5], [below, 0, 1]])
         if encoded:
