@@ -25,7 +25,13 @@ returns normal forms too.  ``add``, ``neg`` and ``sub`` take and return
 normal forms, so :class:`LexVec` arithmetic does not coerce again.
 Family values stay sorted by index, so a sum or difference is merged into
 a copy of one operand by bisection (:func:`merge_sorted`) rather than
-rebuilt through a dict and sorted again.
+rebuilt through a dict and sorted again.  A rational index is a Fraction
+in lowest terms with a positive denominator, as :class:`Scalars` ('Q')
+makes it, so its ``_numerator``/``_denominator`` int slots alone decide
+order and equality.  Rational indices are searched (:func:`merge_sorted`),
+shifted (:func:`shift_sorted`), added (:func:`add_fraction`) and negated
+(:func:`neg_fraction`) on those slots, without ``Fraction``'s operator
+dispatch; the results are the reduced Fractions the operators give.
 """
 
 from __future__ import annotations
@@ -42,6 +48,22 @@ from .scalars import ExpSum, _fraction
 _INDEX = itemgetter(0)
 
 
+def _bisect_fraction(pairs, idx: Fraction, lo: int) -> int:
+    """``bisect_left(pairs, idx, lo, key=itemgetter(0))`` for a Fraction
+    idx among Fraction indices, read from their int slots: a/b < n/d is
+    a*d < n*b, since both denominators are positive."""
+    n, d = idx._numerator, idx._denominator
+    hi = len(pairs)
+    while lo < hi:
+        mid = (lo + hi) >> 1
+        f = pairs[mid][0]
+        if f._numerator * d < n * f._denominator:
+            lo = mid + 1
+        else:
+            hi = mid
+    return lo
+
+
 def merge_sorted(pairs: tuple, updates, combine, is_zero) -> tuple:
     """Merge index-sorted ``updates`` into the index-sorted ``pairs``.
 
@@ -49,15 +71,28 @@ def merge_sorted(pairs: tuple, updates, combine, is_zero) -> tuple:
     ``combine(v, u)``, or ``combine(None, u)`` where idx is absent; a
     result for which ``is_zero`` holds is dropped.  Each update's place is
     found by bisection, starting where the previous one was found, so no
-    index is hashed and the untouched pairs are not sorted again.
+    index is hashed and the untouched pairs are not sorted again.  An int
+    index is placed by the C ``bisect_left``; a Fraction index by a binary
+    search on the ``_numerator``/``_denominator`` slots, which finds the
+    same place and tests the index there for equality slot by slot, as
+    reduced forms allow, without ``Fraction.__lt__`` or ``__eq__``.
     """
     if not updates:
         return pairs
     out = list(pairs)
     pos = 0
     for idx, u in updates:
-        pos = bisect_left(out, idx, pos, key=_INDEX)
-        if pos < len(out) and out[pos][0] == idx:
+        if type(idx) is Fraction:
+            pos = _bisect_fraction(out, idx, pos)
+            if pos < len(out):
+                at = out[pos][0]
+                here = at._numerator == idx._numerator and at._denominator == idx._denominator
+            else:
+                here = False
+        else:
+            pos = bisect_left(out, idx, pos, key=_INDEX)
+            here = pos < len(out) and out[pos][0] == idx
+        if here:
             v = combine(out[pos][1], u)
             if is_zero(v):
                 del out[pos]
@@ -70,31 +105,64 @@ def merge_sorted(pairs: tuple, updates, combine, is_zero) -> tuple:
     return tuple(out)
 
 
+def add_fraction(x: Fraction, y: Fraction) -> Fraction:
+    """x + y for Fractions x and y, on their int slots.
+
+    Where either denominator is 1 the sum is already in lowest terms;
+    otherwise one gcd reduces it, and the floor divisions are skipped
+    when that gcd is 1.  The result is the reduced Fraction that
+    ``x + y`` gives, built without ``Fraction.__add__``'s dispatch.
+    """
+    a, b = x._numerator, x._denominator
+    p, q = y._numerator, y._denominator
+    if b == 1:
+        n, d = a * q + p, q
+    elif q == 1:
+        n, d = a + p * b, b
+    else:
+        n, d = a * q + p * b, b * q
+        g = gcd(n, d)
+        if g != 1:
+            n, d = n // g, d // g
+    return _fraction(n, d)
+
+
+def neg_fraction(x: Fraction) -> Fraction:
+    """-x for a Fraction x, on its int slots."""
+    return _fraction(-x._numerator, x._denominator)
+
+
 def shift_sorted(pairs, t) -> tuple:
     """The ``(idx, v)`` pairs with every index moved to idx + t, in order.
 
     Integer indices move by ``i + t``.  For a rational t = p/q each index
-    a/b becomes (a*q + p*b) / (b*q) in int arithmetic: already in lowest
-    terms when b or q is 1, and after one gcd otherwise.  The Fraction is
-    then built from its reduced parts (:func:`~affinetrees.scalars._fraction`)
-    without a second gcd.  A rational shift reads the slots of the
-    indices, which must be Fractions, as :class:`Scalars` ('Q') makes
-    them.  A uniform shift keeps the pairs sorted.
+    a/b becomes (a*q + p*b) / (b*q) in int arithmetic, by the rule of
+    :func:`add_fraction` written out in the loop body: already in lowest
+    terms when b or q is 1, and after one gcd otherwise, with no floor
+    division when that gcd is 1.  Each Fraction is built in place by
+    ``object.__new__`` and two slot writes.  A rational shift reads the
+    slots of the indices, which must be Fractions, as :class:`Scalars`
+    ('Q') makes them.  A uniform shift keeps the pairs sorted.
     """
-    if not isinstance(t, Fraction):
-        return tuple((i + t, v) for i, v in pairs)
-    p, q = t.numerator, t.denominator
+    if type(t) is not Fraction:
+        return tuple([(i + t, v) for i, v in pairs])
+    p, q = t._numerator, t._denominator
+    new = object.__new__
     out = []
     for i, v in pairs:
         a, b = i._numerator, i._denominator
         if b == 1:
-            i = _fraction(a * q + p, q)
+            n, d = a * q + p, q
         elif q == 1:
-            i = _fraction(a + p * b, b)
+            n, d = a + p * b, b
         else:
             n, d = a * q + p * b, b * q
             g = gcd(n, d)
-            i = _fraction(n // g, d // g)
+            if g != 1:
+                n, d = n // g, d // g
+        i = new(Fraction)
+        i._numerator = n
+        i._denominator = d
         out.append((i, v))
     return tuple(out)
 

@@ -4,7 +4,8 @@ Entries are either Fractions or :class:`~affinetrees.scalars.ExpSum`
 values (ints are coerced to Fractions at construction); each matrix
 records at construction whether any entry is an ExpSum, which fixes its
 ring.  Matrices are immutable; all arithmetic is exact.  Two matrices
-are equal when their row tuples are, and hash as them.  The shape
+are equal when their row tuples are, and hash as them; the hash is
+stored on first use, in a slot that ``==`` does not read.  The shape
 predicates -- :meth:`~TriMat.is_upper_triangular`,
 :meth:`~TriMat.is_strict_upper`, :meth:`~TriMat.is_unitriangular`,
 :meth:`~TriMat.is_identity` and :meth:`~TriMat.has_positive_diagonal`
@@ -80,7 +81,7 @@ def _coerce_entry(v):
 class TriMat:
     """Immutable n x n matrix; n >= 1."""
 
-    __slots__ = ("n", "rows", "expsum", "_enc")
+    __slots__ = ("n", "rows", "expsum", "_enc", "_hash")
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
@@ -99,6 +100,8 @@ class TriMat:
         object.__setattr__(self, "expsum", expsum)
         # _encode of the columns, filled by _encoding: a cache, not part of the value
         self._enc = None
+        # hash of the rows, filled by __hash__: a cache, not read by ==
+        self._hash = None
 
     @classmethod
     def zeros(cls, n, zero=Fraction(0)):
@@ -194,7 +197,10 @@ class TriMat:
         return self.rows == other.rows
 
     def __hash__(self):
-        return hash(self.rows)
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.rows)
+        return h
 
     def __repr__(self):
         body = "; ".join(

@@ -34,16 +34,34 @@ nothing is sorted again.  Every shift, in ``act``, ``dilate``, ``mul``
 and ``inv``, goes through :func:`~affinetrees.ordered.shift_sorted`: a
 Z index moves by ``i + t``, and a Q index a/b by t = p/q becomes
 (a*q + p*b) / (b*q) in int arithmetic, reduced by one gcd unless b or q
-is 1, so no ``Fraction`` addition re-normalises it.
+is 1, so no ``Fraction`` addition re-normalises it.  The merge places a
+Q index by a binary search on the same int slots, and the shift sums and
+negations of ``act``, ``dilate``, ``mul`` and ``inv`` (``c + t``,
+``a.shift + t``, ``-a.shift`` and the ``-t`` a family moves by) use the
+slot rule too (:func:`~affinetrees.ordered.add_fraction`,
+:func:`~affinetrees.ordered.neg_fraction`), chosen once per group from
+its index kind.  So a rational wreath runs no ``Fraction`` comparison or
+addition on its indices; the values, their order and their reduced forms
+are the ones ``Fraction``'s operators give.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .actions import MatrixAffineAut
 from .errors import EmptyLevels, StructureMismatch, TooManyLevels
-from .ordered import LexFamily, LexVec, Product, Scalars, merge_sorted, shift_sorted
+from .ordered import (
+    LexFamily,
+    LexVec,
+    Product,
+    Scalars,
+    add_fraction,
+    merge_sorted,
+    neg_fraction,
+    shift_sorted,
+)
 from .trimat import TriMat
 
 
@@ -163,6 +181,10 @@ class WreathGroup:
         self.index_space = index_space
         self.fiber_space = base.point_space
         self.point_space = Product(index_space, LexFamily(index_space, base.point_space))
+        # shift sums and negations: on the int slots for rational indices
+        rational = index_space.kind == "Q"
+        self._add = add_fraction if rational else operator.add
+        self._neg = neg_fraction if rational else operator.neg
 
     def __eq__(self, other):
         return (
@@ -207,13 +229,13 @@ class WreathGroup:
             lambda k, h: h if k is None else base.mul(k, h),
             base.is_identity,
         )
-        return WreathElem(a.shift + t, support)
+        return WreathElem(self._add(a.shift, t), support)
 
     def inv(self, a: WreathElem) -> WreathElem:
         """(shift, (h_i))**-1 = (-shift, (h_{i+shift}**-1)); checked against
         the multiplication rule by the verification suites."""
         self.check_element(a)
-        inv, t = self.base.inv, -a.shift
+        inv, t = self.base.inv, self._neg(a.shift)
         return WreathElem(t, shift_sorted(((i, inv(h)) for i, h in a.support), t))
 
     # -- the action ----------------------------------------------------------
@@ -234,8 +256,8 @@ class WreathGroup:
             self.fiber_space.is_zero,
         )
         if t:
-            moved = shift_sorted(moved, -t)
-        return (c + t, moved)
+            moved = shift_sorted(moved, self._neg(t))
+        return (self._add(c, t), moved)
 
     def act_zero(self, g: WreathElem):
         return self.act(g, self.point_space.zero())
@@ -255,7 +277,7 @@ class WreathGroup:
             fiber.is_zero,
         )
         if t:
-            out = shift_sorted(out, -t)
+            out = shift_sorted(out, self._neg(t))
         return (c, out)
 
     def act_vec(self, g: WreathElem, point: LexVec) -> LexVec:

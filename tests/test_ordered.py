@@ -1,5 +1,7 @@
+from bisect import bisect_left
 from fractions import Fraction
 from math import gcd
+from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings
@@ -11,9 +13,12 @@ from affinetrees.ordered import (
     LexVec,
     Product,
     Scalars,
+    _bisect_fraction,
+    add_fraction,
     dominates,
     lex_compare,
     lex_distance,
+    neg_fraction,
     shift_sorted,
 )
 from affinetrees.sampling import trial_rng
@@ -418,6 +423,29 @@ def test_shift_sorted_matches_scalar_addition(kind, data):
         assert [j for j, _ in got] == sorted(j for j, _ in got)
     # any iterable of pairs is taken, not only a tuple
     assert shift_sorted(iter(pairs), t) == shift_sorted(pairs, t)
+
+
+@given(a=rationals, b=rationals)
+@settings(max_examples=300, deadline=None)
+def test_slot_sum_and_negation_match_fraction_arithmetic(a, b):
+    assert_same_scalar(add_fraction(a, b), a + b)
+    assert_same_scalar(add_fraction(a, -a), Fraction(0))
+    assert_same_scalar(neg_fraction(a), -a)
+
+
+@given(st.lists(rationals, max_size=10))
+@settings(max_examples=200, deadline=None)
+def test_slot_search_matches_bisect_left(indices):
+    indices = sorted(set(indices))
+    pairs = [(i, object()) for i in indices]
+    # below, at and above every stored index, and past both ends
+    probes = {Fraction(-41), Fraction(41)}
+    for i in indices:
+        probes |= {i - Fraction(1, 24), i, i + Fraction(1, 24)}
+    for idx in probes:
+        for lo in range(len(pairs) + 1):
+            want = bisect_left(pairs, idx, lo, key=itemgetter(0))
+            assert _bisect_fraction(pairs, idx, lo) == want
 
 
 @given(st.integers(-10**30, 10**30), st.integers(1, 10**30))

@@ -1,3 +1,4 @@
+import hashlib
 from fractions import Fraction
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import strategies as st
 from affinetrees.actions import MatrixAffineAut, from_affine_matrix
 from affinetrees.errors import EmptyLevels, StructureMismatch, TooManyLevels
 from affinetrees.harness import make_unitriangular_image_bundle
-from affinetrees.ordered import LexVec, Scalars, lex_distance
+from affinetrees.ordered import LexFamily, LexVec, Scalars, lex_distance
 from affinetrees.sampling import trial_rng
 from affinetrees.scalars import ExpSum
 from affinetrees.trimat import TriMat
@@ -427,3 +428,100 @@ def test_image_of_the_zero_point_matches_the_action(kind):
         for t in range(20):
             h = bundle.sample_element(trial_rng(32, "act-zero", kind, t))
             assert_same(bundle.act_zero(h), bundle.act(h, zero))
+
+
+# -- pinned results on rational indices --------------------------------------
+
+#: Groups whose results are pinned by digest: every level rational, a
+#: rational level between two integer ones, and a rational wreath over the
+#: affine maps of embedded U_3 images.
+DIGEST_GROUPS = {
+    "QQQ": lambda: iterated_wreath(["Q", "Q", "Q"]),
+    "ZQZ": lambda: iterated_wreath(["Z", "Q", "Z"]),
+    "U3-Q": lambda: WreathGroup(make_unitriangular_image_bundle(3), Scalars("Q")),
+}
+
+#: SHA-256 of :func:`wreath_transcript` for each group, recorded before
+#: the rational index search, shift and sum moved to the int slots.
+WREATH_DIGESTS = {
+    "QQQ": "34aff302beeffed7d799f6d492c9a503ce8d782b8aee045bfba8b0f48145a65d",
+    "ZQZ": "8614b2d9086f41bca306bce95fc5f110632008f0dd3cea6e0d9a1611682d67c5",
+    "U3-Q": "0f5b50c6343932ab01f4c9e1f7e38f7cee580225091057f308325ff23023c595",
+}
+
+
+def wreath_inputs(group, trials=10):
+    """Per trial an element g, points p and q, and their distance, drawn
+    and compared with ``Fraction``'s own order, so before any test
+    patches it."""
+    out = []
+    for t in range(trials):
+        rng = trial_rng(33, "wreath-digest", t)
+        g = group.sample_nontrivial(rng)
+        p, q = group.sample_point(rng), group.sample_point(rng)
+        out.append((g, p, q, lex_distance(p, q)))
+    return out
+
+
+def wreath_transcript(group, inputs, k=8) -> str:
+    """The ``repr`` of orbits (k ``act_vec`` steps), powers g**1..g**k by
+    ``mul``, ``inv`` and ``dilate_vec`` results, one per line."""
+    lines = []
+    for g, p, q, dist in inputs:
+        orbit, powers = [p], [g]
+        for _ in range(k):
+            orbit.append(group.act_vec(g, orbit[-1]))
+            powers.append(group.mul(powers[-1], g))
+        inv = group.inv(g)
+        lines += map(repr, orbit + powers)
+        lines += map(repr, (inv, group.inv(powers[-1]), group.act_vec(inv, orbit[-1])))
+        lines += map(repr, (group.dilate_vec(g, p - q), group.dilate_vec(inv, dist)))
+    return "\n".join(lines)
+
+
+def transcript_digest(group, inputs) -> str:
+    return hashlib.sha256(wreath_transcript(group, inputs).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("kind", DIGEST_GROUPS)
+def test_rational_index_results_match_pinned_digests(kind):
+    group = DIGEST_GROUPS[kind]()
+    assert transcript_digest(group, wreath_inputs(group)) == WREATH_DIGESTS[kind]
+
+
+def dict_merge(a, b, sign):
+    """a + sign * b for two Q -> Q families, through a dict and a sort."""
+    out = dict(a)
+    for i, v in b:
+        out[i] = out.get(i, 0) + sign * v
+    return tuple(sorted((i, v) for i, v in out.items() if v))
+
+
+def test_rational_indices_take_no_fraction_comparison(monkeypatch):
+    """With ``Fraction``'s ordering made to raise, the wreath operations
+    and family sums on rational indices still give the pinned results:
+    they search, shift and add on the int slots only."""
+    groups = {kind: make() for kind, make in DIGEST_GROUPS.items()}
+    inputs = {kind: wreath_inputs(group) for kind, group in groups.items()}
+    fam = LexFamily(Scalars("Q"), Scalars("Q"))
+    rng = trial_rng(34, "no-dispatch")
+    pool = index_pool(Scalars("Q"))
+    families = []
+    for _ in range(30):
+        a = fam.coerce({rng.choice(pool): Fraction(rng.randint(-3, 3), 2) for _ in range(4)})
+        # b cancels some of a's values, adds to others and has its own indices
+        b = fam.coerce(
+            {**{i: -v for i, v in a if rng.random() < 0.5},
+             **{rng.choice(pool): Fraction(rng.randint(-3, 3), 3) for _ in range(3)}}
+        )
+        families.append((a, b, dict_merge(a, b, 1), dict_merge(a, b, -1)))
+
+    def no_order(self, other, op):
+        raise AssertionError("a Fraction index was compared through Fraction")
+
+    monkeypatch.setattr(Fraction, "_richcmp", no_order)
+    for kind, group in groups.items():
+        assert transcript_digest(group, inputs[kind]) == WREATH_DIGESTS[kind]
+    for a, b, total, difference in families:
+        assert_same(fam.add(a, b), total)
+        assert_same(fam.sub(a, b), difference)
