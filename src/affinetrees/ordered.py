@@ -29,9 +29,9 @@ rebuilt through a dict and sorted again.  A rational index is a Fraction
 in lowest terms with a positive denominator, as :class:`Scalars` ('Q')
 makes it, so its ``_numerator``/``_denominator`` int slots alone decide
 order and equality.  Rational indices are searched (:func:`merge_sorted`),
-shifted (:func:`shift_sorted`), added (:func:`add_fraction`) and negated
-(:func:`neg_fraction`) on those slots, without ``Fraction``'s operator
-dispatch; the results are the reduced Fractions the operators give.
+shifted (:func:`shift_sorted`) and added (:func:`add_fraction`) on those
+slots, without ``Fraction``'s operator dispatch; the results are the
+reduced Fractions the operators give.
 """
 
 from __future__ import annotations
@@ -125,11 +125,6 @@ def add_fraction(x: Fraction, y: Fraction) -> Fraction:
         if g != 1:
             n, d = n // g, d // g
     return _fraction(n, d)
-
-
-def neg_fraction(x: Fraction) -> Fraction:
-    """-x for a Fraction x, on its int slots."""
-    return _fraction(-x._numerator, x._denominator)
 
 
 def shift_sorted(pairs, t) -> tuple:

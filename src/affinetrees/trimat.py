@@ -4,8 +4,7 @@ Entries are either Fractions or :class:`~affinetrees.scalars.ExpSum`
 values (ints are coerced to Fractions at construction); each matrix
 records at construction whether any entry is an ExpSum, which fixes its
 ring.  Matrices are immutable; all arithmetic is exact.  Two matrices
-are equal when their row tuples are, and hash as them; the hash is
-stored on first use, in a slot that ``==`` does not read.  The shape
+are equal when their row tuples are, and hash as them.  The shape
 predicates -- :meth:`~TriMat.is_upper_triangular`,
 :meth:`~TriMat.is_strict_upper`, :meth:`~TriMat.is_unitriangular`,
 :meth:`~TriMat.is_identity` and :meth:`~TriMat.has_positive_diagonal`
@@ -81,7 +80,7 @@ def _coerce_entry(v):
 class TriMat:
     """Immutable n x n matrix; n >= 1."""
 
-    __slots__ = ("n", "rows", "expsum", "_enc", "_hash")
+    __slots__ = ("n", "rows", "expsum", "_enc")
 
     def __init__(self, rows):
         rows = tuple(map(tuple, rows))
@@ -100,8 +99,6 @@ class TriMat:
         object.__setattr__(self, "expsum", expsum)
         # _encode of the columns, filled by _encoding: a cache, not part of the value
         self._enc = None
-        # hash of the rows, filled by __hash__: a cache, not read by ==
-        self._hash = None
 
     @classmethod
     def zeros(cls, n, zero=Fraction(0)):
@@ -197,10 +194,7 @@ class TriMat:
         return self.rows == other.rows
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = self._hash = hash(self.rows)
-        return h
+        return hash(self.rows)
 
     def __repr__(self):
         body = "; ".join(

@@ -35,14 +35,13 @@ and ``inv``, goes through :func:`~affinetrees.ordered.shift_sorted`: a
 Z index moves by ``i + t``, and a Q index a/b by t = p/q becomes
 (a*q + p*b) / (b*q) in int arithmetic, reduced by one gcd unless b or q
 is 1, so no ``Fraction`` addition re-normalises it.  The merge places a
-Q index by a binary search on the same int slots, and the shift sums and
-negations of ``act``, ``dilate``, ``mul`` and ``inv`` (``c + t``,
-``a.shift + t``, ``-a.shift`` and the ``-t`` a family moves by) use the
-slot rule too (:func:`~affinetrees.ordered.add_fraction`,
-:func:`~affinetrees.ordered.neg_fraction`), chosen once per group from
-its index kind.  So a rational wreath runs no ``Fraction`` comparison or
-addition on its indices; the values, their order and their reduced forms
-are the ones ``Fraction``'s operators give.
+Q index by a binary search on the same int slots, and the shift sums
+``c + t`` of ``act`` and ``a.shift + t`` of ``mul`` use the slot rule too
+(:func:`~affinetrees.ordered.add_fraction`, chosen once per group from
+its index kind).  So a rational wreath runs no ``Fraction`` comparison or
+addition on its indices; negations stay ``Fraction.__neg__``, which takes
+no gcd.  The values, their order and their reduced forms are the ones
+``Fraction``'s operators give.
 """
 
 from __future__ import annotations
@@ -59,7 +58,6 @@ from .ordered import (
     Scalars,
     add_fraction,
     merge_sorted,
-    neg_fraction,
     shift_sorted,
 )
 from .trimat import TriMat
@@ -181,10 +179,8 @@ class WreathGroup:
         self.index_space = index_space
         self.fiber_space = base.point_space
         self.point_space = Product(index_space, LexFamily(index_space, base.point_space))
-        # shift sums and negations: on the int slots for rational indices
-        rational = index_space.kind == "Q"
-        self._add = add_fraction if rational else operator.add
-        self._neg = neg_fraction if rational else operator.neg
+        # shift sums: on the int slots for rational indices
+        self._add = add_fraction if index_space.kind == "Q" else operator.add
 
     def __eq__(self, other):
         return (
@@ -235,7 +231,7 @@ class WreathGroup:
         """(shift, (h_i))**-1 = (-shift, (h_{i+shift}**-1)); checked against
         the multiplication rule by the verification suites."""
         self.check_element(a)
-        inv, t = self.base.inv, self._neg(a.shift)
+        inv, t = self.base.inv, -a.shift
         return WreathElem(t, shift_sorted(((i, inv(h)) for i, h in a.support), t))
 
     # -- the action ----------------------------------------------------------
@@ -256,7 +252,7 @@ class WreathGroup:
             self.fiber_space.is_zero,
         )
         if t:
-            moved = shift_sorted(moved, self._neg(t))
+            moved = shift_sorted(moved, -t)
         return (self._add(c, t), moved)
 
     def act_zero(self, g: WreathElem):
@@ -277,7 +273,7 @@ class WreathGroup:
             fiber.is_zero,
         )
         if t:
-            out = shift_sorted(out, self._neg(t))
+            out = shift_sorted(out, -t)
         return (c, out)
 
     def act_vec(self, g: WreathElem, point: LexVec) -> LexVec:

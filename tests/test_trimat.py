@@ -387,30 +387,6 @@ def near_identities(draw, ring):
     return TriMat(rows)
 
 
-def test_hash_is_stored_on_first_use(monkeypatch):
-    rows = [[Fraction(1), Fraction(1, 3), Fraction(-5, 2)], [0, 1, Fraction(7, 4)], [0, 0, 1]]
-    m, twin = TriMat(rows), TriMat(rows)
-    product = TriMat.identity(3) * m
-    calls = []
-    fraction_hash = Fraction.__hash__
-
-    def counted(self):
-        calls.append(self)
-        return fraction_hash(self)
-
-    monkeypatch.setattr(Fraction, "__hash__", counted)
-    first = hash(m)
-    assert calls
-    calls.clear()
-    assert hash(m) == first and hash(m) == first
-    assert not calls
-    # equal matrices hash equal, however they were built and whichever
-    # hashed first
-    assert twin == m and product == m
-    assert hash(twin) == first and hash(product) == first
-    assert hash(m.rows) == first
-
-
 @pytest.mark.parametrize("ring", sorted(RINGS))
 @given(data=st.data())
 @settings(max_examples=40, deadline=None)
